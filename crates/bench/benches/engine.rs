@@ -155,12 +155,10 @@ fn bench_engine_rounds(c: &mut Criterion) {
 /// per arc per round, so resolution and arena fill dominate over the
 /// node closures) on a random 4-regular graph, sequential vs parallel
 /// schedule, across sizes straddling [`local_model::PARALLEL_THRESHOLD`]
-/// (4096): below it the parallel schedule falls back to the sequential
-/// routing pass, above it the chunk-split path engages. Under the
-/// vendored single-thread rayon stand-in both schedules perform the
-/// same routing work, so the seq/par pair tracks the split's
-/// bookkeeping overhead (it must stay in the noise); with real rayon
-/// the par series shows the fan-out win.
+/// (4096). The sequential schedule runs every round as one part, the
+/// parallel one as one part per worker thread (at least two) at every
+/// size, so the seq/par pair tracks what the multi-part split and its
+/// fan-out cost or win at each size.
 fn bench_routing(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine-rounds");
     group.sample_size(12);

@@ -12,94 +12,78 @@
 //! The two-phase structure enforces LOCAL-model synchrony: a node
 //! cannot observe a neighbor's round-`t` message before round `t + 1`.
 //!
-//! # Mailbox arena
+//! # One partitioned round
 //!
-//! Delivery runs through a flat, CSR-indexed **mailbox arena** owned by
-//! the engine and reused across rounds, so the steady-state delivery
-//! path performs **no heap allocation** (verified by the
-//! counting-allocator test in `tests/alloc_audit.rs`):
+//! Every round runs on a partition of the nodes into contiguous,
+//! ascending *parts*. A node's home part is the only one that steps its
+//! program, advances its RNG stream, or writes its inbox, so parts need
+//! no locks. A round is:
 //!
-//! * every node keeps a persistent [`Outbox`] whose directed buffer is
-//!   cleared (capacity retained) at the start of each send phase;
-//! * a **routing pass** (sequential below [`PARALLEL_THRESHOLD`],
-//!   chunk-parallel above — see *Parallel execution*) resolves every
-//!   directed message
-//!   `w → v` to its destination *arc* (the graph's directed
-//!   half-edges, [`Graph::arc_range`]) with a single `O(log Δ)`
-//!   [`Graph::neighbor_position`] lookup plus the `O(1)`
-//!   [`Graph::reverse_arc`] table; the lookup doubles as the
-//!   non-neighbor validity check (the message is discarded and the
-//!   first offender surfaces as a typed [`EngineError`] — a panic via
-//!   [`Engine::step`], a value via [`Engine::try_step`] — without the
-//!   historical extra `has_edge` search), and a linear stable counting
-//!   pass groups the messages by
-//!   recipient — already arc-ordered within each bucket, because
-//!   senders are visited in increasing id order;
-//! * a **fill pass** then builds inboxes in a strictly forward sweep
-//!   of a flat `Vec<(NodeId, M)>` arena: node `v`'s inbox is the
-//!   contiguous slice written while walking `v`'s arcs in order, so
-//!   sorted adjacency gives the sender-sorted inbox invariant for
-//!   free; each neighbor contributes its broadcast (read straight off
-//!   its outbox) before its directed messages (drained from the
-//!   arc-sorted bucket with one merge cursor) — no scattered writes;
-//!   recipients are processed in blocks of roughly [`ARENA_BLOCK`]
-//!   messages, each block's inboxes filled and consumed before the
-//!   arena is reused, so delivery memory is bounded by the block (not
-//!   the round's total traffic) and stays cache-resident even on dense
-//!   power graphs;
-//! * the recv phase hands every node its inbox as a **borrowed slice**
-//!   of the arena — a broadcast payload is cloned once per delivery, a
-//!   directed payload once into the staging buffer and once into the
-//!   arena (bitwise copies for the `Copy` message types the algorithms
-//!   use).
+//! 1. **send + stage** (per part): run the part's send closures, then
+//!    walk its senders in ascending id order. Each directed message
+//!    `w → v` is resolved to its destination *arc* (the graph's
+//!    directed half-edges, [`Graph::arc_range`]) with one `O(log Δ)`
+//!    [`Graph::neighbor_position`] lookup — which doubles as the
+//!    non-neighbor check: the message is discarded and the first
+//!    offender surfaces as a typed [`EngineError`], a panic via
+//!    [`Engine::step`] or a value via [`Engine::try_step`] — plus the
+//!    graph's cached [`Graph::reverse_arcs`] table, and is appended to
+//!    the stream for `v`'s home part: the intra stream, or one stream
+//!    per other part.
+//! 2. **exchange** (the only barrier): part `s`'s stream for part `t`
+//!    is handed to `t`.
+//! 3. **merge + deliver + recv** (per part): concatenate the inbound
+//!    streams in source-part order, group them by recipient with a
+//!    stable counting sort, sweep the per-edge bandwidth, then build the
+//!    inboxes in a strictly forward sweep of a flat `Vec<(NodeId, M)>`
+//!    arena — node `v`'s inbox is the contiguous slice written while
+//!    walking `v`'s arcs in order, each neighbor contributing its
+//!    broadcast before its directed messages — and hand every node its
+//!    inbox as a **borrowed slice** of the arena. Recipients are
+//!    processed in blocks of roughly [`ARENA_BLOCK`] messages, each
+//!    block filled and consumed before the arena is reused, so delivery
+//!    memory is bounded by the block rather than the round's traffic.
 //!
-//! The per-message-type scratch (`M` differs per [`Engine::step`] call)
-//! lives in a small type-keyed map inside the engine; warm-up grows the
-//! buffers once per message type, after which rounds are
-//! allocation-free for `Copy` payloads. (In [`ExecMode::Parallel`], the
-//! vendored rayon stand-in still allocates inside its fan-out adapters;
-//! the engine's own delivery path stays allocation-free either way.)
+//! # Where parts come from
 //!
-//! # Parallel execution
+//! * **The execution mode** ([`Engine::new`]): one part for
+//!   [`ExecMode::Sequential`] and for [`ExecMode::Auto`] below
+//!   [`PARALLEL_THRESHOLD`] nodes; otherwise `max(2, worker threads)`
+//!   parts, each phase fanned out over them on worker threads. Streams
+//!   change hands in memory and a neighbor's broadcast is read in place
+//!   from its sender's outbox: nothing is encoded.
+//! * **A [`ShardPlan`]** ([`Engine::sharded`], [`Engine::contiguous`]):
+//!   the distributed-memory rehearsal. The parts are the plan's shards,
+//!   and every stream between two shards travels as one
+//!   [`WireCodec`]-encoded boundary block per ordered shard pair per
+//!   round (see [`crate::shard`]), metered in [`BoundaryStats`].
 //!
-//! Both compute phases are data-parallel over nodes: the send phase
-//! only touches node-local state, and the recv phase reads the
-//! immutable round-`t` arena. The engine exploits this with rayon-style
-//! worker threads when the graph is large enough ([`ExecMode::Auto`]),
-//! and per-node private RNG streams keep the execution **bit-identical
-//! to the sequential schedule** for a fixed seed — verified by the
-//! repository's determinism regression test and by the
-//! reference-delivery equivalence proptest in
-//! `tests/delivery_equivalence.rs`.
+//! # Determinism: source-part order is sender order
 //!
-//! At or above [`PARALLEL_THRESHOLD`] nodes, the routing and fill
-//! passes fan out too, over **disjoint contiguous ranges**:
+//! Parts own contiguous, ascending node ranges and stage their senders
+//! in ascending order, so concatenating a part's inbound streams in
+//! source-part order reproduces the global send order restricted to its
+//! recipients. Adjacency is sorted, so a recipient's arcs ascend with
+//! the sender id, and the stable counting sort leaves every recipient's
+//! bucket grouped by arc with ties in send order — the exact buckets of
+//! a one-part round. Every inbox slot therefore holds the same
+//! `(sender, payload)` pair for every partition and transport (which is
+//! also why fault injection, a pure hash of round/arc/slot coordinates,
+//! produces identical transcripts), per-node RNG streams make the
+//! thread schedule irrelevant, and all accounting reduces with integer
+//! sums and maxima. `tests/delivery_equivalence.rs` pins the round
+//! against a naive reference, and the determinism and
+//! `sharded_equivalence` suites pin it across modes and plans.
 //!
-//! * broadcast wire sizes (`encoded_bits`, the only per-sender routing
-//!   cost that grows with the payload) are computed per sender in
-//!   parallel;
-//! * directed resolution stages each sender-range chunk into private
-//!   buffers that are spliced back *in chunk order*, reproducing the
-//!   exact global send order of the sequential walk (senders
-//!   ascending, each sender's messages in send order);
-//! * the per-edge bandwidth sweep runs per recipient range — recipient
-//!   buckets are disjoint by construction (the counting pass groups by
-//!   recipient, and sender-side arc counts are taken during staging,
-//!   so the sweep writes no cross-recipient state) — and the partial
-//!   sums/maxima fold with integer `+`/`max`, which is
-//!   order-independent;
-//! * the arena fill builds each recipient range into a private buffer
-//!   with the range's own bucket cursor (bucket bounds are absolute in
-//!   `dir_start`), then concatenates in range order — byte-identical
-//!   to the sequential forward sweep.
+//! # Allocation
 //!
-//! Every reduction is integer arithmetic over identically staged
-//! traffic, so inbox contents, [`MessageStats`], and the ledger stay
-//! bit-identical across modes *and* chunk counts — pinned by the
-//! above-threshold determinism test in this module and the equivalence
-//! suites. Below the threshold (including forced-parallel runs on
-//! small graphs), the sequential passes keep their zero-allocation
-//! warm path (`tests/alloc_audit.rs`).
+//! The per-message-type delivery scratch (`M` differs per
+//! [`Engine::step`] call) lives in a small type-keyed map inside the
+//! engine; every buffer keeps its capacity across rounds, so after
+//! warm-up a one-part round allocates nothing for `Copy` payloads
+//! (`tests/alloc_audit.rs`). A multi-part round adds the vendored rayon
+//! stand-in's allocations for its two fan-outs, and the wire transport
+//! allocates its boundary blocks.
 //!
 //! # Accounting
 //!
@@ -107,18 +91,19 @@
 //! [`crate::RoundLedger`], and the engine keeps [`MessageStats`]:
 //! broadcast/directed message counts, deliveries, and — because every
 //! message type implements [`WireCodec`] — exact CONGEST-style bit
-//! accounting. During the routing pass the engine charges each
-//! message's [`WireCodec::encoded_bits`] (no serialization happens on
-//! the hot path; the wire bytes exist only in the codec test suites),
-//! tracks the heaviest per-edge-per-round load, and, under
-//! [`BandwidthPolicy::Congest`], counts every (edge, round) pair whose
-//! load exceeds the budget. The same numbers are charged to the round's
-//! [`crate::RoundLedger`], so whole algorithms surface their bandwidth
-//! footprint end to end.
+//! accounting. The engine charges each message's
+//! [`WireCodec::encoded_bits`] (no serialization happens on the
+//! in-memory path; the wire bytes exist only in boundary blocks and the
+//! codec test suites), tracks the heaviest per-edge-per-round load, and,
+//! under [`BandwidthPolicy::Congest`], counts every (edge, round) pair
+//! whose load exceeds the budget. The same numbers are charged to the
+//! round's [`crate::RoundLedger`], so whole algorithms surface their
+//! bandwidth footprint end to end.
 
 use crate::ledger::RoundLedger;
+use crate::shard::{decode_block, encode_block, part_arc_bounds, BoundaryBlock, BoundaryStats};
 use crate::wire::WireCodec;
-use delta_graphs::{Graph, NodeId};
+use delta_graphs::{Graph, NodeId, ShardPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rayon::prelude::*;
@@ -184,7 +169,7 @@ impl<M> Outbox<M> {
     }
 
     /// Drops queued directed messages that fail `keep` (the overlay's
-    /// eager validity check, mirroring the engine's routing-pass drop).
+    /// eager validity check, mirroring the engine's staging drop).
     pub(crate) fn retain_directed(&mut self, keep: impl FnMut(&(NodeId, M)) -> bool) {
         self.directed.retain(keep);
     }
@@ -207,39 +192,12 @@ impl<M> Outbox<M> {
     }
 }
 
-/// A synchronous node program: the algorithm one node runs per round.
-///
-/// Programs must be [`Sync`] because the engine may evaluate many nodes
-/// concurrently within a round.
-pub trait NodeProgram: Sync {
-    /// Per-node state.
-    type State: Send;
-    /// Message type (cloned per delivery into the mailbox arena;
-    /// `'static` so the engine can cache per-type delivery scratch;
-    /// [`WireCodec`] so every transmission is charged its exact wire
-    /// size).
-    type Msg: Clone + Send + Sync + WireCodec + 'static;
-
-    /// Send phase: read/update own state, queue outgoing messages.
-    fn send(&self, ctx: &mut NodeCtx<'_>, state: &mut Self::State, out: &mut Outbox<Self::Msg>);
-
-    /// Receive phase: update own state from the inbox. The inbox lists
-    /// `(sender, message)` pairs, senders in sorted adjacency order;
-    /// a sender's broadcast precedes its directed messages.
-    fn recv(&self, ctx: &mut NodeCtx<'_>, state: &mut Self::State, inbox: &[(NodeId, Self::Msg)]);
-
-    /// Local termination predicate for [`Engine::run`].
-    fn done(&self, _state: &Self::State) -> bool {
-        false
-    }
-}
-
 /// How the engine schedules the per-node compute within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Single-threaded reference schedule.
     Sequential,
-    /// Rayon worker threads for both phases of every round.
+    /// Worker threads for both phases of every round.
     Parallel,
     /// Parallel for graphs with at least [`PARALLEL_THRESHOLD`] nodes,
     /// sequential below (thread fan-out costs more than it saves on
@@ -316,12 +274,12 @@ pub enum EngineError {
     /// different message type (unreachable unless `TypeId` lies).
     ScratchTypeConflict,
     /// A staged boundary-block message's destination arc fell outside
-    /// the destination shard's arc range — a violation of the sharded
-    /// engine's single-owner discipline (only a node's home shard may
-    /// fill its inbox), caught by the `arc_range` check at the
-    /// boundary-block encode site. Unreachable through the public API:
-    /// routing derives every destination arc from the recipient's own
-    /// adjacency, and the block's target shard is the recipient's home.
+    /// the destination shard's arc range — a violation of the
+    /// single-owner discipline (only a node's home part may fill its
+    /// inbox), caught by the `arc_range` check at the boundary-block
+    /// encode site. Unreachable through the public API: staging derives
+    /// every destination arc from the recipient's own adjacency, and the
+    /// block's target shard is the recipient's home.
     CrossShardArc {
         /// The sending node.
         from: NodeId,
@@ -374,6 +332,14 @@ impl BandwidthPolicy {
     pub fn congest_for(n: usize) -> Self {
         BandwidthPolicy::Congest {
             bits: crate::wire::congest_budget(n as u64),
+        }
+    }
+
+    /// The per-edge-per-round budget (`u64::MAX` under `Local`).
+    fn budget(self) -> u64 {
+        match self {
+            BandwidthPolicy::Local => u64::MAX,
+            BandwidthPolicy::Congest { bits } => bits,
         }
     }
 }
@@ -429,111 +395,221 @@ pub struct MessageStats {
     pub crashed_rounds: u64,
 }
 
-/// Reusable per-message-type delivery scratch: the persistent outboxes
-/// plus the flat CSR-indexed inbox arena (see the module docs). One
-/// `Mailbox<M>` lives in the engine's type-keyed scratch map per
-/// message type `M` used with [`Engine::step`]; all buffers retain
-/// their capacity across rounds, so the steady state allocates nothing.
-struct Mailbox<M> {
-    /// One persistent outbox per node, reset (not reallocated) each round.
-    outboxes: Vec<Outbox<M>>,
-    /// The flat inbox arena. Filled one recipient block at a time (see
-    /// [`ARENA_BLOCK`]): while block `[i0, i1)` is being delivered,
-    /// node `v ∈ [i0, i1)`'s inbox is
-    /// `arena[inbox_start[v] .. inbox_start[v + 1]]`; the arena is
-    /// cleared for the next block, so offsets outside the active block
-    /// are stale — neither field is meaningful after `step` returns.
-    arena: Vec<(NodeId, M)>,
-    /// Block-local arena bounds (`n + 1` entries); only the slots of
-    /// the block currently being delivered are valid.
-    inbox_start: Vec<u32>,
-    /// This round's directed messages, staged contiguously in global
-    /// send order as `(dest_arc, payload)`. Staging the payload (its
-    /// clone into the delivery substrate) keeps later reads inside one
-    /// compact buffer instead of pointer-chasing into scattered outbox
-    /// buffers. Non-neighbor targets are dropped during routing.
-    routed: Vec<(u32, M)>,
-    /// Recipient of each `routed` entry, parallel to `routed`.
-    routed_to: Vec<u32>,
-    /// Per-recipient bucket cursors/bounds over `dir_idx` (`n + 1`
-    /// entries): after the bucketing pass, recipient `v`'s directed
-    /// messages are `dir_idx[dir_start[v - 1] .. dir_start[v]]`
-    /// (`0` for `v = 0`).
-    dir_start: Vec<u32>,
-    /// Indices into `routed`, bucketed by recipient. Because the
-    /// routing pass visits senders in increasing id order (and a
-    /// sender's messages in send order), each bucket comes out sorted
-    /// by destination arc with ties in send order — no sorting needed,
-    /// the counting pass is a complete stable sort by construction.
-    dir_idx: Vec<u32>,
-    /// Per-sender broadcast size in bits this round (`n` entries,
-    /// refilled — not cleared — every round during the routing pass).
-    bcast_bits: Vec<u64>,
-    /// Per-sender count of arcs that carried at least one directed
-    /// message from that sender this round; used to know how many of a
-    /// broadcaster's edges carried *only* the broadcast. Reset to 0 via
-    /// `dir_senders` after each round, so it stays O(traffic) to clean.
-    dir_arc_count: Vec<u32>,
-    /// Senders with a nonzero `dir_arc_count`, for the O(traffic) reset.
-    dir_senders: Vec<u32>,
-    /// Senders that queued a broadcast this round (presence cannot be
-    /// read off `bcast_bits`: zero-size payloads like `()` are real
-    /// broadcasts of 0 bits).
-    bcast_senders: Vec<u32>,
-    /// Epoch-stamped per-destination-arc marks (`graph.num_arcs()`
-    /// entries): `arc_mark[a] == arc_epoch` iff destination arc `a`
-    /// already carried a directed message this round. Lets the staging
-    /// walk count each sender's distinct directed arcs up front, so
-    /// the recipient-side bandwidth sweep writes no cross-recipient
-    /// state — which is what makes that sweep safely chunk-parallel.
-    /// Allocated lazily on the first directed message: broadcast-only
-    /// programs never pay the `O(num_arcs)` footprint (on dense virtual
-    /// graphs like a near-complete `G^7` oracle it would dwarf the
-    /// traffic itself).
-    arc_mark: Vec<u32>,
-    /// Current epoch for `arc_mark`: bumped once per round, so stale
-    /// marks expire in O(1) (a full clear happens only on wrap-around).
-    arc_epoch: u32,
+/// Directed traffic from one part to another (or to itself): staged
+/// messages as `(destination arc, payload)` in send order, with each
+/// message's recipient (global node id) alongside.
+pub(crate) struct Stream<M> {
+    pub(crate) items: Vec<(u32, M)>,
+    pub(crate) to: Vec<u32>,
 }
 
-impl<M> Mailbox<M> {
-    fn new() -> Self {
-        Mailbox {
-            outboxes: Vec::new(),
-            arena: Vec::new(),
-            inbox_start: Vec::new(),
-            routed: Vec::new(),
-            routed_to: Vec::new(),
-            dir_start: Vec::new(),
-            dir_idx: Vec::new(),
-            bcast_bits: Vec::new(),
-            dir_arc_count: Vec::new(),
-            dir_senders: Vec::new(),
-            bcast_senders: Vec::new(),
-            arc_mark: Vec::new(),
-            arc_epoch: 0,
+impl<M> Stream<M> {
+    pub(crate) fn new() -> Self {
+        Stream {
+            items: Vec::new(),
+            to: Vec::new(),
         }
     }
 
-    /// Sizes the fixed-shape buffers for `graph` (no-op after warm-up).
-    fn ensure_shape(&mut self, graph: &Graph) {
-        if self.outboxes.len() != graph.n() {
-            self.outboxes.resize_with(graph.n(), Outbox::new);
-            self.inbox_start.resize(graph.n() + 1, 0);
-            self.dir_start.resize(graph.n() + 1, 0);
-            self.bcast_bits.resize(graph.n(), 0);
-            self.dir_arc_count.resize(graph.n(), 0);
-            self.arc_mark.clear(); // re-sized lazily on first directed use
-            self.arc_epoch = 0;
+    pub(crate) fn push(&mut self, arc: u32, to: u32, msg: M) {
+        self.items.push((arc, msg));
+        self.to.push(to);
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+        self.to.clear();
+    }
+
+    /// Moves all of `other`'s traffic onto the end of this stream.
+    fn append(&mut self, other: &mut Stream<M>) {
+        self.items.append(&mut other.items);
+        self.to.append(&mut other.to);
+    }
+}
+
+/// One part's phase-1 counters for the current round.
+#[derive(Default)]
+struct Tally {
+    broadcasts: u64,
+    directed: u64,
+    deliveries: u64,
+    /// First directed message to a non-neighbor in this part's send
+    /// order.
+    invalid: Option<(NodeId, NodeId)>,
+    boundary: BoundaryStats,
+    /// A cross-shard arc caught at the encode site (aborts the round).
+    error: Option<EngineError>,
+}
+
+/// Bandwidth totals of one round (per part, then folded).
+#[derive(Debug, Clone, Copy, Default)]
+struct Bandwidth {
+    /// Bits transmitted (per-edge-traversal accounting).
+    bits: u64,
+    /// Heaviest per-directed-edge load.
+    max_edge_bits: u64,
+    /// Edges over the CONGEST budget.
+    violations: u64,
+}
+
+impl Bandwidth {
+    fn fold(&mut self, other: Bandwidth) {
+        self.bits += other.bits;
+        self.max_edge_bits = self.max_edge_bits.max(other.max_edge_bits);
+        self.violations += other.violations;
+    }
+
+    /// Charges one directed edge carrying `load` bits.
+    fn edge(&mut self, load: u64, budget: u64) {
+        self.max_edge_bits = self.max_edge_bits.max(load);
+        if load > budget {
+            self.violations += 1;
         }
     }
+}
+
+/// One part's per-message-type scratch: its staging streams, delivery
+/// buffers and per-round results. Every buffer retains its capacity
+/// across rounds.
+struct Part<M> {
+    index: usize,
+    /// Owned node range `[lo, hi)`.
+    lo: usize,
+    hi: usize,
+    /// Owned arc range (the arcs leaving the part's nodes).
+    arc_lo: usize,
+    arc_hi: usize,
+    /// One stream per part. During staging, slot `t` collects the
+    /// traffic for part `t`; the exchange transposes the parts' stream
+    /// matrices, after which slot `s` holds the traffic from part `s`.
+    streams: Vec<Stream<M>>,
+    /// Encoded boundary blocks (wire transport), indexed like
+    /// `streams`: by target part before the exchange, by source part
+    /// after it.
+    blocks: Vec<Option<BoundaryBlock>>,
+    /// Wire transport: per target part, the local indices of own
+    /// broadcasters with a neighbor there, ascending.
+    bcast_to: Vec<Vec<u32>>,
+    /// Wire transport: decoded remote broadcasters `(sender, wire bits,
+    /// payload)`, ascending by sender.
+    remote: Vec<(u32, u64, M)>,
+    /// Local indices of own nodes that broadcast this round.
+    bcast_senders: Vec<u32>,
+    /// Per own node, the number of distinct arcs that carried at least
+    /// one of its directed messages this round: the broadcaster's other
+    /// edges carried *only* the broadcast. Reset through `dir_senders`,
+    /// so cleanup stays O(traffic).
+    dir_arc_count: Vec<u32>,
+    /// Own nodes with a nonzero `dir_arc_count`.
+    dir_senders: Vec<u32>,
+    /// Epoch-stamped marks over the part's own source arcs:
+    /// `src_mark[a - arc_lo] == src_epoch` iff arc `a` already carried a
+    /// directed message this round. Sized on first directed use, so
+    /// broadcast-only programs never pay for it.
+    src_mark: Vec<u32>,
+    src_epoch: u32,
+    /// Counting-sort cursors/bounds over local recipients (`len + 1`
+    /// entries): after the sort, local recipient `v`'s bucket is
+    /// `dir_idx[bucket_bounds(dir_start, v)]`.
+    dir_start: Vec<u32>,
+    /// Indices into the merged stream, bucketed by recipient.
+    dir_idx: Vec<u32>,
+    /// The inbox arena, filled one recipient block at a time: while
+    /// block `[i0, i1)` is being delivered, local node `i`'s inbox is
+    /// `arena[inbox_start[i] .. inbox_start[i + 1]]`.
+    arena: Vec<(NodeId, M)>,
+    inbox_start: Vec<u32>,
+    tally: Tally,
+    bandwidth: Bandwidth,
+    max_inbox: usize,
+}
+
+impl<M> Part<M> {
+    fn new(graph: &Graph, plan: &ShardPlan, index: usize) -> Self {
+        let range = plan.range(index);
+        let (arc_lo, arc_hi) = part_arc_bounds(graph, plan, index);
+        let parts = plan.num_shards();
+        Part {
+            index,
+            lo: range.start,
+            hi: range.end,
+            arc_lo,
+            arc_hi,
+            streams: (0..parts).map(|_| Stream::new()).collect(),
+            blocks: (0..parts).map(|_| None).collect(),
+            bcast_to: vec![Vec::new(); parts],
+            remote: Vec::new(),
+            bcast_senders: Vec::new(),
+            dir_arc_count: vec![0; range.len()],
+            dir_senders: Vec::new(),
+            src_mark: Vec::new(),
+            src_epoch: 0,
+            dir_start: vec![0; range.len() + 1],
+            dir_idx: Vec::new(),
+            arena: Vec::new(),
+            inbox_start: vec![0; range.len() + 1],
+            tally: Tally::default(),
+            bandwidth: Bandwidth::default(),
+            max_inbox: 0,
+        }
+    }
+}
+
+/// Reusable per-message-type delivery scratch: the persistent outboxes
+/// and broadcast sizes (one per node, written by the home part during
+/// staging and read by every part during delivery) plus one [`Part`]
+/// per part of the current partition.
+struct Scratch<M> {
+    outboxes: Vec<Outbox<M>>,
+    /// Each node's broadcast size in bits this round (0 without one).
+    bcast_bits: Vec<u64>,
+    parts: Vec<Part<M>>,
+}
+
+impl<M> Scratch<M> {
+    fn new() -> Self {
+        Scratch {
+            outboxes: Vec::new(),
+            bcast_bits: Vec::new(),
+            parts: Vec::new(),
+        }
+    }
+
+    /// Sizes the buffers for `graph` and `plan` (no-op after warm-up,
+    /// until the partition changes).
+    fn ensure_shape(&mut self, graph: &Graph, plan: &ShardPlan) {
+        if self.outboxes.len() != graph.n() {
+            self.outboxes.resize_with(graph.n(), Outbox::new);
+            self.bcast_bits.resize(graph.n(), 0);
+        }
+        let stale = self.parts.len() != plan.num_shards()
+            || self
+                .parts
+                .iter()
+                .any(|p| (p.lo..p.hi) != plan.range(p.index));
+        if stale {
+            self.parts = (0..plan.num_shards())
+                .map(|i| Part::new(graph, plan, i))
+                .collect();
+        }
+    }
+}
+
+/// What every part reads during a round.
+struct Layout<'a> {
+    graph: &'a Graph,
+    plan: &'a ShardPlan,
+    /// Cross-part streams travel as encoded boundary blocks.
+    wire: bool,
+    /// Per-edge-per-round bit budget.
+    budget: u64,
 }
 
 /// Synchronous message-passing executor over a graph.
 ///
-/// `S` is the per-node state. Each [`Engine::step`] (or
-/// [`Engine::round`]) call is exactly one LOCAL round and is charged to
-/// the ledger.
+/// `S` is the per-node state. Each [`Engine::step`] call is exactly one
+/// LOCAL round and is charged to the ledger.
 ///
 /// # Example
 ///
@@ -567,9 +643,16 @@ pub struct Engine<'g, S> {
     rngs: Vec<StdRng>,
     mode: ExecMode,
     policy: BandwidthPolicy,
+    /// The partition rounds run on: fixed when `wire`, otherwise
+    /// re-derived from the execution mode before each round.
+    plan: ShardPlan,
+    /// Whether `plan` came from the constructor, making cross-part
+    /// streams travel as encoded boundary blocks.
+    wire: bool,
     rounds_run: u64,
     stats: MessageStats,
-    /// Per-message-type [`Mailbox`] scratch, keyed by `TypeId::of::<M>()`.
+    boundary: BoundaryStats,
+    /// Per-message-type [`Scratch`], keyed by `TypeId::of::<M>()`.
     /// Buffers are created on the first `step::<M>` call and reused for
     /// the engine's lifetime, making steady-state rounds allocation-free.
     scratch: HashMap<TypeId, Box<dyn Any + Send>>,
@@ -588,10 +671,11 @@ pub(crate) fn node_rngs(seed: u64, n: usize) -> Vec<StdRng> {
 
 impl<'g, S: Send> Engine<'g, S> {
     /// Creates an engine with per-node state from `init` and
-    /// deterministic per-node RNG streams derived from `seed`.
+    /// deterministic per-node RNG streams derived from `seed`. Its
+    /// partition follows the execution mode (see the module docs).
     pub fn new(graph: &'g Graph, seed: u64, init: impl Fn(NodeId) -> S) -> Self {
         let rngs = node_rngs(seed, graph.n());
-        Self::with_rngs(graph, rngs, init)
+        Self::with_rngs(graph, rngs, init, None)
     }
 
     /// Engine whose nodes all share clones of **one** RNG stream — for
@@ -602,10 +686,45 @@ impl<'g, S: Send> Engine<'g, S> {
     pub(crate) fn new_relay(graph: &'g Graph, init: impl Fn(NodeId) -> S) -> Self {
         let base = StdRng::seed_from_u64(0);
         let rngs = vec![base; graph.n()];
-        Self::with_rngs(graph, rngs, init)
+        Self::with_rngs(graph, rngs, init, None)
     }
 
-    fn with_rngs(graph: &'g Graph, rngs: Vec<StdRng>, init: impl Fn(NodeId) -> S) -> Self {
+    /// Creates an engine whose parts are the shards of `plan`, with the
+    /// same states and RNG streams [`Engine::new`] would hand out: every
+    /// stream between two shards travels as an encoded boundary block
+    /// (see [`crate::shard`]). Results are bit-identical to
+    /// [`Engine::new`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` does not partition exactly `graph.n()` nodes.
+    pub fn sharded(
+        graph: &'g Graph,
+        plan: ShardPlan,
+        seed: u64,
+        init: impl Fn(NodeId) -> S,
+    ) -> Self {
+        assert_eq!(plan.n(), graph.n(), "plan must partition the graph");
+        Self::with_rngs(graph, node_rngs(seed, graph.n()), init, Some(plan))
+    }
+
+    /// [`Engine::sharded`] over an equal-count contiguous partition into
+    /// `shards` shards.
+    pub fn contiguous(
+        graph: &'g Graph,
+        shards: usize,
+        seed: u64,
+        init: impl Fn(NodeId) -> S,
+    ) -> Self {
+        Self::sharded(graph, ShardPlan::contiguous(graph.n(), shards), seed, init)
+    }
+
+    fn with_rngs(
+        graph: &'g Graph,
+        rngs: Vec<StdRng>,
+        init: impl Fn(NodeId) -> S,
+        plan: Option<ShardPlan>,
+    ) -> Self {
         let states = graph.nodes().map(init).collect();
         Engine {
             graph,
@@ -613,13 +732,19 @@ impl<'g, S: Send> Engine<'g, S> {
             rngs,
             mode: ExecMode::Auto,
             policy: BandwidthPolicy::Local,
+            wire: plan.is_some(),
+            plan: plan.unwrap_or_else(|| ShardPlan::contiguous(graph.n(), 1)),
             rounds_run: 0,
             stats: MessageStats::default(),
+            boundary: BoundaryStats::default(),
             scratch: HashMap::new(),
         }
     }
 
-    /// Sets the execution mode (builder style).
+    /// Sets the execution mode (builder style). With a shard plan,
+    /// `Sequential` runs the shards one after another and `Parallel`
+    /// fans them out to worker threads; results are bit-identical
+    /// either way.
     pub fn with_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
@@ -664,51 +789,20 @@ impl<'g, S: Send> Engine<'g, S> {
         self.rounds_run
     }
 
-    /// Message-volume counters accumulated so far.
+    /// Message-volume counters accumulated so far — identical for
+    /// every partition and transport.
     pub fn message_stats(&self) -> MessageStats {
         self.stats
     }
 
-    /// Whether this round runs on worker threads.
-    fn parallel(&self) -> bool {
-        resolve_parallel(self.mode, self.graph.n())
+    /// Boundary-block wire counters: the shard plan's own cost (always
+    /// zero without one).
+    pub fn boundary_stats(&self) -> BoundaryStats {
+        self.boundary
     }
 
-    /// Executes one synchronous round of `program`, charged to `phase`.
-    pub fn round<P: NodeProgram<State = S>>(
-        &mut self,
-        program: &P,
-        ledger: &mut RoundLedger,
-        phase: &str,
-    ) {
-        self.step(
-            ledger,
-            phase,
-            |ctx, state, out| program.send(ctx, state, out),
-            |ctx, state, inbox| program.recv(ctx, state, inbox),
-        );
-    }
-
-    /// Runs `program` until every node's [`NodeProgram::done`] holds or
-    /// `max_rounds` is reached; returns the number of rounds executed.
-    pub fn run<P: NodeProgram<State = S>>(
-        &mut self,
-        program: &P,
-        ledger: &mut RoundLedger,
-        phase: &str,
-        max_rounds: u64,
-    ) -> u64 {
-        let mut executed = 0;
-        while executed < max_rounds && !self.states.iter().all(|s| program.done(s)) {
-            self.round(program, ledger, phase);
-            executed += 1;
-        }
-        executed
-    }
-
-    /// Executes one synchronous round given as a closure pair — the
-    /// ad-hoc form of [`Engine::round`] for algorithms whose rounds are
-    /// easier to write inline than as a [`NodeProgram`] type.
+    /// Executes one synchronous round given as a closure pair: `send`
+    /// fills each node's outbox, `recv` consumes each node's inbox.
     ///
     /// Both closures must be `Sync`: they run concurrently across nodes
     /// in parallel mode. All per-node mutability flows through the
@@ -737,7 +831,7 @@ impl<'g, S: Send> Engine<'g, S> {
 
     /// [`Engine::step`] with typed errors instead of panics: the round
     /// executes identically (an invalid directed message is discarded
-    /// during routing, everything else is delivered and charged), and
+    /// during staging, everything else is delivered and charged), and
     /// any [`EngineError`] observed is returned after the round
     /// completes — so callers can assert on failure modes without
     /// unwinding, and a fault harness can keep driving the engine past
@@ -746,7 +840,10 @@ impl<'g, S: Send> Engine<'g, S> {
     /// # Errors
     ///
     /// [`EngineError::InvalidDirectedTarget`] reports the first (in
-    /// global send order) directed message addressed to a non-neighbor;
+    /// global send order) directed message addressed to a non-neighbor.
+    /// [`EngineError::CrossShardArc`] aborts the round at the exchange
+    /// barrier, before any delivery (an internal invariant of the wire
+    /// transport, unreachable through the public API), and
     /// [`EngineError::ScratchTypeConflict`] reports a corrupted
     /// delivery-scratch map (never constructible through the public
     /// API).
@@ -763,7 +860,21 @@ impl<'g, S: Send> Engine<'g, S> {
         RECV: Fn(&mut NodeCtx<'_>, &mut S, &[(NodeId, M)]) + Sync,
     {
         let graph = self.graph;
-        let parallel = self.parallel();
+        let n = graph.n();
+        let parallel = resolve_parallel(self.mode, n);
+        if !self.wire {
+            // At least two parts whenever the round runs on worker
+            // threads, so the multi-part merge runs (and stays exact)
+            // even on a single-core host.
+            let parts = if parallel {
+                rayon::current_num_threads().max(2)
+            } else {
+                1
+            };
+            if self.plan.num_shards() != parts.clamp(1, n.max(1)) {
+                self.plan = ShardPlan::contiguous(n, parts);
+            }
+        }
         // Trace enrichment starts the round clock and snapshots the
         // cumulative stats (for per-round deltas) only when a sink is
         // attached — the untraced path pays one branch, no clock read.
@@ -772,131 +883,79 @@ impl<'g, S: Send> Engine<'g, S> {
         } else {
             None
         };
-        let mut trace_max_inbox = 0u32;
-        let mailbox: &mut Mailbox<M> = self
+        let scratch: &mut Scratch<M> = self
             .scratch
             .entry(TypeId::of::<M>())
-            .or_insert_with(|| Box::new(Mailbox::<M>::new()))
+            .or_insert_with(|| Box::new(Scratch::<M>::new()))
             .downcast_mut()
             .ok_or(EngineError::ScratchTypeConflict)?;
-        mailbox.ensure_shape(graph);
-        let states = &mut self.states;
-        let rngs = &mut self.rngs;
+        let plan = &self.plan;
+        scratch.ensure_shape(graph, plan);
+        let Scratch {
+            outboxes,
+            bcast_bits,
+            parts,
+        } = scratch;
+        let at = Layout {
+            graph,
+            plan,
+            wire: self.wire,
+            budget: self.policy.budget(),
+        };
+        let fan_out = parallel && parts.len() > 1;
 
-        // Phase 1: compute all outboxes from round-start states. The
-        // outboxes are persistent; each node resets its own before
-        // running the send closure.
-        {
-            let outboxes = &mut mailbox.outboxes;
-            if parallel {
-                states
-                    .par_iter_mut()
-                    .zip(rngs.par_iter_mut())
-                    .zip(outboxes.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, ((state, rng), out))| {
-                        run_send(graph, i, state, rng, out, &send)
-                    });
-            } else {
-                states
-                    .iter_mut()
-                    .zip(rngs.iter_mut())
-                    .zip(outboxes.iter_mut())
-                    .enumerate()
-                    .for_each(|(i, ((state, rng), out))| {
-                        run_send(graph, i, state, rng, out, &send)
-                    });
+        // Phase 1: send + stage, per part.
+        let tasks = parts
+            .iter_mut()
+            .zip(split_by(&mut self.states, plan))
+            .zip(split_by(&mut self.rngs, plan))
+            .zip(split_by(outboxes, plan).zip(split_by(bcast_bits, plan)));
+        for_each_part(fan_out, tasks, |(((part, states), rngs), (outs, bits))| {
+            part.stage(&at, states, rngs, outs, bits, &send)
+        });
+
+        // A cross-shard arc (single-owner violation) aborts the round
+        // before any delivery or accounting.
+        if let Some(e) = parts.iter().find_map(|p| p.tally.error) {
+            return Err(e);
+        }
+        // Merge the staging tallies in part order — which is global send
+        // order, so the first invalid target found is the first sent.
+        let mut invalid: Option<(NodeId, NodeId)> = None;
+        let mut trace_boundary: Vec<(u64, u64)> = Vec::new();
+        for part in parts.iter() {
+            let t = &part.tally;
+            invalid = invalid.or(t.invalid);
+            self.stats.broadcasts += t.broadcasts;
+            self.stats.directed += t.directed;
+            self.stats.deliveries += t.deliveries;
+            self.boundary.add(t.boundary);
+            if self.wire && trace_start.is_some() {
+                trace_boundary.push((t.boundary.blocks, t.boundary.block_bits));
             }
         }
+        exchange(parts);
 
-        // Routing: resolve and group this round's directed messages,
-        // charging every message's wire size (one `encoded_bits` call
-        // per transmission). Sequential below `PARALLEL_THRESHOLD` —
-        // pure index arithmetic and memcpy-sized clones with zero
-        // allocations; chunk-parallel over disjoint sender/recipient
-        // ranges above it (see the module docs for why the transcript
-        // stays bit-identical).
-        let par_chunks = if parallel && graph.n() >= PARALLEL_THRESHOLD {
-            // At least two chunks, so the splice/fold paths stay
-            // exercised (and deterministic by construction) even on
-            // single-worker hosts.
-            rayon::current_num_threads().max(2)
-        } else {
-            0
-        };
-        let bw = route_messages(graph, mailbox, &mut self.stats, self.policy, par_chunks);
+        // Phase 2: merge + deliver + recv, per part.
+        let (outboxes, bcast_bits) = (&*outboxes, &*bcast_bits);
+        let tasks = parts
+            .iter_mut()
+            .zip(split_by(&mut self.states, plan))
+            .zip(split_by(&mut self.rngs, plan));
+        for_each_part(fan_out, tasks, |((part, states), rngs)| {
+            part.deliver(&at, states, rngs, outboxes, bcast_bits, &recv)
+        });
+
+        let mut bw = Bandwidth::default();
+        let mut max_inbox = 0;
+        for part in parts.iter() {
+            bw.fold(part.bandwidth);
+            max_inbox = max_inbox.max(part.max_inbox);
+        }
         self.stats.bits_sent += bw.bits;
         self.stats.max_edge_bits = self.stats.max_edge_bits.max(bw.max_edge_bits);
         self.stats.congest_violations += bw.violations;
         ledger.charge_bandwidth(bw.bits, bw.max_edge_bits, bw.violations);
-
-        // Phase 2: simultaneous delivery; every node consumes its inbox
-        // as a borrowed slice of the arena. Recipients are processed in
-        // blocks of at most [`ARENA_BLOCK`]-ish messages: fill the
-        // arena for a block, run the block's recv, reuse the arena —
-        // bounding delivery memory by the block size instead of the
-        // round's total traffic, which keeps the arena cache-resident
-        // (and the kernel out of the loop) even on dense power graphs.
-        // Sparse rounds fit in one block, so they pay no extra cost.
-        let n = graph.n();
-        let mut block_start = 0usize;
-        let mut dir_cursor = 0usize;
-        while block_start < n {
-            // Upper-bound a recipient's arena demand by its degree
-            // (possible broadcasts) plus its directed bucket — known
-            // without reading any outbox.
-            let mut block_end = block_start;
-            let mut load = 0usize;
-            while block_end < n {
-                let bucket = bucket_bounds(&mailbox.dir_start, block_end);
-                let node_load = graph.degree(NodeId::from_index(block_end)) + bucket.len();
-                if block_end > block_start && load + node_load > ARENA_BLOCK {
-                    break;
-                }
-                load += node_load;
-                block_end += 1;
-            }
-            if par_chunks > 0 {
-                fill_block_par(graph, mailbox, block_start, block_end, par_chunks);
-                dir_cursor = mailbox.dir_start[block_end.saturating_sub(1)] as usize;
-            } else {
-                fill_block(graph, mailbox, block_start, block_end, &mut dir_cursor);
-            }
-
-            if trace_start.is_some() {
-                for i in block_start..block_end {
-                    let len = mailbox.inbox_start[i + 1] - mailbox.inbox_start[i];
-                    trace_max_inbox = trace_max_inbox.max(len);
-                }
-            }
-
-            let arena = &mailbox.arena;
-            let inbox_start = &mailbox.inbox_start;
-            let run_one = |i: usize, state: &mut S, rng: &mut StdRng| {
-                let v = NodeId::from_index(i);
-                let inbox = &arena[inbox_start[i] as usize..inbox_start[i + 1] as usize];
-                let mut ctx = NodeCtx {
-                    id: v,
-                    degree: graph.degree(v),
-                    rng,
-                };
-                recv(&mut ctx, state, inbox);
-            };
-            if parallel {
-                states[block_start..block_end]
-                    .par_iter_mut()
-                    .zip(rngs[block_start..block_end].par_iter_mut())
-                    .enumerate()
-                    .for_each(|(i, (state, rng))| run_one(block_start + i, state, rng));
-            } else {
-                states[block_start..block_end]
-                    .iter_mut()
-                    .zip(rngs[block_start..block_end].iter_mut())
-                    .enumerate()
-                    .for_each(|(i, (state, rng))| run_one(block_start + i, state, rng));
-            }
-            block_start = block_end;
-        }
 
         if let Some((t0, pre)) = trace_start {
             ledger.trace_meta(crate::trace::RoundMeta {
@@ -905,13 +964,13 @@ impl<'g, S: Send> Engine<'g, S> {
                 broadcasts: self.stats.broadcasts - pre.broadcasts,
                 directed: self.stats.directed - pre.directed,
                 deliveries: self.stats.deliveries - pre.deliveries,
-                max_inbox: trace_max_inbox as u64,
-                boundary: Vec::new(),
+                max_inbox: max_inbox as u64,
+                boundary: trace_boundary,
             });
         }
         self.rounds_run += 1;
         ledger.charge(phase, 1);
-        match bw.invalid {
+        match invalid {
             Some((from, to)) => Err(EngineError::InvalidDirectedTarget { from, to }),
             None => Ok(()),
         }
@@ -1015,485 +1074,371 @@ impl<S: Send> RoundDriver<S> for Engine<'_, S> {
 /// instead of materializing hundreds of megabytes of inboxes at once.
 /// A single recipient may exceed the cap (its inbox must be one
 /// contiguous slice), so this bounds memory at
-/// `max(ARENA_BLOCK, largest single inbox)` entries.
+/// `max(ARENA_BLOCK, largest single inbox)` entries per part.
 pub const ARENA_BLOCK: usize = 1 << 18;
 
-/// Bucket of directed-message indices for recipient `v` inside
-/// `dir_idx` (see [`Mailbox::dir_start`]'s cursor-shift layout).
-/// Shared with the sharded engine, whose per-shard counting sort uses
-/// the same cursor-shift layout over shard-local recipient indices.
-pub(crate) fn bucket_bounds(dir_start: &[u32], v: usize) -> std::ops::Range<usize> {
+/// Bucket of directed-message indices for local recipient `v` inside
+/// `dir_idx` (see [`Part::dir_start`]'s cursor-shift layout).
+fn bucket_bounds(dir_start: &[u32], v: usize) -> std::ops::Range<usize> {
     let start = if v == 0 { 0 } else { dir_start[v - 1] as usize };
     start..dir_start[v] as usize
 }
 
-/// Runs one node's send phase: reset the persistent outbox, build the
-/// context, invoke the program. Shared with the sharded engine so both
-/// substrates present identical contexts (global node id, host degree,
-/// the node's private RNG stream).
-pub(crate) fn run_send<S, M>(
-    graph: &Graph,
-    i: usize,
-    state: &mut S,
-    rng: &mut StdRng,
-    out: &mut Outbox<M>,
-    send: &impl Fn(&mut NodeCtx<'_>, &mut S, &mut Outbox<M>),
-) {
-    let v = NodeId::from_index(i);
-    let mut ctx = NodeCtx {
-        id: v,
-        degree: graph.degree(v),
-        rng,
-    };
-    out.reset();
-    send(&mut ctx, state, out);
+/// Splits `xs` (one entry per node) into the plan's consecutive part
+/// slices.
+fn split_by<'a, T>(
+    mut xs: &'a mut [T],
+    plan: &'a ShardPlan,
+) -> impl Iterator<Item = &'a mut [T]> + 'a {
+    (0..plan.num_shards()).map(move |p| {
+        let (part, rest) = std::mem::take(&mut xs).split_at_mut(plan.range(p).len());
+        xs = rest;
+        part
+    })
 }
 
-/// One round's bandwidth totals, produced by [`route_messages`].
-#[derive(Debug, Clone, Copy, Default)]
-struct RoundBandwidth {
-    /// Bits transmitted this round (per-edge-traversal accounting).
-    bits: u64,
-    /// Heaviest per-directed-edge load this round.
-    max_edge_bits: u64,
-    /// Edges over the CONGEST budget this round.
-    violations: u64,
-    /// First (in global send order) directed message addressed to a
-    /// non-neighbor, if any — surfaced as
-    /// [`EngineError::InvalidDirectedTarget`] after the round.
-    invalid: Option<(NodeId, NodeId)>,
-}
-
-/// Splits `[lo, hi)` into at most `chunks` contiguous ranges.
-fn chunk_ranges(lo: usize, hi: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let len = hi - lo;
-    let step = len.div_ceil(chunks.max(1)).max(1);
-    let mut out = Vec::with_capacity(chunks);
-    let mut a = lo;
-    while a < hi {
-        let b = (a + step).min(hi);
-        out.push((a, b));
-        a = b;
-    }
-    out
-}
-
-/// One sender-range chunk's staged output (see [`stage_parallel`]).
-struct StagePart<M> {
-    routed: Vec<(u32, M)>,
-    routed_to: Vec<u32>,
-    bcast_senders: Vec<u32>,
-    bcast_deliveries: u64,
-    directed_queued: u64,
-    delivered: u64,
-    invalid: Option<(NodeId, NodeId)>,
-}
-
-/// Sequential staging walk: per sender, charge the broadcast size,
-/// resolve directed messages to destination arcs (the
-/// `neighbor_position` lookup doubles as the non-neighbor validity
-/// check), and count each sender's distinct directed arcs via the
-/// epoch-stamped `arc_mark` table. All scratch is round-reused, so the
-/// warm path allocates nothing.
-fn stage_sequential<M: Clone + WireCodec>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    stats: &mut MessageStats,
-) -> Option<(NodeId, NodeId)> {
-    let mut invalid: Option<(NodeId, NodeId)> = None;
-    let mut rev: Option<&[u32]> = None;
-    for (i, out) in mailbox.outboxes.iter().enumerate() {
-        let v = NodeId::from_index(i);
-        mailbox.bcast_bits[i] = match &out.broadcast {
-            Some(m) => {
-                stats.broadcasts += 1;
-                stats.deliveries += graph.degree(v) as u64;
-                mailbox.bcast_senders.push(i as u32);
-                m.encoded_bits()
-            }
-            None => 0,
-        };
-        stats.directed += out.directed.len() as u64;
-        for (to, m) in &out.directed {
-            // A directed message only reaches an actual neighbor; in the
-            // LOCAL model addressing anyone else is a program bug.
-            match graph.neighbor_position(v, *to) {
-                Some(p) => {
-                    // Broadcast-only rounds never force the table.
-                    let rev = *rev.get_or_insert_with(|| graph.reverse_arcs());
-                    let dest = rev[graph.arc_range(v).start + p] as usize;
-                    mailbox.routed.push((dest as u32, m.clone()));
-                    mailbox.routed_to.push(to.0);
-                    mailbox.dir_start[to.index() + 1] += 1;
-                    stats.deliveries += 1;
-                    if mailbox.arc_mark.is_empty() {
-                        mailbox.arc_mark.resize(graph.num_arcs(), 0);
-                    }
-                    if mailbox.arc_mark[dest] != mailbox.arc_epoch {
-                        mailbox.arc_mark[dest] = mailbox.arc_epoch;
-                        if mailbox.dir_arc_count[i] == 0 {
-                            mailbox.dir_senders.push(i as u32);
-                        }
-                        mailbox.dir_arc_count[i] += 1;
-                    }
-                }
-                // A directed message only reaches an actual neighbor;
-                // it is discarded, and the first offender is reported
-                // as a typed [`EngineError`] after the round.
-                None => invalid = invalid.or(Some((v, *to))),
-            }
-        }
-    }
-    invalid
-}
-
-/// Chunk-parallel staging: senders split into contiguous ranges, each
-/// resolved into private buffers, then spliced back **in chunk order**
-/// — reproducing the sequential walk's global send order exactly
-/// (senders ascending, each sender's messages in send order), so every
-/// downstream pass sees identical staged traffic.
-fn stage_parallel<M: Clone + Send + Sync + WireCodec>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    stats: &mut MessageStats,
-    chunks: usize,
-) -> Option<(NodeId, NodeId)> {
-    // Broadcast wire sizes: the only per-sender staging cost that grows
-    // with the payload, farmed out per sender.
-    {
-        let outboxes = &mailbox.outboxes;
-        mailbox
-            .bcast_bits
-            .par_iter_mut()
-            .zip(outboxes.par_iter())
-            .for_each(|(bits, out)| {
-                *bits = out.broadcast.as_ref().map_or(0, WireCodec::encoded_bits)
-            });
-    }
-    // Force the shared reverse-arc table once, outside the fan-out.
-    let rev = graph.reverse_arcs();
-    let outboxes = &mailbox.outboxes;
-    let parts: Vec<StagePart<M>> = chunk_ranges(0, graph.n(), chunks)
-        .into_par_iter()
-        .map(|(a, b)| {
-            let mut part = StagePart {
-                routed: Vec::new(),
-                routed_to: Vec::new(),
-                bcast_senders: Vec::new(),
-                bcast_deliveries: 0,
-                directed_queued: 0,
-                delivered: 0,
-                invalid: None,
-            };
-            for (i, out) in (a..b).zip(&outboxes[a..b]) {
-                let v = NodeId::from_index(i);
-                if out.broadcast.is_some() {
-                    part.bcast_senders.push(i as u32);
-                    part.bcast_deliveries += graph.degree(v) as u64;
-                }
-                part.directed_queued += out.directed.len() as u64;
-                for (to, m) in &out.directed {
-                    match graph.neighbor_position(v, *to) {
-                        Some(p) => {
-                            let dest = rev[graph.arc_range(v).start + p];
-                            part.routed.push((dest, m.clone()));
-                            part.routed_to.push(to.0);
-                            part.delivered += 1;
-                        }
-                        None => part.invalid = part.invalid.or(Some((v, *to))),
-                    }
-                }
-            }
-            part
-        })
-        .collect();
-    // Chunks are merged in chunk (= sender) order, so the first invalid
-    // message found here is the first in global send order — matching
-    // the sequential walk exactly.
-    let mut invalid: Option<(NodeId, NodeId)> = None;
-    for part in parts {
-        invalid = invalid.or(part.invalid);
-        stats.broadcasts += part.bcast_senders.len() as u64;
-        stats.directed += part.directed_queued;
-        stats.deliveries += part.bcast_deliveries + part.delivered;
-        mailbox.bcast_senders.extend_from_slice(&part.bcast_senders);
-        if !part.routed.is_empty() && mailbox.arc_mark.is_empty() {
-            mailbox.arc_mark.resize(graph.num_arcs(), 0);
-        }
-        for &(dest, _) in &part.routed {
-            let dest = dest as usize;
-            if mailbox.arc_mark[dest] != mailbox.arc_epoch {
-                mailbox.arc_mark[dest] = mailbox.arc_epoch;
-                let s = graph.arc_head(dest).index();
-                if mailbox.dir_arc_count[s] == 0 {
-                    mailbox.dir_senders.push(s as u32);
-                }
-                mailbox.dir_arc_count[s] += 1;
-            }
-        }
-        for &to in &part.routed_to {
-            mailbox.dir_start[to as usize + 1] += 1;
-        }
-        mailbox.routed.extend(part.routed);
-        mailbox.routed_to.extend_from_slice(&part.routed_to);
-    }
-    invalid
-}
-
-/// Routing pass: resolves every directed message to its destination arc
-/// (one `neighbor_position` lookup per message — the validity check and
-/// the routing are the same lookup, followed by the `O(1)`
-/// [`Graph::reverse_arc`] hop), stages it with its payload in
-/// `mailbox.routed`, groups the staged messages by recipient with a
-/// linear stable counting pass over `dir_start` (no comparison sort
-/// anywhere), and accumulates the round's [`MessageStats`]. Broadcasts
-/// need no routing work here: the fill pass reads them straight off
-/// the sender's outbox. With `par_chunks > 0` the staging walk and the
-/// bandwidth sweep fan out over contiguous sender/recipient ranges (see
-/// the module docs); the staged traffic and all accounting stay
-/// bit-identical to the sequential pass.
-///
-/// # Bandwidth accounting
-///
-/// The directed edge `w → v` (identified by `v`'s arc toward `w`, the
-/// destination arc the fill pass already groups by) carries `w`'s
-/// broadcast (if any) plus every directed message `w → v`. Its load is
-/// computed without any per-arc load array: each recipient's bucket is
-/// already arc-sorted, so consecutive runs of equal destination arcs
-/// give the directed load per edge in one linear sweep, and the
-/// sender's broadcast size is added from the per-node `bcast_bits`
-/// table. Edges that carry *only* a broadcast are covered per sender:
-/// `degree - (arcs with directed traffic)` edges at `bcast_bits`
-/// apiece (the per-sender arc counts come from the epoch-stamped
-/// `arc_mark` table filled during staging). All scratch is round-reused
-/// and reset in O(traffic), so the sequential path's zero-allocation
-/// warm path is preserved.
-fn route_messages<M: Clone + Send + Sync + WireCodec>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    stats: &mut MessageStats,
-    policy: BandwidthPolicy,
-    par_chunks: usize,
-) -> RoundBandwidth {
-    let n = graph.n();
-    mailbox.routed.clear();
-    mailbox.routed_to.clear();
-    mailbox.dir_start.fill(0);
-    // New epoch: every `arc_mark` entry from prior rounds goes stale in
-    // O(1); a full clear is needed only when the counter wraps.
-    mailbox.arc_epoch = mailbox.arc_epoch.wrapping_add(1);
-    if mailbox.arc_epoch == 0 {
-        mailbox.arc_mark.fill(0);
-        mailbox.arc_epoch = 1;
-    }
-    let invalid = if par_chunks > 0 {
-        stage_parallel(graph, mailbox, stats, par_chunks)
+/// Runs `f` on every part's task: on worker threads when `fan_out`,
+/// otherwise in part order (allocation-free).
+fn for_each_part<T: Send>(fan_out: bool, tasks: impl Iterator<Item = T>, f: impl Fn(T) + Sync) {
+    if fan_out {
+        tasks.collect::<Vec<T>>().into_par_iter().for_each(f);
     } else {
-        stage_sequential(graph, mailbox, stats)
-    };
-    // Bucket the staged messages by recipient: prefix-sum the counts,
-    // then scatter indices with the per-recipient cursors (shifting
-    // each cursor to its bucket's end). Senders were visited in
-    // increasing id order and the destination arc inside a recipient's
-    // range grows with the sender id, so this stable counting pass
-    // leaves every bucket already grouped by arc in send order —
-    // delivery needs no comparison sort at all.
-    for i in 1..=n {
-        mailbox.dir_start[i] += mailbox.dir_start[i - 1];
+        tasks.for_each(f);
     }
-    mailbox.dir_idx.resize(mailbox.routed.len(), 0);
-    for (i, &to) in mailbox.routed_to.iter().enumerate() {
-        let cursor = &mut mailbox.dir_start[to as usize];
-        mailbox.dir_idx[*cursor as usize] = i as u32;
-        *cursor += 1;
-    }
-
-    // Bandwidth: per-edge loads from the arc-sorted buckets (see the
-    // function docs). Deterministic integer arithmetic over identically
-    // staged traffic, so the numbers are bit-identical across execution
-    // modes and chunk counts.
-    let budget = match policy {
-        BandwidthPolicy::Local => u64::MAX,
-        BandwidthPolicy::Congest { bits } => bits,
-    };
-    let mut bw = RoundBandwidth::default();
-    {
-        let dir_start = &mailbox.dir_start;
-        let dir_idx = &mailbox.dir_idx;
-        let routed = &mailbox.routed;
-        let bcast_bits = &mailbox.bcast_bits;
-        let sweep = |a: usize, b: usize| {
-            let mut part = RoundBandwidth::default();
-            for v in a..b {
-                let bucket = bucket_bounds(dir_start, v);
-                let mut i = bucket.start;
-                while i < bucket.end {
-                    let arc = routed[dir_idx[i] as usize].0;
-                    let mut dir_load = 0u64;
-                    while i < bucket.end {
-                        let (a, ref m) = routed[dir_idx[i] as usize];
-                        if a != arc {
-                            break;
-                        }
-                        dir_load += m.encoded_bits();
-                        i += 1;
-                    }
-                    let sender = graph.arc_head(arc as usize);
-                    let load = dir_load + bcast_bits[sender.index()];
-                    part.bits += dir_load;
-                    part.max_edge_bits = part.max_edge_bits.max(load);
-                    if load > budget {
-                        part.violations += 1;
-                    }
-                }
-            }
-            part
-        };
-        if par_chunks > 0 {
-            let parts: Vec<RoundBandwidth> = chunk_ranges(0, n, par_chunks)
-                .into_par_iter()
-                .map(|(a, b)| sweep(a, b))
-                .collect();
-            for p in parts {
-                bw.bits += p.bits;
-                bw.max_edge_bits = bw.max_edge_bits.max(p.max_edge_bits);
-                bw.violations += p.violations;
-            }
-        } else {
-            bw = sweep(0, n);
-        }
-    }
-    for i in 0..mailbox.bcast_senders.len() {
-        let v = mailbox.bcast_senders[i] as usize;
-        let deg = graph.degree(NodeId::from_index(v)) as u64;
-        let b = mailbox.bcast_bits[v];
-        bw.bits += b * deg;
-        // Edges from v that carried no directed message still carry the
-        // broadcast alone; edges with directed traffic were already
-        // accounted (broadcast included) in the bucket sweep above.
-        let uncovered = deg - mailbox.dir_arc_count[v] as u64;
-        if uncovered > 0 {
-            bw.max_edge_bits = bw.max_edge_bits.max(b);
-            if b > budget {
-                bw.violations += uncovered;
-            }
-        }
-    }
-    for i in 0..mailbox.dir_senders.len() {
-        mailbox.dir_arc_count[mailbox.dir_senders[i] as usize] = 0;
-    }
-    mailbox.dir_senders.clear();
-    mailbox.bcast_senders.clear();
-    bw.invalid = invalid;
-    bw
 }
 
-/// Fill pass for the recipient block `[i0, i1)`: builds the block's
-/// inboxes in one strictly sequential sweep of the (cleared) arena,
-/// leaving block-local offsets in `inbox_start[i0..=i1]`. For each
-/// recipient, walking its arcs in order visits its neighbors in sorted
-/// order; each neighbor contributes its broadcast first, then its
-/// directed messages in send order (consumed from the recipient's
-/// arc-sorted bucket — buckets follow recipient order, so `dir_cursor`
-/// advances monotonically across blocks). This preserves the engine's
-/// sender-sorted inbox invariant while touching memory mostly forward:
-/// the outbox array and the staging buffer are compact, and arena
-/// writes never scatter.
-fn fill_block<M: Clone>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    i0: usize,
-    i1: usize,
-    dir_cursor: &mut usize,
-) {
-    let arena = &mut mailbox.arena;
-    let outboxes = &mailbox.outboxes;
-    let routed = &mailbox.routed;
-    arena.clear();
-    for i in i0..i1 {
-        mailbox.inbox_start[i] = arena.len() as u32;
-        let bucket_end = mailbox.dir_start[i] as usize;
-        for a in graph.arc_range(NodeId::from_index(i)) {
-            let w = graph.arc_head(a);
-            if let Some(m) = &outboxes[w.index()].broadcast {
-                arena.push((w, m.clone()));
+/// The exchange barrier: transposes the parts' stream and block
+/// matrices, handing part `s`'s traffic for part `t` to `t` (intra
+/// streams stay in place). Buffers move, payloads do not.
+fn exchange<M>(parts: &mut [Part<M>]) {
+    for t in 1..parts.len() {
+        let (lower, upper) = parts.split_at_mut(t);
+        let target = &mut upper[0];
+        for (s, source) in lower.iter_mut().enumerate() {
+            std::mem::swap(&mut source.streams[t], &mut target.streams[s]);
+            std::mem::swap(&mut source.blocks[t], &mut target.blocks[s]);
+        }
+    }
+}
+
+impl<M: Clone + WireCodec> Part<M> {
+    /// Phase 1: runs the part's sends (each node with its global id,
+    /// host degree and own RNG stream), then stages the traffic in
+    /// ascending sender order — each directed message into the stream
+    /// for its recipient's home part — and, on the wire transport,
+    /// encodes every cross-part stream into a boundary block.
+    fn stage<S>(
+        &mut self,
+        at: &Layout<'_>,
+        states: &mut [S],
+        rngs: &mut [StdRng],
+        outboxes: &mut [Outbox<M>],
+        bits: &mut [u64],
+        send: &impl Fn(&mut NodeCtx<'_>, &mut S, &mut Outbox<M>),
+    ) {
+        let graph = at.graph;
+        let lo = self.lo;
+        for (j, ((state, rng), out)) in states
+            .iter_mut()
+            .zip(rngs)
+            .zip(outboxes.iter_mut())
+            .enumerate()
+        {
+            let v = NodeId::from_index(lo + j);
+            let mut ctx = NodeCtx {
+                id: v,
+                degree: graph.degree(v),
+                rng,
+            };
+            out.reset();
+            send(&mut ctx, state, out);
+        }
+
+        self.tally = Tally::default();
+        self.bcast_senders.clear();
+        for &j in &self.dir_senders {
+            self.dir_arc_count[j as usize] = 0;
+        }
+        self.dir_senders.clear();
+        for (stream, bcasts) in self.streams.iter_mut().zip(&mut self.bcast_to) {
+            stream.clear();
+            bcasts.clear();
+        }
+        // New epoch: every mark from earlier rounds goes stale in O(1);
+        // a full clear is needed only when the counter wraps.
+        self.src_epoch = self.src_epoch.wrapping_add(1);
+        if self.src_epoch == 0 {
+            self.src_mark.fill(0);
+            self.src_epoch = 1;
+        }
+        let mut rev: Option<&[u32]> = None;
+        for (j, out) in outboxes.iter().enumerate() {
+            let v = NodeId::from_index(lo + j);
+            bits[j] = match &out.broadcast {
+                Some(m) => {
+                    self.tally.broadcasts += 1;
+                    self.tally.deliveries += graph.degree(v) as u64;
+                    self.bcast_senders.push(j as u32);
+                    if at.wire {
+                        self.register_broadcast(at, v);
+                    }
+                    m.encoded_bits()
+                }
+                None => 0,
+            };
+            self.tally.directed += out.directed.len() as u64;
+            for (to, m) in &out.directed {
+                // A directed message only reaches an actual neighbor; in
+                // the LOCAL model addressing anyone else is a program
+                // bug, reported after the round.
+                let Some(p) = graph.neighbor_position(v, *to) else {
+                    self.tally.invalid = self.tally.invalid.or(Some((v, *to)));
+                    continue;
+                };
+                let src = graph.arc_range(v).start + p;
+                // Broadcast-only rounds never force the table.
+                let rev = *rev.get_or_insert_with(|| graph.reverse_arcs());
+                self.streams[at.plan.home_of(to.0)].push(rev[src], to.0, m.clone());
+                self.tally.deliveries += 1;
+                if self.src_mark.is_empty() {
+                    self.src_mark.resize(self.arc_hi - self.arc_lo, 0);
+                }
+                let mark = &mut self.src_mark[src - self.arc_lo];
+                if *mark != self.src_epoch {
+                    *mark = self.src_epoch;
+                    if self.dir_arc_count[j] == 0 {
+                        self.dir_senders.push(j as u32);
+                    }
+                    self.dir_arc_count[j] += 1;
+                }
             }
-            while *dir_cursor < bucket_end {
-                let (dest, ref m) = routed[mailbox.dir_idx[*dir_cursor] as usize];
-                if dest as usize != a {
+        }
+        if at.wire {
+            self.encode_blocks(at, outboxes);
+        }
+    }
+
+    /// Wire transport: registers own node `v`'s broadcast with every
+    /// other part that hosts one of its neighbors. Parts are contiguous
+    /// and adjacency is sorted, so each part's neighbors form one run.
+    fn register_broadcast(&mut self, at: &Layout<'_>, v: NodeId) {
+        let nbrs = at.graph.neighbors(v);
+        let mut k = 0;
+        while k < nbrs.len() {
+            let t = at.plan.home_of(nbrs[k].0);
+            if t != self.index {
+                self.bcast_to[t].push((v.index() - self.lo) as u32);
+            }
+            let hi_t = at.plan.range(t).end as u32;
+            k += nbrs[k..].partition_point(|w| w.0 < hi_t);
+        }
+    }
+
+    /// Wire transport: encodes the broadcast registrations and stream
+    /// for every other part into one boundary block apiece; from here
+    /// on, that traffic exists only as bits.
+    fn encode_blocks(&mut self, at: &Layout<'_>, outboxes: &[Outbox<M>]) {
+        for t in 0..self.streams.len() {
+            self.blocks[t] = None;
+            if t == self.index || self.tally.error.is_some() {
+                continue;
+            }
+            let bounds = part_arc_bounds(at.graph, at.plan, t);
+            let stream = &mut self.streams[t];
+            match encode_block(at.graph, &self.bcast_to[t], stream, outboxes, bounds, t) {
+                Ok(Some(block)) => {
+                    let b = &mut self.tally.boundary;
+                    b.blocks += 1;
+                    b.block_bits += block.bits;
+                    b.messages += (self.bcast_to[t].len() + stream.items.len()) as u64;
+                    self.blocks[t] = Some(block);
+                }
+                Ok(None) => {}
+                Err(e) => self.tally.error = Some(e),
+            }
+            stream.clear();
+        }
+    }
+
+    /// Phase 2: decodes inbound boundary blocks (wire transport),
+    /// merges the inbound streams in source-part order, counting-sorts
+    /// them by recipient, sweeps the per-edge bandwidth, then fills the
+    /// inbox arena block by block and runs the recv closures.
+    fn deliver<S>(
+        &mut self,
+        at: &Layout<'_>,
+        states: &mut [S],
+        rngs: &mut [StdRng],
+        outboxes: &[Outbox<M>],
+        bits: &[u64],
+        recv: &impl Fn(&mut NodeCtx<'_>, &mut S, &[(NodeId, M)]),
+    ) {
+        let graph = at.graph;
+        let (lo, hi) = (self.lo, self.hi);
+        let len = hi - lo;
+        self.remote.clear();
+        for (s, (slot, stream)) in self.blocks.iter_mut().zip(&mut self.streams).enumerate() {
+            if let Some(block) = slot.take() {
+                let recipients = (lo, hi, self.arc_lo);
+                let lo_s = at.plan.range(s).start;
+                decode_block(graph, &block, lo_s, recipients, &mut self.remote, stream);
+            }
+        }
+        let (merged, rest) = self
+            .streams
+            .split_first_mut()
+            .expect("a part has one stream per part");
+        for stream in rest {
+            merged.append(stream);
+        }
+        let merged = &*merged;
+
+        // Bucket the merged stream by recipient: prefix-sum the counts,
+        // then scatter indices with the per-recipient cursors (shifting
+        // each cursor to its bucket's end). The merged stream is in
+        // global send order, so every bucket comes out grouped by arc in
+        // send order — no comparison sort anywhere.
+        let dir_start = &mut self.dir_start;
+        dir_start.fill(0);
+        for &to in &merged.to {
+            dir_start[to as usize - lo + 1] += 1;
+        }
+        for i in 1..=len {
+            dir_start[i] += dir_start[i - 1];
+        }
+        self.dir_idx.resize(merged.items.len(), 0);
+        for (k, &to) in merged.to.iter().enumerate() {
+            let cursor = &mut dir_start[to as usize - lo];
+            self.dir_idx[*cursor as usize] = k as u32;
+            *cursor += 1;
+        }
+        let dir_start = &*dir_start;
+        let dir_idx = &self.dir_idx;
+
+        // A neighbor's broadcast and its wire size are read in place at
+        // the sender, or — on the wire transport, for a sender in another
+        // part — from the decoded boundary blocks.
+        let in_place = |w: NodeId| !at.wire || (lo..hi).contains(&w.index());
+        let remote = &self.remote;
+        let decoded = |w: NodeId| {
+            let k = remote.binary_search_by_key(&w.0, |e| e.0).ok()?;
+            Some(&remote[k])
+        };
+        let bcast = |w: NodeId| {
+            if in_place(w) {
+                outboxes[w.index()].broadcast.as_ref()
+            } else {
+                decoded(w).map(|e| &e.2)
+            }
+        };
+        let bcast_bits = |w: NodeId| {
+            if in_place(w) {
+                bits[w.index()]
+            } else {
+                decoded(w).map_or(0, |e| e.1)
+            }
+        };
+
+        // Bandwidth. The directed edge `w → v` (identified by `v`'s arc
+        // toward `w`) carries `w`'s broadcast plus every directed message
+        // `w → v`. Each bucket is arc-sorted, so consecutive runs of one
+        // arc give the edge's directed load in one linear sweep.
+        let mut bw = Bandwidth::default();
+        for v in 0..len {
+            let bucket = bucket_bounds(dir_start, v);
+            let mut i = bucket.start;
+            while i < bucket.end {
+                let arc = merged.items[dir_idx[i] as usize].0;
+                let mut dir_load = 0u64;
+                while i < bucket.end {
+                    let (a, ref m) = merged.items[dir_idx[i] as usize];
+                    if a != arc {
+                        break;
+                    }
+                    dir_load += m.encoded_bits();
+                    i += 1;
+                }
+                let sender = graph.arc_head(arc as usize);
+                bw.bits += dir_load;
+                bw.edge(dir_load + bcast_bits(sender), at.budget);
+            }
+        }
+        // Sender side: each own broadcaster's bits on every incident
+        // edge, plus max/violations on the edges that carried only the
+        // broadcast (the others were charged in the sweep above).
+        for &j in &self.bcast_senders {
+            let deg = graph.degree(NodeId::from_index(lo + j as usize)) as u64;
+            let b = bits[lo + j as usize];
+            bw.bits += b * deg;
+            let uncovered = deg - self.dir_arc_count[j as usize] as u64;
+            if uncovered > 0 {
+                bw.max_edge_bits = bw.max_edge_bits.max(b);
+                if b > at.budget {
+                    bw.violations += uncovered;
+                }
+            }
+        }
+        self.bandwidth = bw;
+
+        // Blocked fill + recv: the forward arena sweep walks each
+        // recipient's arcs in order, taking the neighbor's broadcast and
+        // then its directed messages from the arc-sorted bucket with one
+        // monotone cursor.
+        let arena = &mut self.arena;
+        let inbox_start = &mut self.inbox_start;
+        let mut max_inbox = 0;
+        let mut block_start = 0;
+        let mut cursor = 0;
+        while block_start < len {
+            // Upper-bound a recipient's arena demand by its degree
+            // (possible broadcasts) plus its directed bucket.
+            let mut block_end = block_start;
+            let mut load = 0;
+            while block_end < len {
+                let node_load = graph.degree(NodeId::from_index(lo + block_end))
+                    + bucket_bounds(dir_start, block_end).len();
+                if block_end > block_start && load + node_load > ARENA_BLOCK {
                     break;
                 }
-                arena.push((w, m.clone()));
-                *dir_cursor += 1;
+                load += node_load;
+                block_end += 1;
             }
-        }
-        debug_assert_eq!(*dir_cursor, bucket_end, "recipient bucket fully drained");
-    }
-    mailbox.inbox_start[i1] = arena.len() as u32;
-}
-
-/// Chunk-parallel fill for the recipient block `[i0, i1)`: recipient
-/// ranges build private buffers with their own bucket cursor (bucket
-/// bounds are absolute in `dir_start`, so a range's cursor starts at
-/// its first recipient's bucket start — no shared monotone cursor
-/// needed), then the buffers are concatenated in range order. The
-/// resulting arena and offsets are byte-identical to [`fill_block`]'s
-/// sequential forward sweep.
-/// One recipient range's private fill result: its arena slice plus the
-/// per-recipient offsets into it.
-type FilledRange<M> = (Vec<(NodeId, M)>, Vec<u32>);
-
-fn fill_block_par<M: Clone + Send + Sync>(
-    graph: &Graph,
-    mailbox: &mut Mailbox<M>,
-    i0: usize,
-    i1: usize,
-    chunks: usize,
-) {
-    let ranges = chunk_ranges(i0, i1, chunks);
-    let parts: Vec<FilledRange<M>> = {
-        let outboxes = &mailbox.outboxes;
-        let routed = &mailbox.routed;
-        let dir_idx = &mailbox.dir_idx;
-        let dir_start = &mailbox.dir_start;
-        ranges
-            .par_iter()
-            .map(|&(a, b)| {
-                let mut buf: Vec<(NodeId, M)> = Vec::new();
-                let mut offsets: Vec<u32> = Vec::with_capacity(b - a);
-                let mut cursor = bucket_bounds(dir_start, a).start;
-                for (i, &bucket_end) in (a..b).zip(&dir_start[a..b]) {
-                    offsets.push(buf.len() as u32);
-                    let bucket_end = bucket_end as usize;
-                    for arc in graph.arc_range(NodeId::from_index(i)) {
-                        let w = graph.arc_head(arc);
-                        if let Some(m) = &outboxes[w.index()].broadcast {
-                            buf.push((w, m.clone()));
-                        }
-                        while cursor < bucket_end {
-                            let (dest, ref m) = routed[dir_idx[cursor] as usize];
-                            if dest as usize != arc {
-                                break;
-                            }
-                            buf.push((w, m.clone()));
-                            cursor += 1;
-                        }
+            arena.clear();
+            for i in block_start..block_end {
+                inbox_start[i] = arena.len() as u32;
+                let bucket_end = dir_start[i] as usize;
+                for a in graph.arc_range(NodeId::from_index(lo + i)) {
+                    let w = graph.arc_head(a);
+                    if let Some(m) = bcast(w) {
+                        arena.push((w, m.clone()));
                     }
-                    debug_assert_eq!(cursor, bucket_end, "recipient bucket fully drained");
+                    while cursor < bucket_end {
+                        let (dest, ref m) = merged.items[dir_idx[cursor] as usize];
+                        if dest as usize != a {
+                            break;
+                        }
+                        arena.push((w, m.clone()));
+                        cursor += 1;
+                    }
                 }
-                (buf, offsets)
-            })
-            .collect()
-    };
-    mailbox.arena.clear();
-    for (&(a, _), (buf, offsets)) in ranges.iter().zip(parts) {
-        let base = mailbox.arena.len() as u32;
-        for (j, off) in offsets.into_iter().enumerate() {
-            mailbox.inbox_start[a + j] = base + off;
+                debug_assert_eq!(cursor, bucket_end, "recipient bucket fully drained");
+            }
+            inbox_start[block_end] = arena.len() as u32;
+            for i in block_start..block_end {
+                let inbox = &arena[inbox_start[i] as usize..inbox_start[i + 1] as usize];
+                max_inbox = max_inbox.max(inbox.len());
+                let v = NodeId::from_index(lo + i);
+                let mut ctx = NodeCtx {
+                    id: v,
+                    degree: graph.degree(v),
+                    rng: &mut rngs[i],
+                };
+                recv(&mut ctx, &mut states[i], inbox);
+            }
+            block_start = block_end;
         }
-        mailbox.arena.extend(buf);
+        self.max_inbox = max_inbox;
     }
-    mailbox.inbox_start[i1] = mailbox.arena.len() as u32;
 }
 
 #[cfg(test)]
@@ -1744,10 +1689,10 @@ mod tests {
 
     #[test]
     fn parallel_routing_matches_sequential_above_threshold() {
-        // Above PARALLEL_THRESHOLD the routing and fill passes run
-        // chunk-parallel; states, stats, and ledger (congest accounting
-        // included) must stay bit-identical to the sequential
-        // schedule under mixed broadcast + directed traffic.
+        // On the parallel schedule every round runs on several parts;
+        // states, stats, and ledger (congest accounting included) must
+        // stay bit-identical to the one-part sequential schedule under
+        // mixed broadcast + directed traffic.
         let n = PARALLEL_THRESHOLD + 904;
         let g = generators::random_regular(n, 6, 11);
         let g = &g;
@@ -1790,33 +1735,6 @@ mod tests {
             )
         };
         assert_eq!(run(ExecMode::Sequential), run(ExecMode::Parallel));
-    }
-
-    #[test]
-    fn node_program_trait_runs_to_fixpoint() {
-        struct MinFlood;
-        impl NodeProgram for MinFlood {
-            type State = u32;
-            type Msg = u32;
-            fn send(&self, _: &mut NodeCtx<'_>, s: &mut u32, out: &mut Outbox<u32>) {
-                out.broadcast(*s);
-            }
-            fn recv(&self, _: &mut NodeCtx<'_>, s: &mut u32, inbox: &[(NodeId, u32)]) {
-                for &(_, m) in inbox {
-                    *s = (*s).min(m);
-                }
-            }
-            fn done(&self, s: &u32) -> bool {
-                *s == 0
-            }
-        }
-        let g = generators::path(5);
-        let mut ledger = RoundLedger::new();
-        let mut engine = Engine::new(&g, 0, |v| v.0);
-        let rounds = engine.run(&MinFlood, &mut ledger, "min", 100);
-        assert!(rounds <= 5);
-        assert!(engine.states().iter().all(|&s| s == 0));
-        assert_eq!(ledger.total(), rounds);
     }
 
     #[test]

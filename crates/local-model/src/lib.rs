@@ -8,17 +8,19 @@
 //!
 //! This crate provides the standard simulation devices:
 //!
-//! * [`Engine`] — explicit synchronous message rounds driven by a
-//!   [`NodeProgram`] (or an inline closure pair via [`Engine::step`]),
-//!   with per-node state, broadcast **and** per-neighbor directed
-//!   messages, deterministic per-node randomness, and a parallel
-//!   compute phase (nodes evaluated on worker threads; delivery stays
-//!   synchronous, so LOCAL semantics and per-seed determinism hold in
-//!   every [`ExecMode`]). Delivery runs through a flat CSR-indexed
-//!   mailbox arena reused across rounds — zero steady-state heap
-//!   allocation for `Copy` payloads, inboxes borrowed as arena slices
-//!   (see the [`engine`] module docs for the architecture and its
-//!   determinism invariants);
+//! * [`Engine`] — explicit synchronous message rounds given as a
+//!   send/recv closure pair ([`Engine::step`]), with per-node state,
+//!   broadcast **and** per-neighbor directed messages, and deterministic
+//!   per-node randomness. Every round runs on a partition of the nodes
+//!   into contiguous parts: one part on the sequential schedule, one
+//!   per worker thread on the parallel one (see [`ExecMode`]), each
+//!   staging its senders' traffic into one stream per part and merging
+//!   its inbound streams in source-part order, so LOCAL semantics and
+//!   per-seed determinism hold for every partition. Delivery runs
+//!   through a flat CSR-indexed mailbox arena reused across rounds —
+//!   zero steady-state heap allocation for `Copy` payloads, inboxes
+//!   borrowed as arena slices (see the [`engine`] module docs for the
+//!   architecture and its determinism invariants);
 //! * **engine-backed ball collection** ([`ball`]) — the "collect your
 //!   radius-`r` neighborhood, then decide locally" compilation of LOCAL
 //!   algorithms as a real message-passing program: [`run_ball_phase`]
@@ -43,14 +45,14 @@
 //!   `G^k`, and `G[S]` alike; fault decisions are pure hashes of
 //!   (seed, round, arc, slot), so transcripts, counters, and post-fault
 //!   states stay bit-identical across [`ExecMode`]s;
-//! * **sharded execution** ([`shard`]) — [`ShardedEngine`] partitions
-//!   the graph into single-owner shards (a
-//!   [`delta_graphs::ShardPlan`]), computes shards in parallel, and
-//!   exchanges cross-shard traffic as one batched [`WireCodec`]-encoded
-//!   boundary block per ordered shard pair per round, while intra-shard
-//!   delivery keeps the zero-allocation arena path — seed-bit-identical
-//!   to the single-arena [`Engine`] (`tests/sharded_equivalence.rs`)
-//!   with the overlay's own wire cost metered by [`BoundaryStats`];
+//! * **sharded execution** ([`shard`]) — the same engine over a
+//!   [`delta_graphs::ShardPlan`] ([`Engine::sharded`], alias
+//!   [`ShardedEngine`]): the parts are the plan's single-owner shards,
+//!   and every stream between two shards travels as one batched
+//!   [`WireCodec`]-encoded boundary block per ordered shard pair per
+//!   round — seed-bit-identical to the unsharded engine
+//!   (`tests/sharded_equivalence.rs`), with the blocks' own wire cost
+//!   metered by [`BoundaryStats`];
 //! * **round-trace observability** ([`trace`]) — a [`Tracer`] wires
 //!   [`TraceSink`]s (in-memory [`MetricsRegistry`], JSONL streaming
 //!   with a [`RunManifest`] header, periodic progress reporting) into
@@ -109,7 +111,7 @@ pub use congest::{
 };
 pub use engine::{
     force_exec_mode, BandwidthConfig, BandwidthPolicy, Engine, EngineError, ExecMode,
-    ExecModeGuard, MessageStats, NodeCtx, NodeProgram, Outbox, RoundDriver, PARALLEL_THRESHOLD,
+    ExecModeGuard, MessageStats, NodeCtx, Outbox, RoundDriver, PARALLEL_THRESHOLD,
 };
 pub use faults::{CrashWindow, FaultCounters, FaultEvent, FaultKind, FaultPlan, FaultyDriver, PPM};
 pub use ledger::RoundLedger;

@@ -14,8 +14,8 @@
 //! bandwidth accounting, arena fill) stays allocation-free in both
 //! schedules, so [`warm_parallel_rounds_allocate_boundedly`] pins an
 //! exact per-round upper bound derived from the adapter chain (see the
-//! bound's derivation at the assertion). Swap in real rayon for an
-//! allocation-free parallel fan-out.
+//! bound's derivation at the assertion). Under real rayon only the
+//! engine's part-task vector per fan-out would remain.
 //!
 //! The allocation counter is process-global, so the tests in this file
 //! serialize on [`AUDIT_LOCK`]; no other test lives in this binary.
@@ -265,15 +265,15 @@ fn warm_parallel_rounds_allocate_boundedly() {
     // Per-round upper bound of the vendored-rayon fan-out, by adapter
     // structure (traffic-independent — the engine's own delivery path
     // allocates nothing, as the sequential audit proves):
-    //   * 2 compute phases per round (send, recv), each
-    //     - <= 3 `par_iter_mut` item vectors + 2 `zip` pair vectors
-    //       + 1 `enumerate` vector + 1 result vector          =  7
+    //   * 2 fan-outs over the round's parts (stage, deliver), each
+    //     - 1 part-task vector                                =  1
     //     - chunk split: 1 chunks vector + 1 per-thread split  =  1 + T
     //     - scoped threads: 1 handles vector + spawn-internal
     //       allocations (closure box, packet, thread handle,
     //       stack metadata), <= 8 per thread                  =  1 + 8T
-    //   so <= 2 * (9 + 9T) = 18 + 18T, padded to 32 + 24T for
-    //   allocator-internal variance (e.g. first-use thread locals).
+    //   so <= 2 * (3 + 9T) = 6 + 18T, plus the stand-in's thread-count
+    //   queries, padded to 32 + 24T for allocator-internal variance
+    //   (e.g. first-use thread locals).
     let bound = 32 + 24 * threads;
     assert!(
         per_round <= bound,

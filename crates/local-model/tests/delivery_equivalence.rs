@@ -6,12 +6,13 @@
 //! pits it against the obvious specification — for every recipient,
 //! walk the sorted neighbor list and take each neighbor's broadcast
 //! followed by its directed messages in send order — on random graphs
-//! and random per-round message patterns, in both execution modes, and
-//! additionally checks the [`MessageStats`] accounting. Two rounds with
-//! different patterns run on one engine so buffer reuse across rounds
-//! is exercised, not just the cold path.
+//! and random per-round message patterns, in both execution modes and
+//! over shard plans (whose cross-shard traffic travels as encoded
+//! boundary blocks), and additionally checks the [`MessageStats`]
+//! accounting. Two rounds with different patterns run on one engine so
+//! buffer reuse across rounds is exercised, not just the cold path.
 
-use delta_graphs::{Graph, NodeId};
+use delta_graphs::{Graph, NodeId, ShardPlan};
 use local_model::{Engine, ExecMode, MessageStats, Outbox, RoundLedger};
 use proptest::prelude::*;
 
@@ -143,9 +144,15 @@ proptest! {
     #[test]
     fn arena_delivery_matches_reference(case in arb_graph_and_patterns()) {
         let (g, patterns) = case;
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        let plan = |shards| ShardPlan::contiguous(g.n(), shards);
+        let engines = [
+            ("Sequential", Engine::new(&g, 1, |_| Vec::new()).with_mode(ExecMode::Sequential)),
+            ("Parallel", Engine::new(&g, 1, |_| Vec::new()).with_mode(ExecMode::Parallel)),
+            ("S=2", Engine::sharded(&g, plan(2), 1, |_| Vec::new())),
+            ("S=3", Engine::sharded(&g, plan(3), 1, |_| Vec::new())),
+        ];
+        for (label, mut engine) in engines {
             let mut ledger = RoundLedger::new();
-            let mut engine = Engine::new(&g, 1, |_| Vec::new()).with_mode(mode);
             let mut expected_stats = MessageStats::default();
             for p in &patterns {
                 engine_round(&mut engine, &g, p, &mut ledger);
@@ -156,17 +163,17 @@ proptest! {
                 expected_stats.bits_sent += e.bits_sent;
                 expected_stats.max_edge_bits = expected_stats.max_edge_bits.max(e.max_edge_bits);
             }
-            prop_assert_eq!(engine.message_stats(), expected_stats, "stats diverged ({mode:?})");
+            prop_assert_eq!(engine.message_stats(), expected_stats, "stats diverged ({label})");
             for (round, p) in patterns.iter().enumerate() {
                 let expected = reference_inboxes(&g, p);
                 for v in g.nodes() {
                     prop_assert_eq!(
                         &engine.states()[v.index()][round],
                         &expected[v.index()],
-                        "inbox of {} in round {} diverged ({:?})",
+                        "inbox of {} in round {} diverged ({})",
                         v,
                         round,
-                        mode
+                        label
                     );
                 }
             }

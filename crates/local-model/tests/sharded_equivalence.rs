@@ -190,7 +190,7 @@ proptest! {
         }
         // A non-contiguous-width plan must agree too.
         let plan = ShardPlan::degree_balanced(&g, 3);
-        let mut balanced = ShardedEngine::new(&g, plan, 7, |_| Vec::new());
+        let mut balanced = Engine::sharded(&g, plan, 7, |_| Vec::new());
         run_patterns(&mut balanced, &g, &patterns);
         prop_assert_eq!(balanced.states(), &expect_states[..]);
         prop_assert_eq!(balanced.message_stats(), expect_stats);
@@ -204,7 +204,7 @@ proptest! {
             let expected = reference_boundary(&g, &plan, &patterns);
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let mut sharded =
-                    ShardedEngine::new(&g, plan.clone(), 7, |_| Vec::new()).with_mode(mode);
+                    Engine::sharded(&g, plan.clone(), 7, |_| Vec::new()).with_mode(mode);
                 run_patterns(&mut sharded, &g, &patterns);
                 prop_assert_eq!(
                     sharded.boundary_stats(), expected,

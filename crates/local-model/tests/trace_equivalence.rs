@@ -11,8 +11,8 @@
 use delta_graphs::{generators, Graph, ShardPlan};
 use local_model::{
     Engine, ExecMode, FaultPlan, FaultyDriver, InducedOverlay, JsonlSink, MetricsRegistry, Outbox,
-    OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, RunManifest, ShardedEngine, TraceLine,
-    TraceSummary, Tracer,
+    OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, RunManifest, TraceLine, TraceSummary,
+    Tracer,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -118,7 +118,7 @@ fn sharded_trace_totals_match_ledger_for_s_1_2_8() {
             let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
             let mut ledger = tr.ledger();
             let plan = ShardPlan::contiguous(g.n(), shards);
-            let mut engine = ShardedEngine::new(&g, plan, 7, |v| v.0 as u64).with_mode(mode);
+            let mut engine = Engine::sharded(&g, plan, 7, |v| v.0 as u64).with_mode(mode);
             drive(&mut engine, &mut ledger, 6);
             assert_trace_matches(&tr, &ledger);
             // Per-shard boundary enrichment sums to the engine's own
@@ -126,6 +126,7 @@ fn sharded_trace_totals_match_ledger_for_s_1_2_8() {
             let b = engine.boundary_stats();
             assert_eq!(reg.counter("boundary_blocks"), b.blocks, "S={shards}");
             assert_eq!(reg.counter("boundary_bits"), b.block_bits, "S={shards}");
+            assert!(reg.histogram("round_max_inbox").unwrap().max >= 4);
             if shards == 1 {
                 assert_eq!(b.blocks, 0, "S=1 has no cross-shard traffic");
             } else {

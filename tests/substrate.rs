@@ -2,7 +2,7 @@
 //! algorithms, and round-accounting coherence.
 
 use delta_graphs::{bfs, generators, NodeId};
-use local_model::{Engine, NodeCtx, NodeProgram, Outbox, RoundLedger};
+use local_model::{Engine, Outbox, RoundLedger};
 
 #[test]
 fn engine_flooding_equals_bfs_distances() {
@@ -38,28 +38,24 @@ fn engine_flooding_equals_bfs_distances() {
 #[test]
 fn ball_views_match_r_round_knowledge() {
     // After r rounds a node can know exactly its r-ball: gossip node ids
-    // as a NodeProgram and compare the learned set to bfs::ball.
-    struct Gossip;
-    impl NodeProgram for Gossip {
-        type State = Vec<NodeId>;
-        type Msg = Vec<NodeId>;
-        fn send(&self, _: &mut NodeCtx<'_>, s: &mut Vec<NodeId>, out: &mut Outbox<Vec<NodeId>>) {
-            out.broadcast(s.clone());
-        }
-        fn recv(&self, _: &mut NodeCtx<'_>, s: &mut Vec<NodeId>, inbox: &[(NodeId, Vec<NodeId>)]) {
-            for (_, m) in inbox {
-                s.extend(m.iter().copied());
-            }
-            s.sort_unstable();
-            s.dedup();
-        }
-    }
+    // and compare the learned set to bfs::ball.
     let g = generators::random_regular(200, 3, 5);
     let r = 3;
     let mut ledger = RoundLedger::new();
     let mut engine = Engine::new(&g, 0, |v| vec![v]);
     for _ in 0..r {
-        engine.round(&Gossip, &mut ledger, "gossip");
+        engine.step(
+            &mut ledger,
+            "gossip",
+            |_, s: &mut Vec<NodeId>, out: &mut Outbox<Vec<NodeId>>| out.broadcast(s.clone()),
+            |_, s, inbox| {
+                for (_, m) in inbox {
+                    s.extend(m.iter().copied());
+                }
+                s.sort_unstable();
+                s.dedup();
+            },
+        );
     }
     for v in g.nodes().take(20) {
         let ball = bfs::ball(&g, v, r);
