@@ -13,18 +13,22 @@
 //!
 //! Three drivers, by how much of the neighborhood the local rule needs:
 //!
-//! * [`run_ball_phase`] — the full compilation: every node assembles a
-//!   [`BallView`] (member ids, member payloads, and the induced edges
-//!   among members, reconstructed from relayed adjacency certificates)
-//!   and a local rule `Fn(&mut NodeCtx, &BallView<M>) -> D` decides.
-//!   Memory is `Θ(Σ_v |B_r(v)|·Δ)`, so this is the tool for the small
+//! * [`run_reach_phase`] — the flood kernel: *source* nodes' ids (plus a
+//!   payload) travel `r` hops and each node folds every distinct source
+//!   it hears into a streaming accumulator. Nothing else is retained per
+//!   node — the right primitive for ruling sets on power graphs, where
+//!   the radius is `Θ(log n)` and a full view would not fit.
+//! * [`run_ball_phase`] — the full compilation, on the same kernel:
+//!   every node is a source whose payload is its *certificate* (its
+//!   sorted adjacency list plus the application payload), each node
+//!   accumulates the `(id, dist)` pairs it hears, and its last round
+//!   assembles a [`BallView`] (member ids, member payloads, and the
+//!   induced edges among members, reconstructed from the certificates)
+//!   on which a local rule `Fn(&mut NodeCtx, &BallView<M>) -> D`
+//!   decides. Memory is 8 bytes per collected member plus one
+//!   certificate table per phase (`Θ(n·Δ)`); the views exist one at a
+//!   time, inside the rule's call. This is the tool for the small
 //!   constant radii of DCC detection and marking picks.
-//! * [`run_reach_phase`] — the membership-only flood: *source* nodes'
-//!   ids (plus a payload) travel `r` hops and each node folds every
-//!   distinct source it hears into a streaming accumulator. No
-//!   adjacency certificates, no retained neighborhood — the right
-//!   primitive for ruling sets on power graphs, where the radius is
-//!   `Θ(log n)` and a full view would not fit.
 //! * [`collect_ball_centered`] — single-center collection for repair
 //!   procedures: a TTL probe wave expands from the center while
 //!   certificates of probed nodes flood back, confining traffic to the
@@ -38,17 +42,16 @@
 //! round `d + 1` or `d + 2` (a neighbor `u` relays `c` exactly once, at
 //! round `dist(u, c) + 1`, and `dist(u, c) ∈ {d-1, d, d+1}`). So exact
 //! dedup needs only the two most recent "first heard" rounds plus
-//! within-round dedup. [`run_reach_phase`] keeps that window as a
-//! *segmented origin-id filter*: one sorted `Vec<u32>` of every source
-//! id heard, appended one sorted segment per round, with two cursors
-//! marking the newest segments. The two newest segments are the
-//! complete duplicate filter, the newest segment doubles as the next
-//! forwarding frontier, and a source's own id seeds segment 0 (blocking
-//! its round-2 self-echo) — `O(traffic)` total work and 4 bytes of
-//! retained state per heard source, no retained payload batches.
-//! Payloads live in one flood-wide interned table (`Arc`s, built from
-//! `source` up front), so relaying and delivering a batch never clones
-//! application data. The full collectors keep their members anyway.
+//! within-round dedup. The kernel, and with it the ball flood, keeps
+//! that window as a *segmented origin-id filter*: the source ids heard
+//! in the two newest rounds, one sorted segment per round. The two
+//! segments are the complete duplicate filter, the newest one doubles as
+//! the next forwarding frontier, and a source's own id seeds the first
+//! segment (blocking its round-2 self-echo) — `O(traffic)` total work,
+//! `O(ring)` retained ids per node, no retained payload batches.
+//! Payloads live in one flood-wide interned table (`Arc`s, built once per
+//! phase), so a relay is a batch of ids: relaying and delivering it never
+//! clones application data, and its charged size is precomputed.
 //!
 //! All decisions are computed inside the engine's recv phase from
 //! node-local state only, so they are bit-identical across
@@ -57,13 +60,17 @@
 
 use crate::engine::{node_rngs, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
-use crate::overlay::{with_dedup_stamp, with_fresh_scratch, InducedOverlay, OverlayEngine};
+use crate::overlay::{
+    payload_bits, with_dedup_stamp, with_fresh_scratch, BatchPayloads, InducedOverlay,
+    OverlayEngine, PayloadTable,
+};
 use crate::wire::{
     gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s, BitReader, BitWriter,
     WireCodec, WireParams,
 };
 use delta_graphs::bfs::Ball;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
+use std::sync::Arc;
 
 /// One node's contribution to a ball flood: its identity, its full
 /// (sorted) adjacency list — the *certificate* from which receivers
@@ -101,7 +108,8 @@ impl<M: WireCodec> WireCodec for BallItem<M> {
 /// Ball-collection relay: the items the sender first learned last
 /// round. Unbounded (`max_bits` is `None`): a single relay can carry
 /// `Θ(Δ^r)` certificates, which is exactly why ball-collection phases
-/// are LOCAL-only.
+/// are LOCAL-only. The flood itself sends the interned equivalent (a
+/// batch of certificate ids), which encodes exactly like this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallMsg<M>(pub Vec<BallItem<M>>);
 
@@ -164,87 +172,97 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
     }
 }
 
+/// A ball-flood source payload: a node's sorted adjacency list (in the
+/// flood's id space) and its application payload. Encodes as
+/// `gamma_u32s(adj)` then the payload, so a `ReachBatch<Cert<M>>` is
+/// bit-for-bit the [`BallMsg`] over the same ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Cert<M> {
+    adj: Vec<u32>,
+    payload: M,
+}
+
+impl<M: WireCodec> WireCodec for Cert<M> {
+    fn encode(&self, w: &mut BitWriter) {
+        write_gamma_u32s(w, &self.adj);
+        self.payload.encode(w);
+    }
+    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
+        let adj = read_gamma_u32s(r)?;
+        let payload = M::decode(r)?;
+        Some(Cert { adj, payload })
+    }
+    fn encoded_bits(&self) -> u64 {
+        gamma_u32s_bits(&self.adj) + self.payload.encoded_bits()
+    }
+    fn max_bits(_p: &WireParams) -> Option<u64> {
+        None
+    }
+}
+
 /// Reach-flood relay with interned payloads: the source ids a node
-/// forwards this round plus a handle to the flood's shared per-source
-/// payload table. Equivalent on the wire — bit-for-bit, including
+/// forwards this round plus their payloads (a handle to the flood's
+/// shared table). Equivalent on the wire — bit-for-bit, including
 /// `encoded_bits` — to the [`ReachMsg`] carrying `(id, payloads[id])`
-/// pairs, but per-edge copies are two refcount bumps and the charged
-/// size is precomputed (pinned by `reach_batch_encodes_like_reach_msg`).
-struct ReachBatch<M> {
+/// pairs, but a per-edge copy is one refcount bump and the charged size
+/// is precomputed (pinned by `reach_batch_encodes_like_reach_msg`).
+struct ReachBatch<M>(Arc<ReachRelay<M>>);
+
+/// The contents of a [`ReachBatch`], shared by all its copies.
+struct ReachRelay<M> {
     /// Forwarded source ids (sorted; the sender's newest segment).
-    ids: std::sync::Arc<Vec<u32>>,
-    /// The flood's per-source payload table (indexed by id in the
-    /// flood's id space; `Some` exactly for sources).
-    payloads: std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
-    /// Exact wire size, precomputed at construction from the table.
+    ids: Vec<u32>,
+    /// The payloads of `ids`.
+    payloads: BatchPayloads<M>,
+    /// Exact wire size, precomputed at construction.
     wire_bits: u64,
 }
 
 impl<M> Clone for ReachBatch<M> {
     fn clone(&self) -> Self {
-        ReachBatch {
-            ids: std::sync::Arc::clone(&self.ids),
-            payloads: std::sync::Arc::clone(&self.payloads),
-            wire_bits: self.wire_bits,
-        }
+        ReachBatch(Arc::clone(&self.0))
     }
 }
 
 impl<M: WireCodec> ReachBatch<M> {
-    fn new(
-        ids: std::sync::Arc<Vec<u32>>,
-        payloads: &std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
-        bits_of: &[u64],
-    ) -> Self {
+    fn new(ids: Vec<u32>, payloads: &PayloadTable<M>, bits_of: &[u64]) -> Self {
         let wire_bits = gamma_bits(ids.len() as u64)
             + ids
                 .iter()
                 .map(|&id| gamma_bits(id as u64) + bits_of[id as usize])
                 .sum::<u64>();
-        ReachBatch {
+        ReachBatch(Arc::new(ReachRelay {
             ids,
-            payloads: std::sync::Arc::clone(payloads),
+            payloads: BatchPayloads::Shared(Arc::clone(payloads)),
             wire_bits,
-        }
+        }))
     }
 }
 
 impl<M: WireCodec> WireCodec for ReachBatch<M> {
     fn encode(&self, w: &mut BitWriter) {
         // Identical bit stream to ReachMsg over the equivalent pairs.
-        w.write_gamma(self.ids.len() as u64);
-        for &id in self.ids.iter() {
+        let b = &*self.0;
+        w.write_gamma(b.ids.len() as u64);
+        for (i, &id) in b.ids.iter().enumerate() {
             w.write_gamma(id as u64);
-            self.payloads[id as usize]
-                .as_ref()
-                .expect("forwarded source has a payload")
-                .encode(w);
+            b.payloads.get(i, id).encode(w);
         }
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // Decode reconstructs a standalone table holding exactly the
-        // decoded sources (the shared flood table cannot be recovered
-        // from the wire); only the codec suites exercise this path.
+        // The CONGEST reassembler decodes every relay; the payloads
+        // stay parallel to the ids (`BatchPayloads::Decoded`).
         let msg = ReachMsg::<M>::decode(r)?;
-        let ids: Vec<u32> = msg.0.iter().map(|&(id, _)| id).collect();
-        let table_len = ids.iter().max().map_or(0, |&id| id as usize + 1);
-        let mut payloads: Vec<Option<std::sync::Arc<M>>> = (0..table_len).map(|_| None).collect();
-        for (id, m) in msg.0 {
-            payloads[id as usize] = Some(std::sync::Arc::new(m));
-        }
-        let payloads = std::sync::Arc::new(payloads);
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
-        Some(ReachBatch::new(
-            std::sync::Arc::new(ids),
-            &payloads,
-            &bits_of,
-        ))
+        let wire_bits = msg.encoded_bits();
+        let (ids, decoded) = msg.0.into_iter().unzip();
+        Some(ReachBatch(Arc::new(ReachRelay {
+            ids,
+            payloads: BatchPayloads::Decoded(decoded),
+            wire_bits,
+        })))
     }
     fn encoded_bits(&self) -> u64 {
-        self.wire_bits
+        self.0.wire_bits
     }
     fn max_bits(_p: &WireParams) -> Option<u64> {
         None
@@ -334,41 +352,26 @@ impl<M> BallView<M> {
     }
 }
 
-/// Per-node state of the full ball collector.
-struct BallState<M, D> {
-    /// Collected items in arrival order (own item first).
-    items: Vec<BallItem<M>>,
-    /// Distance of each collected item, parallel to `items`.
-    dist: Vec<u32>,
-    /// Sorted ids of collected items, for dedup.
-    seen: Vec<u32>,
-    /// Indices (into `items`) first learned last round, relayed next.
-    frontier: Vec<u32>,
-    /// The local rule's output, produced in the final recv.
-    decision: Option<D>,
-}
-
-fn assemble_view<M: Clone, D>(
+/// Assembles a node's [`BallView`] from the `(id, dist)` pairs it
+/// absorbed and the phase's certificate table.
+fn assemble_view<M: Clone>(
     center: NodeId,
     radius: usize,
-    state: &BallState<M, D>,
+    heard: &[(u32, u32)],
+    certs: &[Option<Arc<Cert<M>>>],
 ) -> BallView<M> {
-    // Arrival order is grouped by distance but arbitrary within a ring;
-    // sort a permutation by id for the canonical member arrays.
-    let mut order: Vec<u32> = (0..state.items.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| state.items[i as usize].id);
-    let members: Vec<u32> = order.iter().map(|&i| state.items[i as usize].id).collect();
-    let dist: Vec<u32> = order.iter().map(|&i| state.dist[i as usize]).collect();
-    let payloads: Vec<M> = order
-        .iter()
-        .map(|&i| state.items[i as usize].payload.clone())
-        .collect();
+    // Absorption is ordered by distance, then id; the view is by id.
+    let mut by_id = heard.to_vec();
+    by_id.sort_unstable();
+    let members: Vec<u32> = by_id.iter().map(|&(id, _)| id).collect();
+    let dist: Vec<u32> = by_id.iter().map(|&(_, d)| d).collect();
+    let cert = |id: u32| certs[id as usize].as_deref().expect("every node floods");
+    let payloads: Vec<M> = members.iter().map(|&id| cert(id).payload.clone()).collect();
     let mut edges = Vec::new();
-    for &i in &order {
-        let item = &state.items[i as usize];
-        for &w in &item.adj {
-            if item.id < w && members.binary_search(&w).is_ok() {
-                edges.push((item.id, w));
+    for &u in &members {
+        for &w in &cert(u).adj {
+            if u < w && members.binary_search(&w).is_ok() {
+                edges.push((u, w));
             }
         }
     }
@@ -433,14 +436,13 @@ where
     P: Fn(NodeId) -> M + Sync,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
 {
-    let adj_of = |v: NodeId| -> Vec<u32> { graph.neighbors(v).iter().map(|w| w.0).collect() };
-    if radius == 0 {
-        return ball_phase_zero(graph.n(), seed, &adj_of, &payload_of, &rule);
-    }
-    let engine = crate::congest::compile(Engine::new(graph, seed, |v| {
-        ball_initial_state(v, &adj_of, &payload_of)
-    }));
-    ball_phase_core(engine, radius, rule, ledger, phase)
+    let certs = intern_sources(graph.n(), &|v| {
+        Some(Cert {
+            adj: graph.neighbors(v).iter().map(|w| w.0).collect(),
+            payload: payload_of(v),
+        })
+    });
+    ball_flood(graph, None, seed, radius, certs, rule, ledger, phase)
 }
 
 /// [`run_ball_phase`] on the **induced subgraph** `G[members]`, executed
@@ -477,95 +479,39 @@ where
     }
     // Rank-space adjacency of G[members]: host neighbors filtered to
     // members; host-sorted order maps to rank-sorted order.
-    let adj_of = |r: NodeId| -> Vec<u32> {
-        graph
-            .neighbors(member_ids[r.index()])
-            .iter()
-            .filter(|w| members[w.index()])
-            .map(|w| rank_of[w.index()])
-            .collect()
-    };
-    if radius == 0 {
-        return ball_phase_zero(member_ids.len(), seed, &adj_of, &payload_of, &rule);
-    }
-    let engine = crate::congest::compile(OverlayEngine::new(
-        graph,
-        InducedOverlay { members },
-        seed,
-        |r| ball_initial_state(r, &adj_of, &payload_of),
-    ));
-    ball_phase_core(engine, radius, rule, ledger, phase)
-}
-
-/// The 0-round degenerate case: every node sees only itself; decisions
-/// still draw from the per-node RNG streams a driver with this seed
-/// would provide.
-fn ball_phase_zero<M, D, R>(
-    n: usize,
-    seed: u64,
-    adj_of: &(impl Fn(NodeId) -> Vec<u32> + Sync),
-    payload_of: &(impl Fn(NodeId) -> M + Sync),
-    rule: &R,
-) -> Vec<D>
-where
-    M: Clone,
-    R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D,
-{
-    let mut rngs = node_rngs(seed, n);
-    (0..n)
-        .map(|i| {
-            let v = NodeId::from_index(i);
-            let adj = adj_of(v);
-            let degree = adj.len();
-            let state = BallState::<M, D> {
-                items: vec![BallItem {
-                    id: v.0,
-                    adj,
-                    payload: payload_of(v),
-                }],
-                dist: vec![0],
-                seen: vec![v.0],
-                frontier: Vec::new(),
-                decision: None,
-            };
-            let view = assemble_view(v, 0, &state);
-            let mut ctx = NodeCtx {
-                id: v,
-                degree,
-                rng: &mut rngs[i],
-            };
-            rule(&mut ctx, &view)
+    let certs = intern_sources(member_ids.len(), &|r| {
+        Some(Cert {
+            adj: graph
+                .neighbors(member_ids[r.index()])
+                .iter()
+                .filter(|w| members[w.index()])
+                .map(|w| rank_of[w.index()])
+                .collect(),
+            payload: payload_of(r),
         })
-        .collect()
+    });
+    ball_flood(
+        graph,
+        Some(members),
+        seed,
+        radius,
+        certs,
+        rule,
+        ledger,
+        phase,
+    )
 }
 
-/// A node's round-0 collector state: its own certificate, queued for
-/// the first relay.
-fn ball_initial_state<M, D>(
-    v: NodeId,
-    adj_of: &impl Fn(NodeId) -> Vec<u32>,
-    payload_of: &impl Fn(NodeId) -> M,
-) -> BallState<M, D> {
-    BallState {
-        items: vec![BallItem {
-            id: v.0,
-            adj: adj_of(v),
-            payload: payload_of(v),
-        }],
-        dist: vec![0],
-        seen: vec![v.0],
-        frontier: vec![0],
-        decision: None,
-    }
-}
-
-/// The flood itself, generic over the round driver ([`Engine`] for host
-/// executions, [`OverlayEngine`] for induced ones): `radius` relay
-/// rounds of certificate floods, then the local rule on the assembled
-/// views.
-fn ball_phase_core<M, D, R, DR>(
-    mut driver: DR,
+/// The ball flood on the reach kernel: every node floods its
+/// certificate, absorbs `(id, dist)` pairs, and its final recv runs
+/// `rule` on the view assembled from them and the table.
+#[allow(clippy::too_many_arguments)]
+fn ball_flood<M, D, R>(
+    graph: &Graph,
+    members: Option<&[bool]>,
+    seed: u64,
     radius: usize,
+    certs: PayloadTable<Cert<M>>,
     rule: R,
     ledger: &mut RoundLedger,
     phase: &str,
@@ -574,45 +520,23 @@ where
     M: Clone + Send + Sync + WireCodec + 'static,
     D: Send,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
-    DR: RoundDriver<BallState<M, D>>,
 {
-    for t in 1..=radius as u32 {
-        let last = t as usize == radius;
-        driver.round_step(
-            ledger,
-            phase,
-            |_, s: &mut BallState<M, D>, out: &mut Outbox<BallMsg<M>>| {
-                if !s.frontier.is_empty() {
-                    let items = std::mem::take(&mut s.frontier)
-                        .into_iter()
-                        .map(|i| s.items[i as usize].clone())
-                        .collect();
-                    out.broadcast(BallMsg(items));
-                }
-            },
-            |ctx, s, inbox| {
-                for (_, msg) in inbox {
-                    for item in &msg.0 {
-                        if let Err(at) = s.seen.binary_search(&item.id) {
-                            s.seen.insert(at, item.id);
-                            s.frontier.push(s.items.len() as u32);
-                            s.items.push(item.clone());
-                            s.dist.push(t);
-                        }
-                    }
-                }
-                if last {
-                    let view = assemble_view(ctx.id, radius, s);
-                    s.decision = Some(rule(ctx, &view));
-                }
-            },
-        );
-    }
-    driver
-        .into_node_states()
-        .into_iter()
-        .map(|s| s.decision.expect("final round decided every node"))
-        .collect()
+    let table = Arc::clone(&certs);
+    reach_flood(
+        graph,
+        members,
+        seed,
+        radius,
+        certs,
+        |_| Vec::new(),
+        |heard: &mut Vec<(u32, u32)>, id, dist, _| heard.push((id, dist)),
+        move |ctx, heard| {
+            let view = assemble_view(ctx.id, radius, heard, &table);
+            rule(ctx, &view)
+        },
+        ledger,
+        phase,
+    )
 }
 
 /// Collects every node's radius-`r` [`BallView`] through the engine
@@ -645,15 +569,13 @@ where
 /// window (module docs) plus the caller's accumulator. Segment
 /// `[last_start..]` holds sources first heard last round (sorted ids —
 /// dist `t-1` at round `t`, the forwarding frontier), segment
-/// `[prev_start..last_start]` the round before; a source's own id seeds
-/// segment 0. Payloads are never retained here — they live in the
-/// flood's shared table.
+/// `[..last_start]` the round before; a source's own id seeds the first
+/// segment. Payloads are never retained here — they live in the flood's
+/// shared table.
 struct ReachState<A, D> {
     acc: A,
-    /// Source ids heard, segmented per round (each segment sorted).
+    /// Source ids of the window's two rounds (each segment sorted).
     heard: Vec<u32>,
-    /// Start of the second-newest segment.
-    prev_start: u32,
     /// Start of the newest segment (= the frontier).
     last_start: u32,
     decision: Option<D>,
@@ -667,11 +589,11 @@ struct ReachState<A, D> {
 /// order), and `finish` turns the accumulator into the node's decision
 /// with access to its private randomness.
 ///
-/// This is the membership-only sibling of [`run_ball_phase`]: no
-/// adjacency certificates travel and nothing is retained beyond the
-/// caller's accumulator and an `O(ring)` dedup window (see the module
-/// docs), so it scales to the `Θ(log n)`-radius floods of power-graph
-/// ruling sets. Costs exactly `radius` engine rounds charged to `phase`.
+/// This is the kernel [`run_ball_phase`] runs on: nothing is retained
+/// beyond the caller's accumulator and an `O(ring)` dedup window (see
+/// the module docs), so it scales to the `Θ(log n)`-radius floods of
+/// power-graph ruling sets. Costs exactly `radius` engine rounds charged
+/// to `phase`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reach_phase<M, A, D, SRC, INIT, ABS, FIN>(
     graph: &Graph,
@@ -693,15 +615,10 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    if radius == 0 {
-        let deg_of = |v: NodeId| graph.degree(v);
-        return reach_phase_zero(graph.n(), seed, &deg_of, &source, &init, &absorb, &finish);
-    }
     let payloads = intern_sources(graph.n(), &source);
-    let engine = crate::congest::compile(Engine::new(graph, seed, |v| {
-        reach_initial_state(v, &payloads, &init, &absorb)
-    }));
-    reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+    reach_flood(
+        graph, None, seed, radius, payloads, init, absorb, finish, ledger, phase,
+    )
 }
 
 /// [`run_reach_phase`] on the **induced subgraph** `G[members]`,
@@ -732,85 +649,99 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    if radius == 0 {
-        let member_ids: Vec<NodeId> = graph.nodes().filter(|v| members[v.index()]).collect();
-        let deg_of = |r: NodeId| {
-            graph
-                .neighbors(member_ids[r.index()])
-                .iter()
-                .filter(|w| members[w.index()])
-                .count()
-        };
-        return reach_phase_zero(
-            member_ids.len(),
-            seed,
-            &deg_of,
-            &source,
-            &init,
-            &absorb,
-            &finish,
-        );
-    }
     let member_count = members.iter().filter(|&&b| b).count();
     let payloads = intern_sources(member_count, &source);
-    let engine = crate::congest::compile(OverlayEngine::new(
+    reach_flood(
         graph,
-        InducedOverlay { members },
+        Some(members),
         seed,
-        |r| reach_initial_state(r, &payloads, &init, &absorb),
-    ));
-    reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
-}
-
-/// The 0-round degenerate case of the reach flood.
-fn reach_phase_zero<M, A, D, FIN>(
-    n: usize,
-    seed: u64,
-    deg_of: &(impl Fn(NodeId) -> usize + Sync),
-    source: &(impl Fn(NodeId) -> Option<M> + Sync),
-    init: &(impl Fn(NodeId) -> A + Sync),
-    absorb: &(impl Fn(&mut A, u32, u32, &M) + Sync),
-    finish: &FIN,
-) -> Vec<D>
-where
-    FIN: Fn(&mut NodeCtx<'_>, &A) -> D,
-{
-    let mut rngs = node_rngs(seed, n);
-    (0..n)
-        .map(|i| {
-            let v = NodeId::from_index(i);
-            let mut acc = init(v);
-            if let Some(m) = source(v) {
-                absorb(&mut acc, v.0, 0, &m);
-            }
-            let mut ctx = NodeCtx {
-                id: v,
-                degree: deg_of(v),
-                rng: &mut rngs[i],
-            };
-            finish(&mut ctx, &acc)
-        })
-        .collect()
+        radius,
+        payloads,
+        init,
+        absorb,
+        finish,
+        ledger,
+        phase,
+    )
 }
 
 /// Interns every source's payload once into the flood-wide shared
 /// table; ids are in the flood's id space (host ids or member ranks).
-fn intern_sources<M>(
-    n: usize,
-    source: &impl Fn(NodeId) -> Option<M>,
-) -> std::sync::Arc<Vec<Option<std::sync::Arc<M>>>> {
-    std::sync::Arc::new(
+fn intern_sources<M>(n: usize, source: &impl Fn(NodeId) -> Option<M>) -> PayloadTable<M> {
+    Arc::new(
         (0..n)
-            .map(|i| source(NodeId::from_index(i)).map(std::sync::Arc::new))
+            .map(|i| source(NodeId::from_index(i)).map(Arc::new))
             .collect(),
     )
 }
 
+/// Runs the flood of the interned `payloads` — in the flood's id space:
+/// host ids on the host [`Engine`], or member ranks through the
+/// [`InducedOverlay`] when `members` is given. At radius 0 no round runs:
+/// each node absorbs only itself and finishes with the randomness a
+/// driver with this seed would give it.
+#[allow(clippy::too_many_arguments)]
+fn reach_flood<M, A, D, INIT, ABS, FIN>(
+    graph: &Graph,
+    members: Option<&[bool]>,
+    seed: u64,
+    radius: usize,
+    payloads: PayloadTable<M>,
+    init: INIT,
+    absorb: ABS,
+    finish: FIN,
+    ledger: &mut RoundLedger,
+    phase: &str,
+) -> Vec<D>
+where
+    M: Clone + Send + Sync + WireCodec + 'static,
+    A: Send,
+    D: Send,
+    INIT: Fn(NodeId) -> A + Sync,
+    ABS: Fn(&mut A, u32, u32, &M) + Sync,
+    FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
+{
+    let is_member = |v: NodeId| members.is_none_or(|m| m[v.index()]);
+    if radius == 0 {
+        let hosts: Vec<NodeId> = graph.nodes().filter(|&v| is_member(v)).collect();
+        let mut rngs = node_rngs(seed, hosts.len());
+        return rngs
+            .iter_mut()
+            .zip(&hosts)
+            .enumerate()
+            .map(|(i, (rng, &host))| {
+                let v = NodeId::from_index(i);
+                let s: ReachState<A, D> = reach_initial_state(v, &payloads, &init, &absorb);
+                let degree = graph.neighbors(host).iter().filter(|&&w| is_member(w));
+                let mut ctx = NodeCtx {
+                    id: v,
+                    degree: degree.count(),
+                    rng,
+                };
+                finish(&mut ctx, &s.acc)
+            })
+            .collect();
+    }
+    let state = |v: NodeId| reach_initial_state(v, &payloads, &init, &absorb);
+    match members {
+        None => {
+            let engine = crate::congest::compile(Engine::new(graph, seed, state));
+            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+        }
+        Some(members) => {
+            let topo = InducedOverlay { members };
+            let engine = crate::congest::compile(OverlayEngine::new(graph, topo, seed, state));
+            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
+        }
+    }
+}
+
 /// A node's round-0 reach state: its own source entry absorbed and its
-/// id seeding window segment 0 (= the first forwarding frontier).
+/// id seeding the window's first segment (= the first forwarding
+/// frontier).
 fn reach_initial_state<M, A, D>(
     v: NodeId,
-    payloads: &[Option<std::sync::Arc<M>>],
+    payloads: &[Option<Arc<M>>],
     init: &impl Fn(NodeId) -> A,
     absorb: &impl Fn(&mut A, u32, u32, &M),
 ) -> ReachState<A, D> {
@@ -822,7 +753,6 @@ fn reach_initial_state<M, A, D>(
     ReachState {
         acc,
         heard: own.map(|_| v.0).into_iter().collect(),
-        prev_start: 0,
         last_start: 0,
         decision: None,
     }
@@ -833,7 +763,7 @@ fn reach_initial_state<M, A, D>(
 fn reach_phase_core<M, A, D, ABS, FIN, DR>(
     mut driver: DR,
     radius: usize,
-    payloads: std::sync::Arc<Vec<Option<std::sync::Arc<M>>>>,
+    payloads: PayloadTable<M>,
     absorb: ABS,
     finish: FIN,
     ledger: &mut RoundLedger,
@@ -847,10 +777,7 @@ where
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
     DR: RoundDriver<ReachState<A, D>>,
 {
-    let bits_of: Vec<u64> = payloads
-        .iter()
-        .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-        .collect();
+    let bits_of = payload_bits(&payloads);
     for t in 1..=radius as u32 {
         let last = t as usize == radius;
         driver.round_step(
@@ -861,29 +788,23 @@ where
                 // at round t-1, payloads looked up from the table.
                 let seg = &s.heard[s.last_start as usize..];
                 if !seg.is_empty() {
-                    out.broadcast(ReachBatch::new(
-                        std::sync::Arc::new(seg.to_vec()),
-                        &payloads,
-                        &bits_of,
-                    ));
+                    out.broadcast(ReachBatch::new(seg.to_vec(), &payloads, &bits_of));
                 }
             },
             |ctx, s, inbox| {
                 // Gather this round's arrival ids, dedup within the
-                // round, then drop everything already in the two newest
-                // window segments — exact dedup, see the module docs.
+                // round, then drop everything already in the window's
+                // two segments — exact dedup, see the module docs.
                 with_fresh_scratch(|fresh| {
-                    let last_seg = &s.heard[s.last_start as usize..];
-                    let prev_seg = &s.heard[s.prev_start as usize..s.last_start as usize];
                     with_dedup_stamp(payloads.len(), |stamp, epoch| {
                         // Mark the window, then filter arrivals in O(1)
                         // each; marking accepted ids inline also settles
                         // cross-batch duplicates.
-                        for &id in last_seg.iter().chain(prev_seg) {
+                        for &id in &s.heard {
                             stamp[id as usize] = epoch;
                         }
                         for (_, b) in inbox {
-                            for &id in b.ids.iter() {
+                            for &id in &b.0.ids {
                                 let m = &mut stamp[id as usize];
                                 if *m != epoch {
                                     *m = epoch;
@@ -895,17 +816,17 @@ where
                     // Arrival order is per-batch; the window segment
                     // invariant wants ascending ids.
                     fresh.sort_unstable();
-                    // Rotate the window and append this round's segment
-                    // (sorted by construction).
-                    s.prev_start = s.last_start;
+                    // Rotate the window: the older segment can see no
+                    // more duplicates, so it goes, and this round's
+                    // segment (sorted) is appended.
+                    s.heard.drain(..s.last_start as usize);
                     s.last_start = s.heard.len() as u32;
                     s.heard.extend_from_slice(fresh);
                 });
                 // Absorb outside the scratch borrow (ascending id
                 // order): absorb/finish are caller code and may start a
                 // nested flood on this thread.
-                for idx in s.last_start as usize..s.heard.len() {
-                    let id = s.heard[idx];
+                for &id in &s.heard[s.last_start as usize..] {
                     let m = payloads[id as usize]
                         .as_ref()
                         .expect("heard source has a payload");
@@ -1213,38 +1134,83 @@ mod tests {
     #[test]
     fn reach_batch_encodes_like_reach_msg() {
         use crate::wire::{decode_from_bytes, encode_to_bytes};
-        use std::sync::Arc;
+        /// Asserts `batch` encodes exactly like `reference` and
+        /// round-trips through the decode path to `want` payloads.
+        fn check<M, W>(batch: &ReachBatch<M>, reference: &W, want: &[M])
+        where
+            M: WireCodec + PartialEq + std::fmt::Debug,
+            W: WireCodec,
+        {
+            let (batch_bytes, batch_bits) = encode_to_bytes(batch);
+            let (ref_bytes, ref_bits) = encode_to_bytes(reference);
+            assert_eq!(batch_bytes, ref_bytes, "bit-identical stream");
+            assert_eq!(batch_bits, ref_bits, "identical charged size");
+            assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
+            let back: ReachBatch<M> = decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
+            assert_eq!(back.0.ids, batch.0.ids);
+            for (i, &id) in back.0.ids.iter().enumerate() {
+                assert_eq!(back.0.payloads.get(i, id), &want[i]);
+            }
+            assert_eq!(back.encoded_bits(), batch_bits, "decoded size honesty");
+            assert_eq!(
+                encode_to_bytes(&back),
+                (batch_bytes, batch_bits),
+                "re-encode"
+            );
+        }
         // Table over ids 0..5; ids 1 and 3 are not sources.
         let raw: Vec<Option<u32>> = vec![Some(4000), None, Some(0), None, Some(31)];
-        let payloads: Arc<Vec<Option<Arc<u32>>>> =
-            Arc::new(raw.iter().map(|p| p.map(Arc::new)).collect());
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
+        let payloads: PayloadTable<u32> = Arc::new(raw.iter().map(|p| p.map(Arc::new)).collect());
+        let bits_of = payload_bits(&payloads);
+        // Certificates of the 4-cycle 0-1-2-3 with a flag payload.
+        let certs: PayloadTable<Cert<bool>> = Arc::new(
+            (0..4u32)
+                .map(|v| {
+                    let mut adj = vec![(v + 1) % 4, (v + 3) % 4];
+                    adj.sort_unstable();
+                    Some(Arc::new(Cert {
+                        adj,
+                        payload: v % 2 == 0,
+                    }))
+                })
+                .collect(),
+        );
+        let cert_bits = payload_bits(&certs);
         for ids in [vec![0u32, 2, 4], vec![2], Vec::new()] {
-            let batch = ReachBatch::new(Arc::new(ids.clone()), &payloads, &bits_of);
-            let msg = ReachMsg(
+            let batch = ReachBatch::new(ids.clone(), &payloads, &bits_of);
+            let want: Vec<u32> = ids.iter().map(|&id| raw[id as usize].unwrap()).collect();
+            let msg = ReachMsg(ids.iter().copied().zip(want.iter().copied()).collect());
+            check(&batch, &msg, &want);
+            // The ball flood's relay: certificates by id, on the wire
+            // exactly the BallMsg over the same ids.
+            let ids: Vec<u32> = ids.into_iter().filter(|&id| id < 4).collect();
+            let batch = ReachBatch::new(ids.clone(), &certs, &cert_bits);
+            let want: Vec<Cert<bool>> = ids
+                .iter()
+                .map(|&id| Cert::clone(certs[id as usize].as_ref().unwrap()))
+                .collect();
+            let msg = BallMsg(
                 ids.iter()
-                    .map(|&id| (id, raw[id as usize].unwrap()))
-                    .collect::<Vec<_>>(),
+                    .zip(&want)
+                    .map(|(&id, c)| BallItem {
+                        id,
+                        adj: c.adj.clone(),
+                        payload: c.payload,
+                    })
+                    .collect(),
             );
-            let (batch_bytes, batch_bits) = encode_to_bytes(&batch);
-            let (msg_bytes, msg_bits) = encode_to_bytes(&msg);
-            assert_eq!(batch_bytes, msg_bytes, "bit-identical stream");
-            assert_eq!(batch_bits, msg_bits, "identical charged size");
-            assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
-            // Roundtrip through the standalone-table decode path.
-            let back: ReachBatch<u32> =
-                decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
-            assert_eq!(*back.ids, ids);
-            for &id in &ids {
-                assert_eq!(
-                    back.payloads[id as usize].as_deref(),
-                    raw[id as usize].as_ref()
-                );
-            }
+            check(&batch, &msg, &want);
         }
+        // A source id near u32::MAX: decode keeps its payload beside the
+        // id (no table sized by the id), and re-encoding reproduces the
+        // stream.
+        let far = ReachMsg(vec![(u32::MAX - 1, 9u32)]);
+        let (bytes, bits) = encode_to_bytes(&far);
+        let back: ReachBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
+        assert_eq!(back.0.ids, vec![u32::MAX - 1]);
+        assert_eq!(*back.0.payloads.get(0, u32::MAX - 1), 9);
+        assert_eq!(back.encoded_bits(), bits, "decoded size honesty");
+        assert_eq!(encode_to_bytes(&back), (bytes, bits), "re-encode");
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //!   architecture and its determinism invariants);
 //! * **engine-backed ball collection** ([`ball`]) — the "collect your
 //!   radius-`r` neighborhood, then decide locally" compilation of LOCAL
-//!   algorithms as a real message-passing program: [`run_ball_phase`]
-//!   assembles full [`BallView`]s from relayed adjacency certificates,
-//!   [`run_reach_phase`] streams membership-only floods for large
-//!   radii, and [`collect_ball_centered`] serves single-center repair
-//!   probes — all with measured rounds and wire-exact bandwidth;
+//!   algorithms as a real message-passing program: [`run_reach_phase`]
+//!   is the one flood kernel (source ids relayed against an interned
+//!   payload table, deduplicated by a two-segment window), on which
+//!   [`run_ball_phase`] relays certificate ids and assembles full
+//!   [`BallView`]s from the phase's certificate table, and
+//!   [`collect_ball_centered`] serves single-center repair probes — all
+//!   with measured rounds and wire-exact bandwidth;
 //! * **virtual-topology overlays** ([`overlay`]) — run node programs
 //!   on `G^k`, induced subgraphs `G[S]`, and their composition
 //!   `(G[S])^k` *through the host engine*: one virtual round compiles

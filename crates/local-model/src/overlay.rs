@@ -431,58 +431,87 @@ pub(crate) fn with_dedup_stamp<R>(n: usize, f: impl FnOnce(&mut [u32], u32) -> R
     })
 }
 
+/// A flood's interned payload table: one entry per id of the flood's id
+/// space, `Some` exactly for the origins that flood. Built once per
+/// flood, so relaying and delivering a batch never clones application
+/// data.
+pub(crate) type PayloadTable<M> = Arc<Vec<Option<Arc<M>>>>;
+
+/// Wire size of every table entry (0 for ids that do not flood), so a
+/// batch's charged size is a sum of lookups.
+pub(crate) fn payload_bits<M: WireCodec>(table: &[Option<Arc<M>>]) -> Vec<u64> {
+    table
+        .iter()
+        .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
+        .collect()
+}
+
+/// The payloads behind a relay batch's ids. A batch built by a sender
+/// shares the flood's [`PayloadTable`], indexed by id. A batch decoded
+/// off the wire cannot recover that table — and the CONGEST reassembler
+/// decodes every relay — so it keeps its decoded payloads parallel to
+/// its ids: O(items) memory whatever ids the stream names.
+pub(crate) enum BatchPayloads<M> {
+    Shared(PayloadTable<M>),
+    Decoded(Vec<M>),
+}
+
+impl<M> BatchPayloads<M> {
+    /// The payload of the batch's `i`-th id, `id`.
+    pub(crate) fn get(&self, i: usize, id: u32) -> &M {
+        match self {
+            BatchPayloads::Shared(table) => table[id as usize]
+                .as_deref()
+                .expect("a forwarded id has a payload"),
+            BatchPayloads::Decoded(items) => &items[i],
+        }
+    }
+}
+
 /// Dilation-`k` relay envelope with interned payloads: the origin ranks
 /// a node forwards this round, the round-uniform remaining hop TTL, and
 /// a handle to the flood's shared per-origin payload table. Equivalent
 /// on the wire — bit-for-bit, including `encoded_bits` — to the
 /// [`OverlayRelay`] batch carrying `(origin, ttl, payloads[origin])`
-/// items, but per-edge copies are two refcount bumps and the charged
+/// items, but a per-edge copy is one refcount bump and the charged
 /// size is precomputed (`encoded_bits` sits on the host routing path,
 /// called once per transmission).
-struct FloodBatch<M> {
+struct FloodBatch<M>(Arc<FloodRelay<M>>);
+
+/// The contents of a [`FloodBatch`], shared by all its copies.
+struct FloodRelay<M> {
     /// Forwarded origin ranks (sorted; the sender's newest segment).
-    origins: Arc<Vec<u32>>,
+    origins: Vec<u32>,
     /// Hops every item may still travel after this transmission —
     /// uniform within a relay round: an item first heard at round
     /// `t − 1` carries `clamp − (t − 1)` at round `t`, and all
     /// forwarded items were first heard last round.
     ttl: u32,
-    /// The flood's per-origin payload table (indexed by rank; `Some`
-    /// exactly for origins that broadcast).
-    payloads: Arc<Vec<Option<Arc<M>>>>,
-    /// Exact wire size, precomputed at construction from the table.
+    /// The payloads of `origins`.
+    payloads: BatchPayloads<M>,
+    /// Exact wire size, precomputed at construction.
     wire_bits: u64,
 }
 
 impl<M> Clone for FloodBatch<M> {
     fn clone(&self) -> Self {
-        FloodBatch {
-            origins: Arc::clone(&self.origins),
-            ttl: self.ttl,
-            payloads: Arc::clone(&self.payloads),
-            wire_bits: self.wire_bits,
-        }
+        FloodBatch(Arc::clone(&self.0))
     }
 }
 
 impl<M: WireCodec> FloodBatch<M> {
-    fn new(
-        origins: Arc<Vec<u32>>,
-        ttl: u32,
-        payloads: &Arc<Vec<Option<Arc<M>>>>,
-        bits_of: &[u64],
-    ) -> Self {
+    fn new(origins: Vec<u32>, ttl: u32, payloads: &PayloadTable<M>, bits_of: &[u64]) -> Self {
         let wire_bits = gamma_bits(origins.len() as u64)
             + origins
                 .iter()
                 .map(|&o| gamma_bits(o as u64) + gamma_bits(ttl as u64) + bits_of[o as usize])
                 .sum::<u64>();
-        FloodBatch {
+        FloodBatch(Arc::new(FloodRelay {
             origins,
             ttl,
-            payloads: Arc::clone(payloads),
+            payloads: BatchPayloads::Shared(Arc::clone(payloads)),
             wire_bits,
-        }
+        }))
     }
 }
 
@@ -491,45 +520,41 @@ impl<M: WireCodec> WireCodec for FloodBatch<M> {
         // Identical bit stream to OverlayRelay over the equivalent
         // RelayItem sequence (pinned by flood_batch_encodes_like_
         // overlay_relay).
-        w.write_gamma(self.origins.len() as u64);
-        for &o in self.origins.iter() {
+        let b = &*self.0;
+        w.write_gamma(b.origins.len() as u64);
+        for (i, &o) in b.origins.iter().enumerate() {
             w.write_gamma(o as u64);
-            w.write_gamma(self.ttl as u64);
-            self.payloads[o as usize]
-                .as_ref()
-                .expect("forwarded origin has a broadcast")
-                .encode(w);
+            w.write_gamma(b.ttl as u64);
+            b.payloads.get(i, o).encode(w);
         }
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // Decode reconstructs a standalone table holding exactly the
-        // decoded origins (the shared flood table cannot be recovered
-        // from the wire); only the codec suites exercise this path.
+        // The CONGEST reassembler decodes every relay; the payloads
+        // stay parallel to the origins (`BatchPayloads::Decoded`).
         let len = r.read_gamma()?;
         let mut origins = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut decoded = Vec::with_capacity(len.min(1 << 20) as usize);
         let mut ttl = 0u32;
-        let mut decoded: Vec<(u32, M)> = Vec::with_capacity(len.min(1 << 20) as usize);
         for _ in 0..len {
-            let o = r.read_gamma()? as u32;
+            origins.push(r.read_gamma()? as u32);
             ttl = r.read_gamma()? as u32;
-            decoded.push((o, M::decode(r)?));
-            origins.push(o);
+            decoded.push(M::decode(r)?);
         }
-        let table_len = origins.iter().max().map_or(0, |&o| o as usize + 1);
-        let mut payloads: Vec<Option<Arc<M>>> = (0..table_len).map(|_| None).collect();
-        for (o, m) in decoded {
-            payloads[o as usize] = Some(Arc::new(m));
-        }
-        let origins = Arc::new(origins);
-        let payloads = Arc::new(payloads);
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
-        Some(FloodBatch::new(origins, ttl, &payloads, &bits_of))
+        let wire_bits = gamma_bits(len)
+            + origins
+                .iter()
+                .zip(&decoded)
+                .map(|(&o, m)| gamma_bits(o as u64) + gamma_bits(ttl as u64) + m.encoded_bits())
+                .sum::<u64>();
+        Some(FloodBatch(Arc::new(FloodRelay {
+            origins,
+            ttl,
+            payloads: BatchPayloads::Decoded(decoded),
+            wire_bits,
+        })))
     }
     fn encoded_bits(&self) -> u64 {
-        self.wire_bits
+        self.0.wire_bits
     }
     fn max_bits(_p: &WireParams) -> Option<u64> {
         None
@@ -1074,15 +1099,12 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         let masked = self.topo.member_mask().is_some();
         // Intern every origin's broadcast once; all relay copies from
         // here on are refcount bumps.
-        let payloads: Arc<Vec<Option<Arc<M>>>> = Arc::new(
+        let payloads: PayloadTable<M> = Arc::new(
             (0..self.members.len())
                 .map(|r| outboxes[r].parts().0.map(|m| Arc::new(m.clone())))
                 .collect(),
         );
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
+        let bits_of = payload_bits(&payloads);
         // Clamped at n - 1: no node is farther, and it keeps the wire
         // TTL inside RelayItem::max_bits even for dilations larger than
         // the graph.
@@ -1112,7 +1134,7 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                     if !forwarding || seg.is_empty() {
                         return;
                     }
-                    let batch = FloodBatch::new(Arc::new(seg.to_vec()), ttl, &payloads, &bits_of);
+                    let batch = FloodBatch::new(seg.to_vec(), ttl, &payloads, &bits_of);
                     if masked {
                         // Confine the flood to members: directed relays
                         // to member neighbors only (sharing one batch).
@@ -1141,7 +1163,7 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                                 stamp[id as usize] = epoch;
                             }
                             for (_, b) in inbox {
-                                for &id in b.origins.iter() {
+                                for &id in &b.0.origins {
                                     let m = &mut stamp[id as usize];
                                     if *m != epoch {
                                         *m = epoch;
@@ -1211,7 +1233,7 @@ struct FloodInboxes<M> {
     /// Per rank: sorted origin ranks heard (the inbox's sender list).
     origins: Vec<Vec<u32>>,
     /// Per origin rank: its broadcast payload, if it sent one.
-    payloads: Arc<Vec<Option<Arc<M>>>>,
+    payloads: PayloadTable<M>,
     /// Per origin rank: its payload's exact wire size (0 if none).
     bits_of: Vec<u64>,
 }
@@ -1498,14 +1520,10 @@ mod tests {
         use crate::wire::{decode_from_bytes, encode_to_bytes};
         // Table over ranks 0..5; ranks 1 and 3 stay silent.
         let raw: Vec<Option<u32>> = vec![Some(900), None, Some(0), None, Some(77)];
-        let payloads: Arc<Vec<Option<Arc<u32>>>> =
-            Arc::new(raw.iter().map(|p| p.map(Arc::new)).collect());
-        let bits_of: Vec<u64> = payloads
-            .iter()
-            .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-            .collect();
+        let payloads: PayloadTable<u32> = Arc::new(raw.iter().map(|p| p.map(Arc::new)).collect());
+        let bits_of = payload_bits(&payloads);
         for (origins, ttl) in [(vec![0u32, 2, 4], 3u32), (vec![4], 0), (Vec::new(), 11)] {
-            let batch = FloodBatch::new(Arc::new(origins.clone()), ttl, &payloads, &bits_of);
+            let batch = FloodBatch::new(origins.clone(), ttl, &payloads, &bits_of);
             let relay = OverlayRelay {
                 items: Arc::new(
                     origins
@@ -1523,17 +1541,31 @@ mod tests {
             assert_eq!(batch_bytes, relay_bytes, "bit-identical stream");
             assert_eq!(batch_bits, relay_bits, "identical charged size");
             assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
-            // Roundtrip through the standalone-table decode path.
+            // Roundtrip through the decode path.
             let back: FloodBatch<u32> =
                 decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
-            assert_eq!(*back.origins, origins);
-            for &o in &origins {
-                assert_eq!(
-                    back.payloads[o as usize].as_deref(),
-                    raw[o as usize].as_ref()
-                );
+            assert_eq!(back.0.origins, origins);
+            for (i, &o) in origins.iter().enumerate() {
+                assert_eq!(Some(back.0.payloads.get(i, o)), raw[o as usize].as_ref());
             }
         }
+        // An origin id near u32::MAX: decode keeps its payload beside the
+        // id (no table sized by the id), and re-encoding reproduces the
+        // stream.
+        let far = OverlayRelay {
+            items: Arc::new(vec![RelayItem {
+                origin: u32::MAX - 1,
+                ttl: 2,
+                payload: 5u32,
+            }]),
+        };
+        let (bytes, bits) = encode_to_bytes(&far);
+        let back: FloodBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
+        assert_eq!(back.0.origins, vec![u32::MAX - 1]);
+        assert_eq!(back.0.ttl, 2);
+        assert_eq!(*back.0.payloads.get(0, u32::MAX - 1), 5);
+        assert_eq!(back.encoded_bits(), bits, "decoded size honesty");
+        assert_eq!(encode_to_bytes(&back), (bytes, bits), "re-encode");
     }
 
     #[test]

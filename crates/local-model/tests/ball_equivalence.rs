@@ -9,12 +9,17 @@
 //! guard drives the whole phase down each). The same treatment covers
 //! the streaming reach flood (against oracle distances) and the
 //! single-center collection, plus ledger fingerprints: rounds, bits,
-//! and per-edge maxima must be bit-identical across schedules.
+//! and per-edge maxima must be bit-identical across schedules. The ball
+//! flood's bits and per-edge maximum must also equal the charge of a
+//! certificate flood computed centrally from BFS distances, and the
+//! induced-subgraph collection must equal a run on the materialized
+//! subgraph.
 
 use delta_graphs::{bfs, Graph, NodeId};
+use local_model::ball::BallItem;
 use local_model::{
-    collect_ball_centered, collect_ball_views, force_exec_mode, run_reach_phase, BallView,
-    ExecMode, RoundLedger,
+    collect_ball_centered, collect_ball_views, force_exec_mode, run_ball_phase_within,
+    run_reach_phase, BallMsg, BallView, ExecMode, RoundLedger, WireCodec,
 };
 use proptest::prelude::*;
 
@@ -25,6 +30,42 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             Graph::from_edges(n, &edges).expect("valid")
         })
     })
+}
+
+fn arb_graph_with_mask() -> impl Strategy<Value = (Graph, Vec<bool>)> {
+    arb_graph().prop_flat_map(|g| {
+        let n = g.n();
+        proptest::collection::vec(proptest::bool::ANY, n..n).prop_map(move |m| (g.clone(), m))
+    })
+}
+
+/// The radius-`r` certificate flood's charge, computed centrally: in
+/// round `t`, every node `v` with neighbors broadcasts the certificates
+/// of the nodes at distance `t − 1` (when there are any), and each of
+/// its `deg(v)` edges carries that [`BallMsg`]. Returns `(bits_sent,
+/// max_edge_bits)`.
+fn central_flood_charge(g: &Graph, r: usize, payload_of: impl Fn(u32) -> u32) -> (u64, u64) {
+    let (mut bits_sent, mut max_edge_bits) = (0, 0);
+    for v in g.nodes().filter(|&v| g.degree(v) > 0) {
+        let d = bfs::distances(g, v);
+        for t in 1..=r as u32 {
+            let items: Vec<BallItem<u32>> = g
+                .nodes()
+                .filter(|w| d[w.index()] == t - 1)
+                .map(|w| BallItem {
+                    id: w.0,
+                    adj: g.neighbors(w).iter().map(|x| x.0).collect(),
+                    payload: payload_of(w.0),
+                })
+                .collect();
+            if !items.is_empty() {
+                let bits = BallMsg(items).encoded_bits();
+                bits_sent += g.degree(v) as u64 * bits;
+                max_edge_bits = max_edge_bits.max(bits);
+            }
+        }
+    }
+    (bits_sent, max_edge_bits)
 }
 
 fn ledger_fingerprint(l: &RoundLedger) -> (u64, u64, u64, u64) {
@@ -69,8 +110,39 @@ proptest! {
         prop_assert_eq!(&seq, &par, "schedules diverged");
         prop_assert_eq!(seq_fp, par_fp, "ledger fingerprints diverged");
         prop_assert_eq!(seq_fp.0, r as u64, "a radius-r collection costs r rounds");
+        let (bits_sent, max_edge_bits) = central_flood_charge(&g, r, |v| v.wrapping_mul(7));
+        prop_assert_eq!(seq_fp.1, bits_sent, "bits sent vs the central charge");
+        prop_assert_eq!(seq_fp.2, max_edge_bits, "max edge bits vs the central charge");
         for view in &seq {
             assert_view_matches(&g, r, view);
+        }
+    }
+
+    #[test]
+    fn induced_views_match_materialized_subgraph(gm in arb_graph_with_mask(), r in 0usize..4) {
+        // run_ball_phase_within on G[S] ≡ collect_ball_views on the
+        // materialized g.induced(S), id for id, in the member-rank space.
+        let (g, mask) = gm;
+        let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+        let (sub, _map) = g.induced(&members);
+        let payload_of = |v: NodeId| v.0.wrapping_mul(7);
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+            let _guard = force_exec_mode(mode);
+            let mut ledger = RoundLedger::new();
+            let within = run_ball_phase_within(
+                &g,
+                &mask,
+                0,
+                r,
+                payload_of,
+                |_, view| view.clone(),
+                &mut ledger,
+                "ball",
+            );
+            let mut sub_ledger = RoundLedger::new();
+            let materialized = collect_ball_views(&sub, r, payload_of, &mut sub_ledger, "ball");
+            prop_assert_eq!(&within, &materialized, "views diverged under {:?}", mode);
+            prop_assert_eq!(ledger.total(), sub_ledger.total(), "dilation 1: same rounds");
         }
     }
 
