@@ -199,6 +199,7 @@ fn bench_ball_collection(c: &mut Criterion) {
                     let mut ledger = RoundLedger::new();
                     let sizes = run_ball_phase::<(), _, _, _>(
                         &g,
+                        None,
                         0,
                         r,
                         |_| (),

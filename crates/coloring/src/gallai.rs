@@ -145,6 +145,7 @@ pub fn find_dccs_all(
 ) -> Vec<Option<FoundDcc>> {
     run_ball_phase::<(), _, _, _>(
         g,
+        None,
         0,
         r,
         |_| (),
@@ -156,7 +157,7 @@ pub fn find_dccs_all(
 
 /// [`find_dccs_all`] on the **induced subgraph** `G[members]`, executed
 /// through the `InducedOverlay` on the host engine
-/// ([`local_model::run_ball_phase_within`]): non-members relay nothing,
+/// ([`local_model::run_ball_phase`] with a mask): non-members relay nothing,
 /// so the certificate floods — and the balls they assemble — live
 /// entirely inside the live subgraph. The randomized driver's phase (6)
 /// uses this for per-component CDCC detection without materializing the
@@ -172,9 +173,9 @@ pub fn find_dccs_all_within(
     ledger: &mut RoundLedger,
     phase: &str,
 ) -> Vec<Option<FoundDcc>> {
-    local_model::run_ball_phase_within::<(), _, _, _>(
+    run_ball_phase::<(), _, _, _>(
         g,
-        members,
+        Some(members),
         0,
         r,
         |_| (),

@@ -53,7 +53,7 @@
 //! | [`palette`] | colors, partial colorings, lists, validity checks | — | — | — | — |
 //! | [`linial`] | `O(Δ²)` coloring in `O(log* n)` rounds | \[Lin92\], used for symmetry breaking | CONGEST-feasible | congest-feasible | engine (measured) |
 //! | [`reduce`] | color-class reduction to `Δ+1` | — | CONGEST-feasible | congest-feasible | engine (measured) |
-//! | [`mis`] | Luby's MIS, on the host graph and on `G^k`/`(G[S])^k` overlays | Lemma 20 substrate | CONGEST-feasible (host); LOCAL-only on overlays | congest-feasible | engine (measured) |
+//! | [`mis`] | Luby's MIS, on the host graph and on the `G^k` overlay | Lemma 20 substrate | CONGEST-feasible (host); LOCAL-only on overlays | congest-feasible | engine (measured) |
 //! | [`ruling`] | ruling sets and ruling forests | Lemma 20 | LOCAL-only (power-graph relays) | congest-enforced | engine (measured): bit-halving reach-floods + Luby on the `G^k` overlay |
 //! | [`list_coloring`] | `(deg+1)`-list coloring, randomized & deterministic | Theorems 18, 19 | CONGEST-feasible | congest-feasible | engine (measured); randomized also on the induced overlay |
 //! | [`gallai`] | degree-choosable components, Gallai trees, the degree-list solver | Definitions 6–9, Theorem 8 | LOCAL-only (ball relays) | congest-enforced | engine (measured) via [`gallai::find_dccs_all`] / [`gallai::find_dccs_all_within`] |

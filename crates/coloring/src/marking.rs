@@ -25,9 +25,8 @@ use crate::palette::{Color, PartialColoring};
 use delta_graphs::{bfs, Graph, NodeId};
 use local_model::wire::{gamma_bits, gamma_max_bits};
 use local_model::{
-    run_ball_phase, run_ball_phase_within, run_reach_phase, run_reach_phase_within, BitReader,
-    BitWriter, Engine, InducedOverlay, Outbox, OverlayEngine, RoundDriver, RoundLedger, WireCodec,
-    WireParams,
+    run_ball_phase, run_reach_phase, BitReader, BitWriter, Engine, InducedOverlay, Outbox,
+    OverlayEngine, RoundDriver, RoundLedger, WireCodec, WireParams,
 };
 
 /// Wire format of the marking process's **mark-placement** rounds
@@ -352,40 +351,22 @@ fn marking_core(
 
     // Rounds 2..=b+1: backoff — selected ids flood `b` hops; a selected
     // node survives only if it hears no competitor.
-    let source = |v: NodeId| selected[v.index()].then_some(());
-    let acc_init = |v: NodeId| (v.0, false);
-    let acc_absorb = |acc: &mut (u32, bool), id: u32, _dist: u32, _m: &()| {
-        if id != acc.0 {
-            acc.1 = true;
-        }
-    };
-    let backoff_finish =
-        |ctx: &mut local_model::NodeCtx<'_>, acc: &(u32, bool)| selected[ctx.id.index()] && !acc.1;
-    let survivor: Vec<bool> = match members {
-        None => run_reach_phase(
-            g,
-            0,
-            params.b,
-            source,
-            acc_init,
-            acc_absorb,
-            backoff_finish,
-            ledger,
-            phase,
-        ),
-        Some(m) => run_reach_phase_within(
-            g,
-            m,
-            0,
-            params.b,
-            source,
-            acc_init,
-            acc_absorb,
-            backoff_finish,
-            ledger,
-            phase,
-        ),
-    };
+    let survivor: Vec<bool> = run_reach_phase(
+        g,
+        members,
+        0,
+        params.b,
+        |v| selected[v.index()].then_some(()),
+        |v| (v.0, false),
+        |acc: &mut (u32, bool), id, _dist, _: &()| {
+            if id != acc.0 {
+                acc.1 = true;
+            }
+        },
+        |ctx, acc| selected[ctx.id.index()] && !acc.1,
+        ledger,
+        phase,
+    );
 
     // Rounds b+2..=b+3: radius-2 ball collection; each survivor picks
     // two random non-adjacent uncolored neighbors with its private rng.
@@ -421,12 +402,16 @@ fn marking_core(
         Some((NodeId(m1), NodeId(m2)))
     };
     let pick_seed = seed ^ 0x9e37_79b9_7f4a_7c15;
-    let picks: Vec<Option<(NodeId, NodeId)>> = match members {
-        None => run_ball_phase(g, pick_seed, 2, pick_payload, pick_rule, ledger, phase),
-        Some(m) => {
-            run_ball_phase_within(g, m, pick_seed, 2, pick_payload, pick_rule, ledger, phase)
-        }
-    };
+    let picks: Vec<Option<(NodeId, NodeId)>> = run_ball_phase(
+        g,
+        members,
+        pick_seed,
+        2,
+        pick_payload,
+        pick_rule,
+        ledger,
+        phase,
+    );
 
     // Rounds b+4..=b+6: conflict-free mark placement. For the paper's
     // b >= 4 survivors are too far apart for their picks to interact and

@@ -3,16 +3,15 @@
 //!
 //! The iteration body is written once against
 //! [`local_model::RoundDriver`], so the same program runs on the host
-//! graph ([`luby_mis`]), on `G^k` through the [`PowerOverlay`]
+//! graph ([`luby_mis`]) and on `G^k` through the [`PowerOverlay`]
 //! ([`luby_mis_on_power`] — `k` measured relay rounds per virtual
-//! round, nothing materialized), and on `(G[S])^k` through the
-//! composed overlay ([`luby_mis_within_power`]).
+//! round, nothing materialized).
 
 use delta_graphs::{Graph, NodeId};
 use local_model::wire::{gamma_bits, gamma_max_bits};
 use local_model::{
-    BitReader, BitWriter, Engine, InducedOverlay, Outbox, OverlayEngine, PowerOverlay, RoundDriver,
-    RoundLedger, VirtualTopology, WireCodec, WireParams,
+    BitReader, BitWriter, Engine, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger,
+    WireCodec, WireParams,
 };
 
 /// Node status during and after MIS computation.
@@ -203,36 +202,6 @@ fn luby_core<DR: RoundDriver<S>>(mut engine: DR, ledger: &mut RoundLedger, phase
     engine
 }
 
-/// Runs the Luby core on an already-constructed overlay engine and
-/// finishes with the greedy cleanup on virtual adjacency. Returns the
-/// rank-indexed membership mask.
-fn luby_on_overlay<T: VirtualTopology>(
-    engine: OverlayEngine<'_, S, T>,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<bool> {
-    let engine = luby_core(local_model::compile(engine), ledger, phase);
-    let mut member: Vec<bool> = engine
-        .node_states()
-        .iter()
-        .map(|s| s.state == MisState::In)
-        .collect();
-    // Deterministic cleanup (unreachable w.h.p.), on *virtual*
-    // adjacency: greedily add remaining undecided ranks in id order.
-    for r in 0..member.len() {
-        if engine.node_states()[r].state == MisState::Undecided
-            && !engine
-                .inner()
-                .virtual_neighbors(NodeId::from_index(r))
-                .iter()
-                .any(|&w| member[w.index()])
-        {
-            member[r] = true;
-        }
-    }
-    member
-}
-
 /// Runs Luby's MIS on the power graph `G^k` **through the host engine**
 /// ([`PowerOverlay`]): one virtual round executes as `k` measured relay
 /// rounds of `G`, so the ledger is charged the true dilated cost — and
@@ -257,31 +226,27 @@ pub fn luby_mis_on_power(
         state: MisState::Undecided,
         draw: (0, v.0),
     });
+    let engine = luby_core(local_model::compile(engine), ledger, phase);
     // Every host node is a member, so ranks coincide with host ids.
-    luby_on_overlay(engine, ledger, phase)
-}
-
-/// Runs Luby's MIS on `(G[S])^k` through the composed
-/// `Induced ∘ Power` overlay — the ruling-set substrate for **live
-/// subgraphs**: the relay flood is confined to members, so virtual
-/// adjacency is "member within distance `k` inside `G[S]`". Returns a
-/// host-indexed membership mask (non-members are never selected).
-pub fn luby_mis_within_power(
-    g: &Graph,
-    members: &[bool],
-    k: usize,
-    seed: u64,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<bool> {
-    assert!(k >= 1);
-    let topo = InducedOverlay { members }.power(k);
-    let engine = OverlayEngine::new(g, topo, seed, |v| S {
-        state: MisState::Undecided,
-        draw: (0, v.0),
-    });
-    let rank_mask = luby_on_overlay(engine, ledger, phase);
-    local_model::expand_rank_mask(g, &topo, &rank_mask)
+    let mut member: Vec<bool> = engine
+        .node_states()
+        .iter()
+        .map(|s| s.state == MisState::In)
+        .collect();
+    // Deterministic cleanup (unreachable w.h.p.), on *virtual*
+    // adjacency: greedily add remaining undecided nodes in id order.
+    for v in g.nodes() {
+        if engine.node_states()[v.index()].state == MisState::Undecided
+            && !engine
+                .inner()
+                .virtual_neighbors(v)
+                .iter()
+                .any(|&w| member[w.index()])
+        {
+            member[v.index()] = true;
+        }
+    }
+    member
 }
 
 /// Verifies the MIS properties: independence and maximality.

@@ -112,29 +112,6 @@ pub fn ruling_set_randomized(
     crate::mis::members(&mask)
 }
 
-/// An `(alpha, alpha-1)` ruling set of the **live subgraph**
-/// `G[members]` (distances measured inside the subgraph), via Luby MIS
-/// on the composed `Induced ∘ Power` overlay
-/// ([`crate::mis::luby_mis_within_power`]): the relay flood is confined
-/// to members, non-members stay silent, and the ledger is charged the
-/// true `(alpha-1)`-dilated relay rounds with measured bits.
-///
-/// # Panics
-///
-/// Panics if `alpha < 2`.
-pub fn ruling_set_randomized_within(
-    g: &Graph,
-    members: &[bool],
-    alpha: usize,
-    seed: u64,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<NodeId> {
-    assert!(alpha >= 2, "alpha must be at least 2");
-    let mask = crate::mis::luby_mis_within_power(g, members, alpha - 1, seed, ledger, phase);
-    crate::mis::members(&mask)
-}
-
 /// Deterministic `(2, O(log n))` ruling set by id-bit halving, executed
 /// on the message-passing engine (see
 /// [`ruling_set_deterministic_alpha`]; this is the `alpha = 2` case,
@@ -188,6 +165,7 @@ pub fn ruling_set_deterministic_alpha(
         let survive_in = &survive;
         let decisions = run_reach_phase(
             g,
+            None,
             0,
             alpha - 1,
             |v| (survive_in[v.index()] && v.0 & (1 << bit) == 0).then_some(()),

@@ -4,13 +4,11 @@
 //! `luby_mis_on_power` executes on the `G^k` overlay (k measured relay
 //! rounds per virtual round, nothing materialized); `power_graph` is
 //! kept exactly for this comparison: same seed ⇒ same membership mask,
-//! `k ×` the round charge, under **both** execution schedules. The
-//! `(G[S])^k` composition is pinned against the materialized
-//! `power_graph(g.induced(S), k)` the same way.
+//! `k ×` the round charge, under **both** execution schedules.
 
-use delta_coloring::mis::{is_mis, luby_mis, luby_mis_on_power, luby_mis_within_power};
+use delta_coloring::mis::{is_mis, luby_mis, luby_mis_on_power};
 use delta_graphs::power::power_graph;
-use delta_graphs::{Graph, NodeId};
+use delta_graphs::Graph;
 use local_model::{force_exec_mode, ExecMode, RoundLedger};
 use proptest::prelude::*;
 
@@ -61,44 +59,6 @@ proptest! {
         prop_assert!(is_mis(&power_graph(&g, k), &overlay_mask));
         if power_graph(&g, k).m() > 0 {
             prop_assert!(overlay_bits > 0, "relay rounds must be measured");
-        }
-    }
-
-    #[test]
-    fn within_power_luby_equals_materialized_subgraph_power_luby(
-        g in arb_graph(),
-        k in 2usize..4,
-        seed in 0u64..1000,
-        stride in 2u32..4,
-    ) {
-        // Membership: drop every stride-th node.
-        let mask: Vec<bool> = g.nodes().map(|v| v.0 % stride != 0).collect();
-        if !mask.iter().any(|&b| b) {
-            return Ok(());
-        }
-        let overlay_mask = under_both_modes(|| {
-            let mut ledger = RoundLedger::new();
-            luby_mis_within_power(&g, &mask, k, seed, &mut ledger, "mis")
-        });
-        // Materialized oracle: Luby on (G[S])^k, expanded to host ids.
-        let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
-        let (sub, map) = g.induced(&members);
-        let mat_rank_mask = under_both_modes(|| {
-            let mut ledger = RoundLedger::new();
-            luby_mis(&power_graph(&sub, k), seed, &mut ledger, "mis")
-        });
-        let mut mat_mask = vec![false; g.n()];
-        for (r, &sel) in mat_rank_mask.iter().enumerate() {
-            if sel {
-                mat_mask[map[r].index()] = true;
-            }
-        }
-        prop_assert_eq!(&overlay_mask, &mat_mask, "subgraph MIS decisions diverged");
-        // Non-members are never selected.
-        for v in g.nodes() {
-            if !mask[v.index()] {
-                prop_assert!(!overlay_mask[v.index()]);
-            }
         }
     }
 }

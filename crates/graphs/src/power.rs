@@ -66,13 +66,12 @@ impl PowerScratch {
     }
 }
 
-/// Batched enumeration of every node's `G^k`-neighborhood (optionally
-/// restricted to an induced subgraph): a truncated BFS per node that
-/// reuses one epoch-stamped visited array and one frontier arena across
-/// the whole sweep, so per-node cost is `O(|ball|)` with **zero**
-/// per-node allocation after warm-up — unlike the naive
-/// [`power_neighbors`] oracle, which clears an `O(n)` distance array
-/// for every center. The buffers themselves come from a per-thread pool
+/// Batched enumeration of every node's `G^k`-neighborhood: a truncated
+/// BFS per node that reuses one epoch-stamped visited array and one
+/// frontier arena across the whole sweep, so per-node cost is
+/// `O(|ball|)` with **zero** per-node allocation after warm-up — unlike
+/// the naive [`power_neighbors`] oracle, which clears an `O(n)` distance
+/// array for every center. The buffers themselves come from a per-thread pool
 /// (`PowerScratch`) and outlive the sweep, so constructing one sweep
 /// per overlay round is allocation-free at steady state too.
 ///
@@ -96,9 +95,6 @@ impl PowerScratch {
 pub struct PowerNeighborhoods<'g> {
     g: &'g Graph,
     k: usize,
-    /// Restrict the BFS (and the reported neighbors) to this membership
-    /// mask; distances are measured inside the induced subgraph.
-    mask: Option<&'g [bool]>,
     /// Pooled BFS buffers: `scratch.stamp[v] == scratch.epoch` means
     /// `v` was reached in the current sweep step — no clearing between
     /// nodes (or between pooled sweeps).
@@ -123,25 +119,9 @@ impl<'g> PowerNeighborhoods<'g> {
         PowerNeighborhoods {
             g,
             k,
-            mask: None,
             scratch: PowerScratch::take(g.n()),
             cursor: 0,
         }
-    }
-
-    /// Sweep over the members of `mask` at power `k`, with distances
-    /// measured inside the induced subgraph `G[mask]` (the
-    /// `(G[mask])^k` neighborhoods). Non-member centers yield empty
-    /// neighbor lists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `mask.len() != g.n()`.
-    pub fn masked(g: &'g Graph, k: usize, mask: &'g [bool]) -> Self {
-        assert_eq!(mask.len(), g.n(), "mask length must match node count");
-        let mut s = Self::new(g, k);
-        s.mask = Some(mask);
-        s
     }
 
     /// Yields the next `(node, sorted G^k-neighbors)` pair, or `None`
@@ -156,9 +136,6 @@ impl<'g> PowerNeighborhoods<'g> {
         self.cursor += 1;
         let s = &mut self.scratch;
         s.out.clear();
-        if self.mask.is_some_and(|m| !m[v.index()]) {
-            return Some((v, &s.out));
-        }
         // Fresh epoch = fresh visited set, no clearing. Epoch 0 is the
         // initial stamp value, so skip it on wrap-around.
         s.epoch = s.epoch.wrapping_add(1);
@@ -173,7 +150,7 @@ impl<'g> PowerNeighborhoods<'g> {
             s.next_frontier.clear();
             for &u in &s.frontier {
                 for &w in self.g.neighbors(u) {
-                    if s.stamp[w.index()] != s.epoch && self.mask.is_none_or(|m| m[w.index()]) {
+                    if s.stamp[w.index()] != s.epoch {
                         s.stamp[w.index()] = s.epoch;
                         s.next_frontier.push(w);
                         s.out.push(w);
@@ -293,30 +270,6 @@ mod tests {
                 seen += 1;
             }
             assert_eq!(seen, g.n(), "sweep visits every node");
-        }
-    }
-
-    #[test]
-    fn masked_sweep_matches_induced_subgraph() {
-        let g = generators::torus(4, 4);
-        // Keep three quarters of the nodes.
-        let mask: Vec<bool> = g.nodes().map(|v| v.0 % 4 != 0).collect();
-        let keep: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
-        let (sub, map) = g.induced(&keep);
-        let sub2 = power_graph(&sub, 2);
-        let mut sweep = PowerNeighborhoods::masked(&g, 2, &mask);
-        while let Some((v, nbrs)) = sweep.next() {
-            match map.binary_search(&v) {
-                Ok(local) => {
-                    let want: Vec<NodeId> = sub2
-                        .neighbors(NodeId::from_index(local))
-                        .iter()
-                        .map(|&w| map[w.index()])
-                        .collect();
-                    assert_eq!(nbrs, want.as_slice(), "member {v}");
-                }
-                Err(_) => assert!(nbrs.is_empty(), "non-member {v} must be isolated"),
-            }
         }
     }
 

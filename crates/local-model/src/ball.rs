@@ -13,27 +13,47 @@
 //!
 //! Three drivers, by how much of the neighborhood the local rule needs:
 //!
-//! * [`run_reach_phase`] — the flood kernel: *source* nodes' ids (plus a
-//!   payload) travel `r` hops and each node folds every distinct source
-//!   it hears into a streaming accumulator. Nothing else is retained per
-//!   node — the right primitive for ruling sets on power graphs, where
-//!   the radius is `Θ(log n)` and a full view would not fit.
-//! * [`run_ball_phase`] — the full compilation, on the same kernel:
-//!   every node is a source whose payload is its *certificate* (its
-//!   sorted adjacency list plus the application payload), each node
-//!   accumulates the `(id, dist)` pairs it hears, and its last round
-//!   assembles a [`BallView`] (member ids, member payloads, and the
-//!   induced edges among members, reconstructed from the certificates)
-//!   on which a local rule `Fn(&mut NodeCtx, &BallView<M>) -> D`
-//!   decides. Memory is 8 bytes per collected member plus one
-//!   certificate table per phase (`Θ(n·Δ)`); the views exist one at a
-//!   time, inside the rule's call. This is the tool for the small
-//!   constant radii of DCC detection and marking picks.
+//! * [`run_reach_phase`] — *source* nodes' ids (plus a payload) travel
+//!   `r` hops and each node folds every distinct source it hears into a
+//!   streaming accumulator. Nothing else is retained per node — the
+//!   right primitive for ruling sets on power graphs, where the radius
+//!   is `Θ(log n)` and a full view would not fit.
+//! * [`run_ball_phase`] — the full compilation: every node is a source
+//!   whose payload is its *certificate* (its sorted adjacency list plus
+//!   the application payload), each node accumulates the `(id, dist)`
+//!   pairs it hears, and its last round assembles a [`BallView`] (member
+//!   ids, member payloads, and the induced edges among members,
+//!   reconstructed from the certificates) on which a local rule
+//!   `Fn(&mut NodeCtx, &BallView<M>) -> D` decides. Memory is 8 bytes per
+//!   collected member plus one certificate table per phase (`Θ(n·Δ)`);
+//!   the views exist one at a time, inside the rule's call. This is the
+//!   tool for the small constant radii of DCC detection and marking
+//!   picks.
 //! * [`collect_ball_centered`] — single-center collection for repair
 //!   procedures: a TTL probe wave expands from the center while
 //!   certificates of probed nodes flood back, confining traffic to the
 //!   ball and costing `2r` rounds (out and back), the usual LOCAL
 //!   charge for an adaptive single-node inspection.
+//!
+//! Given a membership mask, [`run_reach_phase`] and [`run_ball_phase`]
+//! run on the induced subgraph `G[members]` through the
+//! [`InducedOverlay`]: non-members relay nothing, every distance is
+//! measured inside the subgraph, and ids live in the member-rank space
+//! of [`Graph::induced`].
+//!
+//! # One flood kernel
+//!
+//! The reach flood, the ball flood and the `G^k` relay of
+//! [`crate::overlay`] run on one relay-once kernel. A relay is a batch of
+//! source ids into a flood-wide interned payload table (`Arc`s, built
+//! once per flood), so relaying and delivering it never clones
+//! application data and its charged size is precomputed. On the wire
+//! every id is followed by a round-uniform *hop header* and the payload:
+//! the header is empty for the reach and ball floods (the batch encodes
+//! exactly like [`ReachMsg`]) and is the remaining TTL for `G^k` (exactly
+//! like [`crate::OverlayRelay`]). Each node folds what it hears into an
+//! accumulator — the caller's for reach floods, `(id, dist)` pairs for
+//! ball views, the heard origin ranks for a `G^k` inbox.
 //!
 //! # Dedup without per-node seen-sets
 //!
@@ -42,16 +62,17 @@
 //! round `d + 1` or `d + 2` (a neighbor `u` relays `c` exactly once, at
 //! round `dist(u, c) + 1`, and `dist(u, c) ∈ {d-1, d, d+1}`). So exact
 //! dedup needs only the two most recent "first heard" rounds plus
-//! within-round dedup. The kernel, and with it the ball flood, keeps
-//! that window as a *segmented origin-id filter*: the source ids heard
-//! in the two newest rounds, one sorted segment per round. The two
-//! segments are the complete duplicate filter, the newest one doubles as
-//! the next forwarding frontier, and a source's own id seeds the first
-//! segment (blocking its round-2 self-echo) — `O(traffic)` total work,
-//! `O(ring)` retained ids per node, no retained payload batches.
-//! Payloads live in one flood-wide interned table (`Arc`s, built once per
-//! phase), so a relay is a batch of ids: relaying and delivering it never
-//! clones application data, and its charged size is precomputed.
+//! within-round dedup. The kernel keeps that window as a *segmented
+//! origin-id filter*: the source ids heard in the two newest rounds, one
+//! sorted segment per round. The two segments are the complete duplicate
+//! filter, the newest one doubles as the next forwarding frontier, and a
+//! source's own id seeds the first segment (blocking its round-2
+//! self-echo) — `O(traffic)` total work, `O(ring)` retained ids per node,
+//! no retained payload batches. A segment is absorbed into the
+//! accumulator when it leaves the window; the last round absorbs the two
+//! segments still inside and frees the window, so the accumulator never
+//! duplicates it. Absorption is therefore ordered by distance, then
+//! ascending id.
 //!
 //! All decisions are computed inside the engine's recv phase from
 //! node-local state only, so they are bit-identical across
@@ -60,16 +81,14 @@
 
 use crate::engine::{node_rngs, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
-use crate::overlay::{
-    payload_bits, with_dedup_stamp, with_fresh_scratch, BatchPayloads, InducedOverlay,
-    OverlayEngine, PayloadTable,
-};
+use crate::overlay::{InducedOverlay, OverlayEngine};
 use crate::wire::{
     gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s, BitReader, BitWriter,
     WireCodec, WireParams,
 };
 use delta_graphs::bfs::Ball;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One node's contribution to a ball flood: its identity, its full
@@ -92,7 +111,7 @@ impl<M: WireCodec> WireCodec for BallItem<M> {
         self.payload.encode(w);
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        let id = r.read_gamma()? as u32;
+        let id = r.read_gamma_u32()?;
         let adj = read_gamma_u32s(r)?;
         let payload = M::decode(r)?;
         Some(BallItem { id, adj, payload })
@@ -154,7 +173,7 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
         let len = r.read_gamma()?;
         let mut items = Vec::with_capacity(len.min(1 << 20) as usize);
         for _ in 0..len {
-            let id = r.read_gamma()? as u32;
+            let id = r.read_gamma_u32()?;
             items.push((id, M::decode(r)?));
         }
         Some(ReachMsg(items))
@@ -200,63 +219,145 @@ impl<M: WireCodec> WireCodec for Cert<M> {
     }
 }
 
-/// Reach-flood relay with interned payloads: the source ids a node
-/// forwards this round plus their payloads (a handle to the flood's
-/// shared table). Equivalent on the wire — bit-for-bit, including
-/// `encoded_bits` — to the [`ReachMsg`] carrying `(id, payloads[id])`
-/// pairs, but a per-edge copy is one refcount bump and the charged size
-/// is precomputed (pinned by `reach_batch_encodes_like_reach_msg`).
-struct ReachBatch<M>(Arc<ReachRelay<M>>);
+/// A flood's interned payload table: one entry per id of the flood's id
+/// space, `Some` exactly for the sources that flood. Built once per
+/// flood, so relaying and delivering a batch never clones application
+/// data.
+pub(crate) type PayloadTable<M> = Arc<Vec<Option<Arc<M>>>>;
+
+/// Wire size of every table entry (0 for ids that do not flood), so a
+/// batch's charged size is a sum of lookups.
+pub(crate) fn payload_bits<M: WireCodec>(table: &[Option<Arc<M>>]) -> Vec<u64> {
+    table
+        .iter()
+        .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
+        .collect()
+}
+
+/// The payloads behind a relay batch's ids. A batch built by a sender
+/// shares the flood's [`PayloadTable`], indexed by id. A batch decoded
+/// off the wire cannot recover that table — and the CONGEST reassembler
+/// decodes every relay — so it keeps its decoded payloads parallel to
+/// its ids: O(items) memory whatever ids the stream names.
+enum BatchPayloads<M> {
+    Shared(PayloadTable<M>),
+    Decoded(Vec<M>),
+}
+
+impl<M> BatchPayloads<M> {
+    /// The payload of the batch's `i`-th id, `id`.
+    fn get(&self, i: usize, id: u32) -> &M {
+        match self {
+            BatchPayloads::Shared(table) => table[id as usize]
+                .as_deref()
+                .expect("a forwarded id has a payload"),
+            BatchPayloads::Decoded(items) => &items[i],
+        }
+    }
+}
+
+/// The per-item hop header of a relay batch, written after every id:
+/// `()` for the reach and ball floods, the remaining TTL for `G^k`
+/// relays. Uniform within a relay round, so a batch stores it once.
+pub(crate) trait HopHeader:
+    WireCodec + Copy + PartialEq + Default + Send + Sync + 'static
+{
+}
+
+impl<H: WireCodec + Copy + PartialEq + Default + Send + Sync + 'static> HopHeader for H {}
+
+/// The kernel's relay with interned payloads: the source ids a node
+/// forwards this round, the round's hop header, and a handle to the
+/// flood's shared payload table. Equivalent on the wire — bit-for-bit,
+/// including `encoded_bits` — to the [`ReachMsg`] carrying `(id,
+/// payloads[id])` pairs when `H = ()`, and to the
+/// [`crate::OverlayRelay`] carrying `(id, ttl, payloads[id])` items for a
+/// TTL header; but a per-edge copy is one refcount bump and the charged
+/// size is precomputed (pinned by `reach_batch_encodes_like_reach_msg`
+/// and, for the TTL header, `flood_batch_encodes_like_overlay_relay`).
+pub(crate) struct ReachBatch<M, H>(Arc<ReachRelay<M, H>>);
 
 /// The contents of a [`ReachBatch`], shared by all its copies.
-struct ReachRelay<M> {
+struct ReachRelay<M, H> {
     /// Forwarded source ids (sorted; the sender's newest segment).
     ids: Vec<u32>,
+    /// The hop header every item carries.
+    hop: H,
     /// The payloads of `ids`.
     payloads: BatchPayloads<M>,
     /// Exact wire size, precomputed at construction.
     wire_bits: u64,
 }
 
-impl<M> Clone for ReachBatch<M> {
+impl<M, H> Clone for ReachBatch<M, H> {
     fn clone(&self) -> Self {
         ReachBatch(Arc::clone(&self.0))
     }
 }
 
-impl<M: WireCodec> ReachBatch<M> {
-    fn new(ids: Vec<u32>, payloads: &PayloadTable<M>, bits_of: &[u64]) -> Self {
+impl<M: WireCodec, H: HopHeader> ReachBatch<M, H> {
+    pub(crate) fn new(ids: Vec<u32>, hop: H, payloads: &PayloadTable<M>, bits_of: &[u64]) -> Self {
+        let hop_bits = hop.encoded_bits();
         let wire_bits = gamma_bits(ids.len() as u64)
             + ids
                 .iter()
-                .map(|&id| gamma_bits(id as u64) + bits_of[id as usize])
+                .map(|&id| gamma_bits(id as u64) + hop_bits + bits_of[id as usize])
                 .sum::<u64>();
         ReachBatch(Arc::new(ReachRelay {
             ids,
+            hop,
             payloads: BatchPayloads::Shared(Arc::clone(payloads)),
             wire_bits,
         }))
     }
+
+    /// The batch's ids, hop header and payloads, for codec tests
+    /// outside this module.
+    #[cfg(test)]
+    pub(crate) fn contents(&self) -> (&[u32], H, Vec<&M>) {
+        let b = &*self.0;
+        let payloads = b
+            .ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| b.payloads.get(i, id));
+        (&b.ids, b.hop, payloads.collect())
+    }
 }
 
-impl<M: WireCodec> WireCodec for ReachBatch<M> {
+impl<M: WireCodec, H: HopHeader> WireCodec for ReachBatch<M, H> {
     fn encode(&self, w: &mut BitWriter) {
-        // Identical bit stream to ReachMsg over the equivalent pairs.
         let b = &*self.0;
         w.write_gamma(b.ids.len() as u64);
         for (i, &id) in b.ids.iter().enumerate() {
             w.write_gamma(id as u64);
+            b.hop.encode(w);
             b.payloads.get(i, id).encode(w);
         }
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         // The CONGEST reassembler decodes every relay; the payloads
         // stay parallel to the ids (`BatchPayloads::Decoded`).
-        let msg = ReachMsg::<M>::decode(r)?;
-        let wire_bits = msg.encoded_bits();
-        let (ids, decoded) = msg.0.into_iter().unzip();
+        let len = r.read_gamma()?;
+        let cap = len.min(1 << 20) as usize;
+        let (mut ids, mut decoded) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut hop: Option<H> = None;
+        let mut wire_bits = gamma_bits(len);
+        for _ in 0..len {
+            let id = r.read_gamma_u32()?;
+            let h = H::decode(r)?;
+            if hop.is_some_and(|first| first != h) {
+                return None; // a relay's header is round-uniform
+            }
+            hop = Some(h);
+            let m = M::decode(r)?;
+            wire_bits += gamma_bits(id as u64) + h.encoded_bits() + m.encoded_bits();
+            ids.push(id);
+            decoded.push(m);
+        }
         Some(ReachBatch(Arc::new(ReachRelay {
             ids,
+            hop: hop.unwrap_or_default(),
             payloads: BatchPayloads::Decoded(decoded),
             wire_bits,
         })))
@@ -357,11 +458,10 @@ impl<M> BallView<M> {
 fn assemble_view<M: Clone>(
     center: NodeId,
     radius: usize,
-    heard: &[(u32, u32)],
+    mut by_id: Vec<(u32, u32)>,
     certs: &[Option<Arc<Cert<M>>>],
 ) -> BallView<M> {
     // Absorption is ordered by distance, then id; the view is by id.
-    let mut by_id = heard.to_vec();
     by_id.sort_unstable();
     let members: Vec<u32> = by_id.iter().map(|&(id, _)| id).collect();
     let dist: Vec<u32> = by_id.iter().map(|&(_, d)| d).collect();
@@ -392,9 +492,18 @@ fn assemble_view<M: Clone>(
 /// node's assembled [`BallView`] — with access to the node's private,
 /// seed-deterministic randomness — returning the per-node decisions.
 ///
-/// Costs exactly `radius` engine rounds, charged (rounds *and* measured
-/// bits) to `phase` on the ledger. `radius == 0` costs nothing and the
-/// views contain only the centers.
+/// With `members`, the phase runs on the **induced subgraph**
+/// `G[members]` through the [`InducedOverlay`]: non-members relay
+/// nothing and receive nothing, certificates carry the subgraph's
+/// adjacency, and the views are id-for-id the views a materialized
+/// `g.induced(members)` run would produce. Every id — handed to
+/// `payload_of`/`rule`, or indexing the returned vector — then lives in
+/// the member-rank space (ranks in host-id order, exactly
+/// [`Graph::induced`]'s compaction).
+///
+/// Costs exactly `radius` rounds (dilation 1 under a mask), charged
+/// (rounds *and* measured bits) to `phase` on the ledger. `radius == 0`
+/// costs nothing and the views contain only the centers.
 ///
 /// # Example
 ///
@@ -408,6 +517,7 @@ fn assemble_view<M: Clone>(
 /// let mut ledger = RoundLedger::new();
 /// let tri = run_ball_phase(
 ///     &g,
+///     None,
 ///     0,
 ///     1,
 ///     |_| (),
@@ -421,97 +531,13 @@ fn assemble_view<M: Clone>(
 /// assert_eq!(ledger.total(), 1);
 /// assert!(ledger.bits_sent() > 0);
 /// ```
+#[allow(clippy::too_many_arguments)]
 pub fn run_ball_phase<M, D, P, R>(
-    graph: &Graph,
-    seed: u64,
-    radius: usize,
-    payload_of: P,
-    rule: R,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<D>
-where
-    M: Clone + Send + Sync + WireCodec + 'static,
-    D: Send,
-    P: Fn(NodeId) -> M + Sync,
-    R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
-{
-    let certs = intern_sources(graph.n(), &|v| {
-        Some(Cert {
-            adj: graph.neighbors(v).iter().map(|w| w.0).collect(),
-            payload: payload_of(v),
-        })
-    });
-    ball_flood(graph, None, seed, radius, certs, rule, ledger, phase)
-}
-
-/// [`run_ball_phase`] on the **induced subgraph** `G[members]`, executed
-/// through the [`InducedOverlay`] on the host engine: non-members relay
-/// nothing and receive nothing, certificates carry the subgraph's
-/// (compacted-id) adjacency, and the assembled views are id-for-id the
-/// views a materialized `g.induced(members)` run would produce.
-/// Everything — ids handed to `payload_of`/`rule`, the returned
-/// decision vector — lives in the member-rank id space (ranks in
-/// host-id order, exactly [`Graph::induced`]'s compaction).
-///
-/// Costs `radius` host rounds (dilation 1) with measured envelope bits.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ball_phase_within<M, D, P, R>(
-    graph: &Graph,
-    members: &[bool],
-    seed: u64,
-    radius: usize,
-    payload_of: P,
-    rule: R,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<D>
-where
-    M: Clone + Send + Sync + WireCodec + 'static,
-    D: Send,
-    P: Fn(NodeId) -> M + Sync,
-    R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
-{
-    let member_ids: Vec<NodeId> = graph.nodes().filter(|v| members[v.index()]).collect();
-    let mut rank_of = vec![u32::MAX; graph.n()];
-    for (r, &v) in member_ids.iter().enumerate() {
-        rank_of[v.index()] = r as u32;
-    }
-    // Rank-space adjacency of G[members]: host neighbors filtered to
-    // members; host-sorted order maps to rank-sorted order.
-    let certs = intern_sources(member_ids.len(), &|r| {
-        Some(Cert {
-            adj: graph
-                .neighbors(member_ids[r.index()])
-                .iter()
-                .filter(|w| members[w.index()])
-                .map(|w| rank_of[w.index()])
-                .collect(),
-            payload: payload_of(r),
-        })
-    });
-    ball_flood(
-        graph,
-        Some(members),
-        seed,
-        radius,
-        certs,
-        rule,
-        ledger,
-        phase,
-    )
-}
-
-/// The ball flood on the reach kernel: every node floods its
-/// certificate, absorbs `(id, dist)` pairs, and its final recv runs
-/// `rule` on the view assembled from them and the table.
-#[allow(clippy::too_many_arguments)]
-fn ball_flood<M, D, R>(
     graph: &Graph,
     members: Option<&[bool]>,
     seed: u64,
     radius: usize,
-    certs: PayloadTable<Cert<M>>,
+    payload_of: P,
     rule: R,
     ledger: &mut RoundLedger,
     phase: &str,
@@ -519,8 +545,38 @@ fn ball_flood<M, D, R>(
 where
     M: Clone + Send + Sync + WireCodec + 'static,
     D: Send,
+    P: Fn(NodeId) -> M + Sync,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
 {
+    let certs = match members {
+        None => intern_sources(graph.n(), &|v| {
+            Some(Cert {
+                adj: graph.neighbors(v).iter().map(|w| w.0).collect(),
+                payload: payload_of(v),
+            })
+        }),
+        Some(mask) => {
+            let member_ids: Vec<NodeId> = graph.nodes().filter(|v| mask[v.index()]).collect();
+            let mut rank_of = vec![u32::MAX; graph.n()];
+            for (r, &v) in member_ids.iter().enumerate() {
+                rank_of[v.index()] = r as u32;
+            }
+            // Rank-space adjacency of G[members]: host neighbors
+            // filtered to members; host-sorted order maps to
+            // rank-sorted order.
+            intern_sources(member_ids.len(), &|r| {
+                Some(Cert {
+                    adj: graph
+                        .neighbors(member_ids[r.index()])
+                        .iter()
+                        .filter(|w| mask[w.index()])
+                        .map(|w| rank_of[w.index()])
+                        .collect(),
+                    payload: payload_of(r),
+                })
+            })
+        }
+    };
     let table = Arc::clone(&certs);
     reach_flood(
         graph,
@@ -529,9 +585,9 @@ where
         radius,
         certs,
         |_| Vec::new(),
-        |heard: &mut Vec<(u32, u32)>, id, dist, _| heard.push((id, dist)),
-        move |ctx, heard| {
-            let view = assemble_view(ctx.id, radius, heard, &table);
+        |heard: &mut Vec<(u32, u32)>, seg, dist| heard.extend(seg.iter().map(|&id| (id, dist))),
+        |ctx, heard| {
+            let view = assemble_view(ctx.id, radius, std::mem::take(heard), &table);
             rule(ctx, &view)
         },
         ledger,
@@ -556,6 +612,7 @@ where
 {
     run_ball_phase(
         graph,
+        None,
         0,
         radius,
         payload_of,
@@ -565,14 +622,15 @@ where
     )
 }
 
-/// Per-node state of the streaming reach flood: the segmented origin-id
-/// window (module docs) plus the caller's accumulator. Segment
+/// Per-node state of the flood kernel: the segmented origin-id window
+/// (module docs) plus the caller's accumulator. Segment
 /// `[last_start..]` holds sources first heard last round (sorted ids —
 /// dist `t-1` at round `t`, the forwarding frontier), segment
 /// `[..last_start]` the round before; a source's own id seeds the first
-/// segment. Payloads are never retained here — they live in the flood's
-/// shared table.
-struct ReachState<A, D> {
+/// segment. A segment is absorbed into `acc` when it leaves the window.
+/// Payloads are never retained here — they live in the flood's shared
+/// table.
+pub(crate) struct ReachState<A, D> {
     acc: A,
     /// Source ids of the window's two rounds (each segment sorted).
     heard: Vec<u32>,
@@ -581,22 +639,54 @@ struct ReachState<A, D> {
     decision: Option<D>,
 }
 
+impl<A, D> ReachState<A, D> {
+    /// Node `v`'s round-0 state: its accumulator and, if `v` is a source
+    /// (has a payload), its own id seeding the window (distance 0, the
+    /// first forwarding frontier).
+    pub(crate) fn new<M>(v: NodeId, acc: A, payloads: &[Option<Arc<M>>]) -> Self {
+        ReachState {
+            acc,
+            heard: if payloads[v.index()].is_some() {
+                vec![v.0]
+            } else {
+                Vec::new()
+            },
+            last_start: 0,
+            decision: None,
+        }
+    }
+
+    /// After round `t`: absorbs the window's two segments (distances
+    /// `t - 1` and `t`) and frees it.
+    fn settle(&mut self, t: u32, absorb: &impl Fn(&mut A, &[u32], u32)) {
+        let (older, newest) = self.heard.split_at(self.last_start as usize);
+        if !older.is_empty() {
+            absorb(&mut self.acc, older, t - 1);
+        }
+        absorb(&mut self.acc, newest, t);
+        self.heard = Vec::new();
+    }
+}
+
 /// Runs one radius-`r` **reach flood**: every node for which `source`
 /// returns a payload floods its id (plus the payload) `r` hops; every
 /// node absorbs each distinct source it hears — including itself, at
 /// distance 0 — into a streaming accumulator via `absorb(acc, source_id,
-/// dist, payload)` (sources of one round are absorbed in ascending id
-/// order), and `finish` turns the accumulator into the node's decision
-/// with access to its private randomness.
+/// dist, payload)` (by distance, then ascending id), and `finish` turns
+/// the accumulator into the node's decision with access to its private
+/// randomness.
 ///
-/// This is the kernel [`run_ball_phase`] runs on: nothing is retained
-/// beyond the caller's accumulator and an `O(ring)` dedup window (see
-/// the module docs), so it scales to the `Θ(log n)`-radius floods of
-/// power-graph ruling sets. Costs exactly `radius` engine rounds charged
-/// to `phase`.
+/// Nothing is retained beyond the caller's accumulator and an `O(ring)`
+/// dedup window (see the module docs), so it scales to the
+/// `Θ(log n)`-radius floods of power-graph ruling sets. With `members`,
+/// the flood runs on the induced subgraph `G[members]` exactly as
+/// [`run_ball_phase`] does: distances are measured inside the subgraph
+/// and ids live in the member-rank space. Costs exactly `radius` rounds
+/// charged to `phase`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reach_phase<M, A, D, SRC, INIT, ABS, FIN>(
     graph: &Graph,
+    members: Option<&[bool]>,
     seed: u64,
     radius: usize,
     source: SRC,
@@ -615,51 +705,23 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    let payloads = intern_sources(graph.n(), &source);
-    reach_flood(
-        graph, None, seed, radius, payloads, init, absorb, finish, ledger, phase,
-    )
-}
-
-/// [`run_reach_phase`] on the **induced subgraph** `G[members]`,
-/// executed through the [`InducedOverlay`] on the host engine:
-/// non-members relay nothing and receive nothing, so every distance is
-/// measured inside the live subgraph. Ids (for `source`/`init`/
-/// `absorb`/`finish` and the returned vector) live in the member-rank
-/// space — identical to a materialized `g.induced(members)` run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_reach_phase_within<M, A, D, SRC, INIT, ABS, FIN>(
-    graph: &Graph,
-    members: &[bool],
-    seed: u64,
-    radius: usize,
-    source: SRC,
-    init: INIT,
-    absorb: ABS,
-    finish: FIN,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<D>
-where
-    M: Clone + Send + Sync + WireCodec + 'static,
-    A: Send,
-    D: Send,
-    SRC: Fn(NodeId) -> Option<M> + Sync,
-    INIT: Fn(NodeId) -> A + Sync,
-    ABS: Fn(&mut A, u32, u32, &M) + Sync,
-    FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
-{
-    let member_count = members.iter().filter(|&&b| b).count();
-    let payloads = intern_sources(member_count, &source);
+    let n = members.map_or(graph.n(), |m| m.iter().filter(|&&b| b).count());
+    let payloads = intern_sources(n, &source);
+    let table = Arc::clone(&payloads);
     reach_flood(
         graph,
-        Some(members),
+        members,
         seed,
         radius,
         payloads,
         init,
-        absorb,
-        finish,
+        |acc: &mut A, seg: &[u32], dist| {
+            for &id in seg {
+                let m = table[id as usize].as_deref();
+                absorb(acc, id, dist, m.expect("heard source has a payload"));
+            }
+        },
+        |ctx, acc| finish(ctx, acc),
         ledger,
         phase,
     )
@@ -675,11 +737,11 @@ fn intern_sources<M>(n: usize, source: &impl Fn(NodeId) -> Option<M>) -> Payload
     )
 }
 
-/// Runs the flood of the interned `payloads` — in the flood's id space:
-/// host ids on the host [`Engine`], or member ranks through the
-/// [`InducedOverlay`] when `members` is given. At radius 0 no round runs:
-/// each node absorbs only itself and finishes with the randomness a
-/// driver with this seed would give it.
+/// Runs the reach or ball flood of the interned `payloads` — in the
+/// flood's id space: host ids on the host [`Engine`], or member ranks
+/// through the [`InducedOverlay`] when `members` is given. At radius 0
+/// no round runs: each node absorbs only itself and finishes with the
+/// randomness a driver with this seed would give it.
 #[allow(clippy::too_many_arguments)]
 fn reach_flood<M, A, D, INIT, ABS, FIN>(
     graph: &Graph,
@@ -698,9 +760,10 @@ where
     A: Send,
     D: Send,
     INIT: Fn(NodeId) -> A + Sync,
-    ABS: Fn(&mut A, u32, u32, &M) + Sync,
-    FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
+    ABS: Fn(&mut A, &[u32], u32) + Sync,
+    FIN: Fn(&mut NodeCtx<'_>, &mut A) -> D + Sync,
 {
+    let state = |v: NodeId| ReachState::new(v, init(v), &payloads);
     let is_member = |v: NodeId| members.is_none_or(|m| m[v.index()]);
     if radius == 0 {
         let hosts: Vec<NodeId> = graph.nodes().filter(|&v| is_member(v)).collect();
@@ -710,60 +773,115 @@ where
             .zip(&hosts)
             .enumerate()
             .map(|(i, (rng, &host))| {
-                let v = NodeId::from_index(i);
-                let s: ReachState<A, D> = reach_initial_state(v, &payloads, &init, &absorb);
+                let mut s: ReachState<A, D> = state(NodeId::from_index(i));
+                s.settle(0, &absorb);
                 let degree = graph.neighbors(host).iter().filter(|&&w| is_member(w));
                 let mut ctx = NodeCtx {
-                    id: v,
+                    id: NodeId::from_index(i),
                     degree: degree.count(),
                     rng,
                 };
-                finish(&mut ctx, &s.acc)
+                finish(&mut ctx, &mut s.acc)
             })
             .collect();
     }
-    let state = |v: NodeId| reach_initial_state(v, &payloads, &init, &absorb);
+    let bits_of = payload_bits(&payloads);
     match members {
-        None => {
-            let engine = crate::congest::compile(Engine::new(graph, seed, state));
-            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
-        }
-        Some(members) => {
-            let topo = InducedOverlay { members };
-            let engine = crate::congest::compile(OverlayEngine::new(graph, topo, seed, state));
-            reach_phase_core(engine, radius, payloads, absorb, finish, ledger, phase)
-        }
+        None => reach_phase_core(
+            crate::congest::compile(Engine::new(graph, seed, state)),
+            radius,
+            &payloads,
+            &bits_of,
+            |_| (),
+            absorb,
+            finish,
+            ledger,
+            phase,
+        ),
+        Some(members) => reach_phase_core(
+            crate::congest::compile(OverlayEngine::new(
+                graph,
+                InducedOverlay { members },
+                seed,
+                state,
+            )),
+            radius,
+            &payloads,
+            &bits_of,
+            |_| (),
+            absorb,
+            finish,
+            ledger,
+            phase,
+        ),
     }
 }
 
-/// A node's round-0 reach state: its own source entry absorbed and its
-/// id seeding the window's first segment (= the first forwarding
-/// frontier).
-fn reach_initial_state<M, A, D>(
-    v: NodeId,
-    payloads: &[Option<Arc<M>>],
-    init: &impl Fn(NodeId) -> A,
-    absorb: &impl Fn(&mut A, u32, u32, &M),
-) -> ReachState<A, D> {
-    let mut acc = init(v);
-    let own = payloads[v.index()].as_deref();
-    if let Some(m) = own {
-        absorb(&mut acc, v.0, 0, m);
-    }
-    ReachState {
-        acc,
-        heard: own.map(|_| v.0).into_iter().collect(),
-        last_start: 0,
-        decision: None,
-    }
+thread_local! {
+    /// Per-thread arrivals buffer for the kernel's recv phase: collected
+    /// ids are gathered, sorted, and filtered here, so the steady-state
+    /// per-node recv cost allocates nothing and nothing is retained per
+    /// node. Safe because no user code runs while the borrow is held.
+    static FRESH_SCRATCH: std::cell::RefCell<Vec<u32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+
+    /// Per-thread epoch-stamped id table for the kernel's dedup: one
+    /// `u32` per id in the flood's id space, shared by every node the
+    /// thread processes (a fresh epoch per recv makes it per-node-fresh
+    /// in O(1)). This is what makes the duplicate filter O(1) per
+    /// arrival — the flood's hot loop — without any per-node seen-set.
+    static DEDUP_STAMP: std::cell::RefCell<(Vec<u32>, u32)> =
+        const { std::cell::RefCell::new((Vec::new(), 0)) };
 }
 
-/// The flood itself, generic over the round driver ([`Engine`] for host
-/// executions, [`OverlayEngine`] for induced ones).
-fn reach_phase_core<M, A, D, ABS, FIN, DR>(
+/// Runs `f` on the thread's shared arrivals scratch (cleared first).
+/// Callers must not invoke user program code while inside `f` — a
+/// nested flood on this thread would re-borrow the scratch.
+fn with_fresh_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    FRESH_SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        buf.clear();
+        f(&mut buf)
+    })
+}
+
+/// Runs `f` with an epoch-fresh stamp table covering ids `0..n`:
+/// `stamp[id] == epoch` means "seen during this call" — `f` marks the
+/// node's dedup window first, then probes/marks arrivals in O(1) each.
+/// Like [`with_fresh_scratch`], `f` must not run user program code.
+fn with_dedup_stamp<R>(n: usize, f: impl FnOnce(&mut [u32], u32) -> R) -> R {
+    DEDUP_STAMP.with(|cell| {
+        let (stamp, epoch) = &mut *cell.borrow_mut();
+        if stamp.len() < n {
+            stamp.resize(n, 0);
+        }
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            stamp.fill(0);
+            *epoch = 1;
+        }
+        f(stamp, *epoch)
+    })
+}
+
+/// The flood kernel (module docs), generic over the round driver: the
+/// host [`Engine`] for reach and ball floods, [`OverlayEngine`] for
+/// induced ones, and the overlay's host relay engine for `G^k`. Every
+/// node starts from its [`ReachState::new`] seed. Round `t`
+/// (`1..=radius`, `radius >= 1`) forwards each newest segment as one
+/// batch whose items carry `hop(t)`, absorbs the segment that leaves the
+/// window (distance `t - 2`) through `absorb(acc, segment, dist)`,
+/// filters the arrivals and rotates the window. The last round absorbs
+/// what is left, frees the window and hands the accumulator to
+/// `finish`, which may move it out. When tracing, the size of the new
+/// frontier is observed as `flood_frontier` after every round.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reach_phase_core<M, H, A, D, HOP, ABS, FIN, DR>(
     mut driver: DR,
     radius: usize,
-    payloads: PayloadTable<M>,
+    payloads: &PayloadTable<M>,
+    bits_of: &[u64],
+    hop: HOP,
     absorb: ABS,
     finish: FIN,
     ledger: &mut RoundLedger,
@@ -771,27 +889,39 @@ fn reach_phase_core<M, A, D, ABS, FIN, DR>(
 ) -> Vec<D>
 where
     M: Clone + Send + Sync + WireCodec + 'static,
+    H: HopHeader,
     A: Send,
     D: Send,
-    ABS: Fn(&mut A, u32, u32, &M) + Sync,
-    FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
+    HOP: Fn(u32) -> H,
+    ABS: Fn(&mut A, &[u32], u32) + Sync,
+    FIN: Fn(&mut NodeCtx<'_>, &mut A) -> D + Sync,
     DR: RoundDriver<ReachState<A, D>>,
 {
-    let bits_of = payload_bits(&payloads);
+    let tracing = ledger.tracing();
+    let frontier = AtomicU64::new(0);
     for t in 1..=radius as u32 {
         let last = t as usize == radius;
+        let header = hop(t);
         driver.round_step(
             ledger,
             phase,
-            |_, s: &mut ReachState<A, D>, out: &mut Outbox<ReachBatch<M>>| {
+            |_, s: &mut ReachState<A, D>, out: &mut Outbox<ReachBatch<M, H>>| {
                 // Forward the newest segment: the sources first heard
                 // at round t-1, payloads looked up from the table.
                 let seg = &s.heard[s.last_start as usize..];
                 if !seg.is_empty() {
-                    out.broadcast(ReachBatch::new(seg.to_vec(), &payloads, &bits_of));
+                    out.broadcast(ReachBatch::new(seg.to_vec(), header, payloads, bits_of));
                 }
             },
             |ctx, s, inbox| {
+                // The older segment (first heard at round t-2) can see
+                // no more duplicates: absorb it now, outside the scratch
+                // borrow — absorb/finish are caller code and may start
+                // a nested flood on this thread.
+                let older = s.last_start as usize;
+                if older > 0 {
+                    absorb(&mut s.acc, &s.heard[..older], t - 2);
+                }
                 // Gather this round's arrival ids, dedup within the
                 // round, then drop everything already in the window's
                 // two segments — exact dedup, see the module docs.
@@ -816,27 +946,28 @@ where
                     // Arrival order is per-batch; the window segment
                     // invariant wants ascending ids.
                     fresh.sort_unstable();
-                    // Rotate the window: the older segment can see no
-                    // more duplicates, so it goes, and this round's
-                    // segment (sorted) is appended.
-                    s.heard.drain(..s.last_start as usize);
+                    // Rotate the window: the absorbed older segment
+                    // goes, and this round's segment is appended.
+                    s.heard.drain(..older);
                     s.last_start = s.heard.len() as u32;
                     s.heard.extend_from_slice(fresh);
                 });
-                // Absorb outside the scratch borrow (ascending id
-                // order): absorb/finish are caller code and may start a
-                // nested flood on this thread.
-                for &id in &s.heard[s.last_start as usize..] {
-                    let m = payloads[id as usize]
-                        .as_ref()
-                        .expect("heard source has a payload");
-                    absorb(&mut s.acc, id, t, m);
+                if tracing {
+                    let fresh = s.heard.len() - s.last_start as usize;
+                    frontier.fetch_add(fresh as u64, Ordering::Relaxed);
                 }
                 if last {
-                    s.decision = Some(finish(ctx, &s.acc));
+                    s.settle(t, &absorb);
+                    s.decision = Some(finish(ctx, &mut s.acc));
                 }
             },
         );
+        if tracing {
+            // (node, source) pairs first heard this round — the next
+            // round's forwarding frontier. Feeds the `flood_frontier`
+            // histogram in metrics sinks.
+            ledger.trace_observe("flood_frontier", frontier.swap(0, Ordering::Relaxed));
+        }
     }
     driver
         .into_node_states()
@@ -877,8 +1008,8 @@ impl WireCodec for CenterItem {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         Some(CenterItem {
-            id: r.read_gamma()? as u32,
-            dist: r.read_gamma()? as u32,
+            id: r.read_gamma_u32()?,
+            dist: r.read_gamma_u32()?,
             adj: read_gamma_u32s(r)?,
         })
     }
@@ -1116,6 +1247,7 @@ mod tests {
         let run = |seed| {
             run_ball_phase(
                 &g,
+                None,
                 seed,
                 1,
                 |_| (),
@@ -1127,7 +1259,7 @@ mod tests {
         let a = run(7);
         assert_eq!(a, run(7), "same seed, same decisions");
         assert_ne!(a, run(8));
-        let d = run_ball_phase(&g, 0, 1, |_| (), |_, v| v.len(), &mut ledger, "b");
+        let d = run_ball_phase(&g, None, 0, 1, |_| (), |_, v| v.len(), &mut ledger, "b");
         assert_eq!(d, vec![2, 3, 3, 3, 3, 2]);
     }
 
@@ -1136,9 +1268,10 @@ mod tests {
         use crate::wire::{decode_from_bytes, encode_to_bytes};
         /// Asserts `batch` encodes exactly like `reference` and
         /// round-trips through the decode path to `want` payloads.
-        fn check<M, W>(batch: &ReachBatch<M>, reference: &W, want: &[M])
+        fn check<M, H, W>(batch: &ReachBatch<M, H>, reference: &W, want: &[M])
         where
             M: WireCodec + PartialEq + std::fmt::Debug,
+            H: HopHeader + std::fmt::Debug,
             W: WireCodec,
         {
             let (batch_bytes, batch_bits) = encode_to_bytes(batch);
@@ -1146,8 +1279,13 @@ mod tests {
             assert_eq!(batch_bytes, ref_bytes, "bit-identical stream");
             assert_eq!(batch_bits, ref_bits, "identical charged size");
             assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
-            let back: ReachBatch<M> = decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
+            assert_eq!(reference.encoded_bits(), batch_bits, "reference size");
+            let back: ReachBatch<M, H> =
+                decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
             assert_eq!(back.0.ids, batch.0.ids);
+            if !back.0.ids.is_empty() {
+                assert_eq!(back.0.hop, batch.0.hop, "hop header survives");
+            }
             for (i, &id) in back.0.ids.iter().enumerate() {
                 assert_eq!(back.0.payloads.get(i, id), &want[i]);
             }
@@ -1177,14 +1315,14 @@ mod tests {
         );
         let cert_bits = payload_bits(&certs);
         for ids in [vec![0u32, 2, 4], vec![2], Vec::new()] {
-            let batch = ReachBatch::new(ids.clone(), &payloads, &bits_of);
+            let batch = ReachBatch::new(ids.clone(), (), &payloads, &bits_of);
             let want: Vec<u32> = ids.iter().map(|&id| raw[id as usize].unwrap()).collect();
             let msg = ReachMsg(ids.iter().copied().zip(want.iter().copied()).collect());
             check(&batch, &msg, &want);
             // The ball flood's relay: certificates by id, on the wire
             // exactly the BallMsg over the same ids.
             let ids: Vec<u32> = ids.into_iter().filter(|&id| id < 4).collect();
-            let batch = ReachBatch::new(ids.clone(), &certs, &cert_bits);
+            let batch = ReachBatch::new(ids.clone(), (), &certs, &cert_bits);
             let want: Vec<Cert<bool>> = ids
                 .iter()
                 .map(|&id| Cert::clone(certs[id as usize].as_ref().unwrap()))
@@ -1206,11 +1344,20 @@ mod tests {
         // stream.
         let far = ReachMsg(vec![(u32::MAX - 1, 9u32)]);
         let (bytes, bits) = encode_to_bytes(&far);
-        let back: ReachBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
+        let back: ReachBatch<u32, ()> = decode_from_bytes(&bytes, bits).expect("decodes");
         assert_eq!(back.0.ids, vec![u32::MAX - 1]);
         assert_eq!(*back.0.payloads.get(0, u32::MAX - 1), 9);
         assert_eq!(back.encoded_bits(), bits, "decoded size honesty");
         assert_eq!(encode_to_bytes(&back), (bytes, bits), "re-encode");
+        // A 68-bit stream naming source 2^32 + 5 fits no u32 id: every
+        // decoder rejects it instead of truncating it to source 5.
+        let mut w = BitWriter::new();
+        w.write_gamma(1);
+        w.write_gamma((1 << 32) + 5);
+        let (bytes, bits) = w.finish();
+        assert_eq!(bits, 68);
+        assert!(decode_from_bytes::<ReachMsg<()>>(&bytes, bits).is_none());
+        assert!(decode_from_bytes::<ReachBatch<(), ()>>(&bytes, bits).is_none());
     }
 
     #[test]
@@ -1221,6 +1368,7 @@ mod tests {
             let mut ledger = RoundLedger::new();
             let heard: Vec<Vec<(u32, u32)>> = run_reach_phase(
                 &g,
+                None,
                 0,
                 r,
                 |v| sources.contains(&v.0).then_some(()),
@@ -1258,6 +1406,7 @@ mod tests {
         ] {
             let counts: Vec<usize> = run_reach_phase(
                 &g,
+                None,
                 0,
                 3,
                 |_| Some(()),

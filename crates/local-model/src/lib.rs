@@ -23,18 +23,18 @@
 //!   architecture and its determinism invariants);
 //! * **engine-backed ball collection** ([`ball`]) — the "collect your
 //!   radius-`r` neighborhood, then decide locally" compilation of LOCAL
-//!   algorithms as a real message-passing program: [`run_reach_phase`]
-//!   is the one flood kernel (source ids relayed against an interned
-//!   payload table, deduplicated by a two-segment window), on which
-//!   [`run_ball_phase`] relays certificate ids and assembles full
-//!   [`BallView`]s from the phase's certificate table, and
-//!   [`collect_ball_centered`] serves single-center repair probes — all
-//!   with measured rounds and wire-exact bandwidth;
+//!   algorithms as a real message-passing program: one flood kernel
+//!   (source ids relayed against an interned payload table,
+//!   deduplicated by a two-segment window) runs [`run_reach_phase`],
+//!   [`run_ball_phase`] — which relays certificate ids and assembles
+//!   full [`BallView`]s from the phase's certificate table — and the
+//!   `G^k` overlay relay, while [`collect_ball_centered`] serves
+//!   single-center repair probes — all with measured rounds and
+//!   wire-exact bandwidth;
 //! * **virtual-topology overlays** ([`overlay`]) — run node programs
-//!   on `G^k`, induced subgraphs `G[S]`, and their composition
-//!   `(G[S])^k` *through the host engine*: one virtual round compiles
-//!   to `k` measured relay rounds ([`OverlayEngine`], the
-//!   `step_overlay` entry point), id-for-id equal to a run on the
+//!   on `G^k` and on induced subgraphs `G[S]` *through the host
+//!   engine*: one virtual round compiles to `k` measured relay rounds
+//!   ([`OverlayEngine`]), id-for-id equal to a run on the
 //!   materialized virtual graph (`tests/overlay_equivalence.rs`) while
 //!   charging the ledger the true dilated host cost. The shared
 //!   [`RoundDriver`] trait lets one program (Luby MIS, the ball/reach
@@ -104,8 +104,8 @@ pub mod trace;
 pub mod wire;
 
 pub use ball::{
-    collect_ball_centered, collect_ball_views, run_ball_phase, run_ball_phase_within,
-    run_reach_phase, run_reach_phase_within, BallMsg, BallView, CenterMsg, ReachMsg,
+    collect_ball_centered, collect_ball_views, run_ball_phase, run_reach_phase, BallMsg, BallView,
+    CenterMsg, ReachMsg,
 };
 pub use congest::{
     compile, enforce_congest, enforced_budget, CongestChunk, CongestEngine, CongestGuard,
@@ -119,8 +119,8 @@ pub use faults::{CrashWindow, FaultCounters, FaultEvent, FaultKind, FaultPlan, F
 pub use ledger::RoundLedger;
 pub use oracle::BallOracle;
 pub use overlay::{
-    expand_rank_mask, InducedOverlay, InducedPowerOverlay, OverlayEngine, OverlayEnvelope,
-    OverlayRelay, PowerOverlay, RelayItem, VirtualTopology,
+    expand_rank_mask, InducedOverlay, OverlayEngine, OverlayEnvelope, OverlayRelay, PowerOverlay,
+    RelayItem, VirtualTopology,
 };
 pub use shard::{BoundaryStats, ShardedEngine};
 pub use trace::{

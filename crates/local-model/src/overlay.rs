@@ -14,13 +14,8 @@
 //!   a dilation `k` (host rounds per virtual round);
 //! * [`InducedOverlay`] — `G[S]` via a membership mask, dilation 1;
 //! * [`PowerOverlay`] — `G^k`, every node a member, dilation `k`;
-//! * [`InducedPowerOverlay`] — the composition `Induced ∘ Power`:
-//!   `(G[S])^k`, for ruling sets on live subgraphs (the flood is
-//!   confined to members, so virtual distances are measured inside the
-//!   subgraph);
 //! * [`OverlayEngine`] — the executor. Its [`OverlayEngine::step`] is
-//!   the overlay counterpart of [`Engine::step`] (the
-//!   `step_overlay` entry point of the host engine): one **virtual**
+//!   the overlay counterpart of [`Engine::step`]: one **virtual**
 //!   round, executed as `k` real host-engine rounds whose relay traffic
 //!   is wire-encoded through the [`WireCodec`]-bounded envelopes below
 //!   and charged to the ledger at its true dilated round and per-edge
@@ -55,36 +50,25 @@
 //! # Dilation-`k` relay
 //!
 //! A virtual broadcast on `G^k` is compiled to a `k`-round relay-once
-//! flood. Per-node flood state is one **segmented origin-id window**
-//! (`FloodState`): every origin rank a node has heard, appended
-//! segment-per-round with each segment sorted. The invariant that makes
-//! this complete — and the whole dedup filter — is:
+//! flood on the host graph, run by the one flood kernel of
+//! [`crate::ball`] — the kernel behind the reach and ball floods. Every
+//! broadcasting rank is a source: its payload is deep-cloned once per
+//! virtual round into the flood's interned table, and a relay carries
+//! the forwarded origin ids. The kernel's hop header is the remaining
+//! TTL, uniform within a relay round (`clamp − (t − 1)` at round `t`,
+//! with `clamp = min(k − 1, n − 1)`), so each relay encodes exactly like
+//! the [`OverlayRelay`] of its `(origin, ttl, payload)` items and its
+//! `encoded_bits` is precomputed, making the host engine's per-edge
+//! charge O(1) instead of O(batch).
 //!
-//! > duplicates of an origin first heard at relay round `d` can arrive
-//! > only at rounds `d + 1` and `d + 2` (a would-be sender at equal
-//! > distance heard it at `d` and forwards at `d + 1`; one hop farther,
-//! > at `d + 1`, forwarding at `d + 2`; anything farther never holds a
-//! > live copy),
-//!
-//! so membership in the *two newest segments* is the entire duplicate
-//! check, the newest segment doubles as the next round's forwarding
-//! frontier, and the final sorted window *is* the virtual inbox's
-//! sender list. No payload batches are retained per node at all — the
-//! historical two-ring design kept two rounds of `Arc`'d
-//! `(origin, ttl, payload)` batches plus a separate `heard` payload
-//! list, which dominated the flood's peak heap.
-//!
-//! Payloads travel **interned**: each origin's broadcast is deep-cloned
-//! once per virtual round into a shared per-flood table, and every
-//! relay envelope (`FloodBatch`) carries the forwarded origin ids
-//! plus the round-uniform hop TTL, referencing the table behind `Arc`s.
-//! Wire accounting is unchanged bit-for-bit: a batch encodes exactly
-//! like the equivalent [`OverlayRelay`] item sequence (`origin`, `ttl`,
-//! `payload` per item — TTL is uniform within a round, `clamp − (t−1)`,
-//! so nothing is lost by factoring it out), and its `encoded_bits` is
-//! precomputed at construction, making the host engine's per-edge
-//! charge O(1) instead of O(batch). The one deep clone per delivery
-//! happens when a payload lands in a receiver's virtual inbox —
+//! Dedup is the kernel's two-segment origin window: duplicates of an
+//! origin first heard at relay round `d` arrive only at rounds `d + 1`
+//! and `d + 2`, so the two newest segments are the whole filter. A rank
+//! appends each segment to its list of heard origins as the segment
+//! leaves the window, and the last round appends the two left inside
+//! and frees the window, so the list never duplicates it. Sorted, that
+//! list is the virtual inbox's sender list. The one deep clone per
+//! delivery happens when a payload lands in a receiver's virtual inbox —
 //! matching the materialized engine's cost — and inboxes are
 //! materialized one rank at a time, so peak delivery memory is one
 //! inbox, not all of them. Directed virtual messages require routing
@@ -99,10 +83,12 @@
 //! `overlay_dedup_equivalence` proptests pin the filter against it and
 //! against a transcript-level re-execution of the two-ring reference.
 
+use crate::ball::{payload_bits, reach_phase_core, PayloadTable, ReachState};
 use crate::engine::{node_rngs, resolve_parallel, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::wire::{gamma_bits, gamma_max_bits, BitReader, BitWriter, WireCodec, WireParams};
 use crate::{BandwidthPolicy, ExecMode, MessageStats};
+use delta_graphs::bfs::bfs_tree;
 use delta_graphs::power::PowerNeighborhoods;
 use delta_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -111,30 +97,29 @@ use std::sync::Arc;
 
 /// A virtual topology over a host graph: which host nodes take part,
 /// and how many host rounds one virtual round costs (the dilation `k`
-/// of the classic LOCAL simulation: virtual neighbors are members at
-/// distance at most `k` *through members*).
+/// of the classic LOCAL simulation). Either every host node takes part
+/// (virtual neighbors are the nodes within distance `k`) or the
+/// dilation is 1 (virtual neighbors are the member host neighbors);
+/// [`OverlayEngine::new`] rejects a masked topology of dilation `k >= 2`.
 pub trait VirtualTopology: Sync {
     /// Whether host node `v` is a node of the virtual graph.
     fn is_member(&self, v: NodeId) -> bool;
 
-    /// Host rounds per virtual round (`k`; virtual adjacency is
-    /// "member within distance `k` through members").
+    /// Host rounds per virtual round (`k`).
     fn dilation(&self) -> usize;
 
     /// The membership mask, if the overlay restricts membership
     /// (`None` = every host node participates).
     fn member_mask(&self) -> Option<&[bool]>;
 
-    /// Level label for trace records (`G^k`, `G[S]`, `(G[S])^k`): the
-    /// tag attached to every virtual-round record this overlay emits
-    /// into an attached [`crate::Tracer`].
+    /// Level label for trace records (`G`, `G^k`, `G[S]`): the tag
+    /// attached to every virtual-round record this overlay emits into
+    /// an attached [`crate::Tracer`].
     fn trace_label(&self) -> String {
-        let k = self.dilation();
-        match (self.member_mask().is_some(), k) {
+        match (self.member_mask().is_some(), self.dilation()) {
+            (true, _) => "G[S]".to_string(),
             (false, 1) => "G".to_string(),
-            (false, _) => format!("G^{k}"),
-            (true, 1) => "G[S]".to_string(),
-            (true, _) => format!("(G[S])^{k}"),
+            (false, k) => format!("G^{k}"),
         }
     }
 }
@@ -167,46 +152,12 @@ pub struct InducedOverlay<'a> {
     pub members: &'a [bool],
 }
 
-impl<'a> InducedOverlay<'a> {
-    /// Composes with a power overlay: `(G[S])^k`, ruling sets on live
-    /// subgraphs.
-    pub fn power(self, k: usize) -> InducedPowerOverlay<'a> {
-        InducedPowerOverlay {
-            members: self.members,
-            k,
-        }
-    }
-}
-
 impl VirtualTopology for InducedOverlay<'_> {
     fn is_member(&self, v: NodeId) -> bool {
         self.members[v.index()]
     }
     fn dilation(&self) -> usize {
         1
-    }
-    fn member_mask(&self) -> Option<&[bool]> {
-        Some(self.members)
-    }
-}
-
-/// The composition `Induced ∘ Power`: `(G[S])^k`. Relay floods are
-/// confined to members, so virtual distances are measured inside the
-/// live subgraph.
-#[derive(Debug, Clone, Copy)]
-pub struct InducedPowerOverlay<'a> {
-    /// `members[v]` says whether host node `v` participates.
-    pub members: &'a [bool],
-    /// The power `k >= 1`.
-    pub k: usize,
-}
-
-impl VirtualTopology for InducedPowerOverlay<'_> {
-    fn is_member(&self, v: NodeId) -> bool {
-        self.members[v.index()]
-    }
-    fn dilation(&self) -> usize {
-        self.k
     }
     fn member_mask(&self) -> Option<&[bool]> {
         Some(self.members)
@@ -298,8 +249,8 @@ impl<M: WireCodec> WireCodec for RelayItem<M> {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         Some(RelayItem {
-            origin: r.read_gamma()? as u32,
-            ttl: r.read_gamma()? as u32,
+            origin: r.read_gamma_u32()?,
+            ttl: r.read_gamma_u32()?,
             payload: M::decode(r)?,
         })
     }
@@ -359,205 +310,24 @@ impl<M: WireCodec> WireCodec for OverlayRelay<M> {
     }
 }
 
-/// Per-host-node state of the dilation-`k` flood (members only): the
-/// segmented origin-id window of the module docs. `heard` accumulates
-/// every origin rank this node has heard, one sorted segment appended
-/// per relay round. The two newest segments (`heard[prev_start..
-/// last_start]` and `heard[last_start..]`) are the complete duplicate
-/// filter — duplicates only arrive in the two rounds after first
-/// contact — the newest segment is next round's forwarding frontier,
-/// and the whole vector, sorted at the end, is the virtual inbox's
-/// sender list. No payloads, no ring buffers: 4 bytes of retained state
-/// per heard origin.
-#[derive(Clone)]
-struct FloodState {
-    /// Origin ranks heard, segmented per relay round (each segment
-    /// sorted ascending; a source node's own rank seeds segment 0,
-    /// which blocks the round-2 self-echo).
-    heard: Vec<u32>,
-    /// Start of the second-newest segment.
-    prev_start: u32,
-    /// Start of the newest segment (= the frontier).
-    last_start: u32,
-}
+/// The hop header of a `G^k` relay: the hops every forwarded item may
+/// still travel after this transmission, gamma-coded after each origin
+/// id exactly as in [`RelayItem`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Ttl(pub(crate) u32);
 
-thread_local! {
-    /// Per-thread arrivals buffer for flood recv phases: collected ids
-    /// are gathered, sorted, and filtered here, so the steady-state
-    /// per-node recv cost allocates nothing and nothing is retained per
-    /// node. Shared by the overlay relay and the reach flood — safe
-    /// because no user code runs while the borrow is held.
-    static FRESH_SCRATCH: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` on the thread's shared arrivals scratch (cleared first).
-/// Callers must not invoke user program code while inside `f` — a
-/// nested flood on this thread would re-borrow the scratch.
-pub(crate) fn with_fresh_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
-    FRESH_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        buf.clear();
-        f(&mut buf)
-    })
-}
-
-thread_local! {
-    /// Per-thread epoch-stamped id table for flood dedup: one `u32` per
-    /// id in the flood's id space, shared by every node the thread
-    /// processes (a fresh epoch per recv makes it per-node-fresh in
-    /// O(1)). This is what makes the duplicate filter O(1) per arrival
-    /// — the flood's hot loop — without any per-node seen-set.
-    static DEDUP_STAMP: std::cell::RefCell<(Vec<u32>, u32)> =
-        const { std::cell::RefCell::new((Vec::new(), 0)) };
-}
-
-/// Runs `f` with an epoch-fresh stamp table covering ids `0..n`:
-/// `stamp[id] == epoch` means "seen during this call" — `f` marks the
-/// node's dedup window first, then probes/marks arrivals in O(1) each.
-/// Like [`with_fresh_scratch`], `f` must not run user program code.
-pub(crate) fn with_dedup_stamp<R>(n: usize, f: impl FnOnce(&mut [u32], u32) -> R) -> R {
-    DEDUP_STAMP.with(|cell| {
-        let (stamp, epoch) = &mut *cell.borrow_mut();
-        if stamp.len() < n {
-            stamp.resize(n, 0);
-        }
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            stamp.fill(0);
-            *epoch = 1;
-        }
-        f(stamp, *epoch)
-    })
-}
-
-/// A flood's interned payload table: one entry per id of the flood's id
-/// space, `Some` exactly for the origins that flood. Built once per
-/// flood, so relaying and delivering a batch never clones application
-/// data.
-pub(crate) type PayloadTable<M> = Arc<Vec<Option<Arc<M>>>>;
-
-/// Wire size of every table entry (0 for ids that do not flood), so a
-/// batch's charged size is a sum of lookups.
-pub(crate) fn payload_bits<M: WireCodec>(table: &[Option<Arc<M>>]) -> Vec<u64> {
-    table
-        .iter()
-        .map(|p| p.as_ref().map_or(0, |m| m.encoded_bits()))
-        .collect()
-}
-
-/// The payloads behind a relay batch's ids. A batch built by a sender
-/// shares the flood's [`PayloadTable`], indexed by id. A batch decoded
-/// off the wire cannot recover that table — and the CONGEST reassembler
-/// decodes every relay — so it keeps its decoded payloads parallel to
-/// its ids: O(items) memory whatever ids the stream names.
-pub(crate) enum BatchPayloads<M> {
-    Shared(PayloadTable<M>),
-    Decoded(Vec<M>),
-}
-
-impl<M> BatchPayloads<M> {
-    /// The payload of the batch's `i`-th id, `id`.
-    pub(crate) fn get(&self, i: usize, id: u32) -> &M {
-        match self {
-            BatchPayloads::Shared(table) => table[id as usize]
-                .as_deref()
-                .expect("a forwarded id has a payload"),
-            BatchPayloads::Decoded(items) => &items[i],
-        }
-    }
-}
-
-/// Dilation-`k` relay envelope with interned payloads: the origin ranks
-/// a node forwards this round, the round-uniform remaining hop TTL, and
-/// a handle to the flood's shared per-origin payload table. Equivalent
-/// on the wire — bit-for-bit, including `encoded_bits` — to the
-/// [`OverlayRelay`] batch carrying `(origin, ttl, payloads[origin])`
-/// items, but a per-edge copy is one refcount bump and the charged
-/// size is precomputed (`encoded_bits` sits on the host routing path,
-/// called once per transmission).
-struct FloodBatch<M>(Arc<FloodRelay<M>>);
-
-/// The contents of a [`FloodBatch`], shared by all its copies.
-struct FloodRelay<M> {
-    /// Forwarded origin ranks (sorted; the sender's newest segment).
-    origins: Vec<u32>,
-    /// Hops every item may still travel after this transmission —
-    /// uniform within a relay round: an item first heard at round
-    /// `t − 1` carries `clamp − (t − 1)` at round `t`, and all
-    /// forwarded items were first heard last round.
-    ttl: u32,
-    /// The payloads of `origins`.
-    payloads: BatchPayloads<M>,
-    /// Exact wire size, precomputed at construction.
-    wire_bits: u64,
-}
-
-impl<M> Clone for FloodBatch<M> {
-    fn clone(&self) -> Self {
-        FloodBatch(Arc::clone(&self.0))
-    }
-}
-
-impl<M: WireCodec> FloodBatch<M> {
-    fn new(origins: Vec<u32>, ttl: u32, payloads: &PayloadTable<M>, bits_of: &[u64]) -> Self {
-        let wire_bits = gamma_bits(origins.len() as u64)
-            + origins
-                .iter()
-                .map(|&o| gamma_bits(o as u64) + gamma_bits(ttl as u64) + bits_of[o as usize])
-                .sum::<u64>();
-        FloodBatch(Arc::new(FloodRelay {
-            origins,
-            ttl,
-            payloads: BatchPayloads::Shared(Arc::clone(payloads)),
-            wire_bits,
-        }))
-    }
-}
-
-impl<M: WireCodec> WireCodec for FloodBatch<M> {
+impl WireCodec for Ttl {
     fn encode(&self, w: &mut BitWriter) {
-        // Identical bit stream to OverlayRelay over the equivalent
-        // RelayItem sequence (pinned by flood_batch_encodes_like_
-        // overlay_relay).
-        let b = &*self.0;
-        w.write_gamma(b.origins.len() as u64);
-        for (i, &o) in b.origins.iter().enumerate() {
-            w.write_gamma(o as u64);
-            w.write_gamma(b.ttl as u64);
-            b.payloads.get(i, o).encode(w);
-        }
+        w.write_gamma(self.0 as u64);
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        // The CONGEST reassembler decodes every relay; the payloads
-        // stay parallel to the origins (`BatchPayloads::Decoded`).
-        let len = r.read_gamma()?;
-        let mut origins = Vec::with_capacity(len.min(1 << 20) as usize);
-        let mut decoded = Vec::with_capacity(len.min(1 << 20) as usize);
-        let mut ttl = 0u32;
-        for _ in 0..len {
-            origins.push(r.read_gamma()? as u32);
-            ttl = r.read_gamma()? as u32;
-            decoded.push(M::decode(r)?);
-        }
-        let wire_bits = gamma_bits(len)
-            + origins
-                .iter()
-                .zip(&decoded)
-                .map(|(&o, m)| gamma_bits(o as u64) + gamma_bits(ttl as u64) + m.encoded_bits())
-                .sum::<u64>();
-        Some(FloodBatch(Arc::new(FloodRelay {
-            origins,
-            ttl,
-            payloads: BatchPayloads::Decoded(decoded),
-            wire_bits,
-        })))
+        r.read_gamma_u32().map(Ttl)
     }
     fn encoded_bits(&self) -> u64 {
-        self.0.wire_bits
+        gamma_bits(self.0 as u64)
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
+    fn max_bits(p: &WireParams) -> Option<u64> {
+        Some(gamma_max_bits(p.n)) // clamped below n, see RelayItem
     }
 }
 
@@ -623,6 +393,10 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// same way.
     pub fn new(host: &'g Graph, topo: T, seed: u64, init: impl Fn(NodeId) -> S) -> Self {
         assert!(topo.dilation() >= 1, "dilation must be >= 1");
+        assert!(
+            topo.dilation() == 1 || topo.member_mask().is_none(),
+            "an overlay of dilation >= 2 has every host node as a member"
+        );
         let members: Vec<NodeId> = host.nodes().filter(|&v| topo.is_member(v)).collect();
         let mut rank_of = vec![NO_RANK; host.n()];
         for (r, &v) in members.iter().enumerate() {
@@ -721,45 +495,26 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         self.stats
     }
 
-    /// The sorted virtual-id adjacency of one virtual node (members at
-    /// distance ≤ `k` through members). `O(|ball|)` BFS per call — a
-    /// local inspection device for rare fallback paths, not a hot-path
-    /// API.
+    /// The sorted virtual-id adjacency of one virtual node (member host
+    /// neighbors at dilation 1, the nodes within distance `k` on
+    /// `G^k`). `O(n)` per call — a local inspection device for rare
+    /// fallback paths, not a hot-path API.
     pub fn virtual_neighbors(&self, rank: NodeId) -> Vec<NodeId> {
         let v = self.to_host(rank);
-        let k = self.topo.dilation();
-        let mut out: Vec<NodeId> = match self.topo.member_mask() {
-            None if k == 1 => self.host.neighbors(v).to_vec(),
-            _ => {
-                let mask = self.topo.member_mask();
-                let mut dist = vec![u32::MAX; self.host.n()];
-                let mut frontier = vec![v];
-                dist[v.index()] = 0;
-                let mut found = Vec::new();
-                for _ in 0..k {
-                    let mut next = Vec::new();
-                    for &u in &frontier {
-                        for &w in self.host.neighbors(u) {
-                            if dist[w.index()] == u32::MAX && mask.is_none_or(|m| m[w.index()]) {
-                                dist[w.index()] = 1;
-                                next.push(w);
-                                found.push(w);
-                            }
-                        }
-                    }
-                    frontier = next;
-                }
-                found
-            }
+        let mut out: Vec<NodeId> = match self.topo.dilation() {
+            1 => self.host.neighbors(v).to_vec(),
+            k => bfs_tree(self.host, v, Some(k)).levels[1..].concat(),
         };
         out.sort_unstable();
         out.iter()
-            .map(|&w| NodeId(self.rank_of[w.index()]))
+            .map(|&w| self.rank_of[w.index()])
+            .filter(|&r| r != NO_RANK)
+            .map(NodeId)
             .collect()
     }
 
     /// Executes one **virtual** round: the overlay's counterpart of
-    /// [`Engine::step`] (the host engine's `step_overlay` entry point).
+    /// [`Engine::step`].
     ///
     /// The virtual send phase runs over the members (rank ids, rank
     /// RNG streams); the queued messages are compiled to `dilation`
@@ -866,9 +621,9 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             self.stats.deliveries += directed.len() as u64;
         }
 
-        // Host relay: one engine round at dilation 1, a k-round
-        // origin-window flood otherwise. Both charge the ledger their
-        // real host rounds and measured envelope bits.
+        // Host relay: one engine round at dilation 1, a k-round flood
+        // on the kernel otherwise. Both charge the ledger their real
+        // host rounds and measured envelope bits.
         let budget = match self.policy {
             BandwidthPolicy::Local => u64::MAX,
             BandwidthPolicy::Congest { bits } => bits,
@@ -923,16 +678,25 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                     .for_each(|(r, (state, rng))| run_one(r, state, rng));
             }
         } else {
-            let flood = self.relay_flood(&outboxes, k, ledger, phase);
+            // Intern every origin's broadcast once; all relay copies
+            // from here on are refcount bumps.
+            let payloads: PayloadTable<M> = Arc::new(
+                outboxes
+                    .iter()
+                    .map(|out| out.parts().0.map(|m| Arc::new(m.clone())))
+                    .collect(),
+            );
+            let bits_of = payload_bits(&payloads);
+            let origins = self.relay_flood(&payloads, &bits_of, k, ledger, phase);
 
             // Virtual-level bandwidth: a flood inbox lists each sender
             // at most once, so the per-virtual-edge load is exactly the
             // sender's payload size — read from the precomputed
             // per-origin table instead of re-measuring each delivery.
             let mut round_max = 0u64;
-            for inbox in &flood.origins {
+            for inbox in &origins {
                 for &o in inbox {
-                    let load = flood.bits_of[o as usize];
+                    let load = bits_of[o as usize];
                     self.stats.bits_sent += load;
                     round_max = round_max.max(load);
                     if load > budget {
@@ -950,8 +714,8 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             // builds per-rank buffers thread-locally — contents are
             // identical either way.
             let vdeg = &self.vdeg;
-            let origins = &flood.origins;
-            let payloads = &flood.payloads;
+            let origins = &origins;
+            let payloads = &payloads;
             let fill = |r: usize, buf: &mut Vec<(NodeId, M)>| {
                 buf.clear();
                 buf.extend(origins[r].iter().map(|&o| {
@@ -1079,163 +843,49 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             .collect()
     }
 
-    /// Dilation-`k` compilation (power overlays): a `k`-round
-    /// relay-once flood of interned [`FloodBatch`]es deduplicated by
-    /// the segmented origin-id window (module docs); non-members (under
-    /// a mask) neither relay nor receive, so virtual distances are
-    /// measured inside the live subgraph.
+    /// Dilation-`k` compilation (power overlays): a `k`-round flood of
+    /// the interned broadcasts on the flood kernel, with the remaining
+    /// TTL as hop header (module docs). Every host node is a member, so
+    /// host ids are ranks; returns each rank's heard origins, ascending
+    /// — its virtual inbox's sender list.
     fn relay_flood<M>(
         &self,
-        outboxes: &[Outbox<M>],
+        payloads: &PayloadTable<M>,
+        bits_of: &[u64],
         k: usize,
         ledger: &mut RoundLedger,
         phase: &str,
-    ) -> FloodInboxes<M>
+    ) -> Vec<Vec<u32>>
     where
         M: Clone + Send + Sync + WireCodec + 'static,
     {
-        let host = self.host;
-        let rank_of = &self.rank_of;
-        let masked = self.topo.member_mask().is_some();
-        // Intern every origin's broadcast once; all relay copies from
-        // here on are refcount bumps.
-        let payloads: PayloadTable<M> = Arc::new(
-            (0..self.members.len())
-                .map(|r| outboxes[r].parts().0.map(|m| Arc::new(m.clone())))
-                .collect(),
-        );
-        let bits_of = payload_bits(&payloads);
         // Clamped at n - 1: no node is farther, and it keeps the wire
         // TTL inside RelayItem::max_bits even for dilations larger than
-        // the graph.
-        let clamp = (k - 1).min(host.n().saturating_sub(1)) as u32;
-        let mut relay: Engine<'_, FloodState> = Engine::new_relay(host, |v| {
-            let r = rank_of[v.index()];
-            let is_source = r != NO_RANK && payloads[r as usize].is_some();
-            FloodState {
-                heard: if is_source { vec![r] } else { Vec::new() },
-                prev_start: 0,
-                last_start: 0,
-            }
-        })
-        .with_mode(self.mode);
-        for t in 1..=k {
-            // Round-uniform wire TTL: every forwarded item was first
-            // heard at round t - 1 (sources at "round 0"), so it
-            // carries clamp - (t - 1) — and once that would go
-            // negative, nothing live is left to forward.
-            let forwarding = (t as u64) <= clamp as u64 + 1;
-            let ttl = clamp.saturating_sub(t as u32 - 1);
-            relay.step(
-                ledger,
-                phase,
-                |ctx, s: &mut FloodState, out: &mut Outbox<FloodBatch<M>>| {
-                    let seg = &s.heard[s.last_start as usize..];
-                    if !forwarding || seg.is_empty() {
-                        return;
-                    }
-                    let batch = FloodBatch::new(seg.to_vec(), ttl, &payloads, &bits_of);
-                    if masked {
-                        // Confine the flood to members: directed relays
-                        // to member neighbors only (sharing one batch).
-                        for &w in host.neighbors(ctx.id) {
-                            if rank_of[w.index()] != NO_RANK {
-                                out.send_to(w, batch.clone());
-                            }
-                        }
-                    } else {
-                        out.broadcast(batch);
-                    }
-                },
-                |ctx, s, inbox| {
-                    if rank_of[ctx.id.index()] == NO_RANK {
-                        debug_assert!(inbox.is_empty(), "non-members receive nothing");
-                        return;
-                    }
-                    with_fresh_scratch(|fresh| {
-                        let last = &s.heard[s.last_start as usize..];
-                        let prev = &s.heard[s.prev_start as usize..s.last_start as usize];
-                        with_dedup_stamp(payloads.len(), |stamp, epoch| {
-                            // Mark the window, then filter arrivals in
-                            // O(1) each; marking accepted ids inline
-                            // also settles cross-batch duplicates.
-                            for &id in last.iter().chain(prev) {
-                                stamp[id as usize] = epoch;
-                            }
-                            for (_, b) in inbox {
-                                for &id in &b.0.origins {
-                                    let m = &mut stamp[id as usize];
-                                    if *m != epoch {
-                                        *m = epoch;
-                                        fresh.push(id);
-                                    }
-                                }
-                            }
-                        });
-                        // Arrival order is per-batch; the window segment
-                        // invariant wants ascending ids.
-                        fresh.sort_unstable();
-                        // Rotate the window and append this round's
-                        // segment (sorted by construction).
-                        s.prev_start = s.last_start;
-                        s.last_start = s.heard.len() as u32;
-                        s.heard.extend_from_slice(fresh);
-                    });
-                    let _ = ctx;
-                },
-            );
-            if ledger.tracing() {
-                // Flood-frontier size after this relay round: how many
-                // (node, origin) pairs were freshly heard and will be
-                // forwarded next round. Feeds the `flood_frontier`
-                // histogram in metrics sinks.
-                let frontier: u64 = relay
-                    .states()
-                    .iter()
-                    .map(|s| (s.heard.len() - s.last_start as usize) as u64)
-                    .sum();
-                ledger.trace_observe("flood_frontier", frontier);
-            }
-        }
-        // Move each member's heard origins out (host order = rank
-        // order), drop the self-seed, and sort into the materialized
-        // inbox invariant: senders ascending.
-        let origins = relay
-            .into_states()
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| rank_of[*i] != NO_RANK)
-            .map(|(i, s)| {
-                let mut heard = s.heard;
-                let r = rank_of[i];
-                if payloads[r as usize].is_some() {
-                    debug_assert_eq!(heard.first(), Some(&r), "self-seed leads segment 0");
-                    heard.swap_remove(0);
-                }
-                heard.sort_unstable();
-                heard
-            })
-            .collect();
-        FloodInboxes {
-            origins,
+        // the graph. An item forwarded at round t was first heard at
+        // round t - 1 (sources at "round 0").
+        let clamp = (k - 1).min(self.host.n().saturating_sub(1)) as u32;
+        let relay = Engine::new_relay(self.host, |v| ReachState::new(v, Vec::new(), payloads))
+            .with_mode(self.mode);
+        reach_phase_core(
+            relay,
+            k,
             payloads,
             bits_of,
-        }
+            |t| Ttl(clamp.saturating_sub(t - 1)),
+            // The self-seed (distance 0) is not a virtual sender.
+            |heard: &mut Vec<u32>, seg, dist| {
+                if dist > 0 {
+                    heard.extend_from_slice(seg);
+                }
+            },
+            |_, heard| {
+                heard.sort_unstable();
+                std::mem::take(heard)
+            },
+            ledger,
+            phase,
+        )
     }
-}
-
-/// The dilation-`k` flood's delivery product: per-rank sorted origin
-/// lists (each origin is one virtual sender heard exactly once) plus
-/// the shared payload table they index — the virtual inboxes in
-/// factored form, materialized one rank at a time during the virtual
-/// recv phase.
-struct FloodInboxes<M> {
-    /// Per rank: sorted origin ranks heard (the inbox's sender list).
-    origins: Vec<Vec<u32>>,
-    /// Per origin rank: its broadcast payload, if it sent one.
-    payloads: PayloadTable<M>,
-    /// Per origin rank: its payload's exact wire size (0 if none).
-    bits_of: Vec<u64>,
 }
 
 impl<S, T: VirtualTopology> crate::engine::BandwidthConfig for OverlayEngine<'_, S, T> {
@@ -1278,19 +928,18 @@ impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
     }
 }
 
-/// Precomputes every member's virtual degree with one batched
-/// frontier-reusing sweep ([`PowerNeighborhoods`]) — `O(Σ|ball|)` time,
-/// `O(n)` scratch, nothing materialized.
+/// Precomputes every member's virtual degree: member host neighbors at
+/// dilation 1, else one batched frontier-reusing sweep
+/// ([`PowerNeighborhoods`]) — `O(Σ|ball|)` time, `O(n)` scratch,
+/// nothing materialized.
 fn virtual_degrees<T: VirtualTopology>(
     host: &Graph,
     topo: &T,
     members: &[NodeId],
     rank_of: &[u32],
 ) -> Vec<u32> {
-    let k = topo.dilation();
-    match topo.member_mask() {
-        None if k == 1 => members.iter().map(|&v| host.degree(v) as u32).collect(),
-        Some(_) if k == 1 => members
+    match topo.dilation() {
+        1 => members
             .iter()
             .map(|&v| {
                 host.neighbors(v)
@@ -1299,17 +948,11 @@ fn virtual_degrees<T: VirtualTopology>(
                     .count() as u32
             })
             .collect(),
-        mask => {
-            let mut sweep = match mask {
-                Some(m) => PowerNeighborhoods::masked(host, k, m),
-                None => PowerNeighborhoods::new(host, k),
-            };
-            let mut vdeg = vec![0u32; members.len()];
-            while let Some((v, nbrs)) = sweep.next() {
-                let r = rank_of[v.index()];
-                if r != NO_RANK {
-                    vdeg[r as usize] = nbrs.len() as u32;
-                }
+        k => {
+            let mut sweep = PowerNeighborhoods::new(host, k);
+            let mut vdeg = Vec::with_capacity(host.n());
+            while let Some((_, nbrs)) = sweep.next() {
+                vdeg.push(nbrs.len() as u32);
             }
             vdeg
         }
@@ -1399,26 +1042,6 @@ mod tests {
         // nobody (its host neighbors 3, 5 are non-members).
         assert_eq!(engine.states()[1], vec![NodeId(0), NodeId(2)]);
         assert!(engine.states()[3].is_empty());
-    }
-
-    #[test]
-    fn induced_power_composition_measures_distance_inside_the_subgraph() {
-        // Path 0-1-2-3-4 with node 2 removed: 0,1 and 3,4 are separate
-        // live components, so even (G[S])^4 must not connect them.
-        let g = generators::path(5);
-        let mask = vec![true, true, false, true, true];
-        let topo = InducedOverlay { members: &mask }.power(4);
-        let mut ledger = RoundLedger::new();
-        let mut engine = OverlayEngine::new(&g, topo, 0, |_| 0usize);
-        engine.step(
-            &mut ledger,
-            "t",
-            |_, _, out: &mut Outbox<()>| out.broadcast(()),
-            |_, s, inbox| *s = inbox.len(),
-        );
-        assert_eq!(ledger.total(), 4);
-        // Every member hears exactly its one component-mate.
-        assert_eq!(engine.states(), &[1, 1, 1, 1]);
     }
 
     #[test]
@@ -1517,21 +1140,24 @@ mod tests {
 
     #[test]
     fn flood_batch_encodes_like_overlay_relay() {
+        use crate::ball::ReachBatch;
         use crate::wire::{decode_from_bytes, encode_to_bytes};
         // Table over ranks 0..5; ranks 1 and 3 stay silent.
         let raw: Vec<Option<u32>> = vec![Some(900), None, Some(0), None, Some(77)];
         let payloads: PayloadTable<u32> = Arc::new(raw.iter().map(|p| p.map(Arc::new)).collect());
         let bits_of = payload_bits(&payloads);
         for (origins, ttl) in [(vec![0u32, 2, 4], 3u32), (vec![4], 0), (Vec::new(), 11)] {
-            let batch = FloodBatch::new(origins.clone(), ttl, &payloads, &bits_of);
+            let batch = ReachBatch::new(origins.clone(), Ttl(ttl), &payloads, &bits_of);
+            let want: Vec<u32> = origins.iter().map(|&o| raw[o as usize].unwrap()).collect();
             let relay = OverlayRelay {
                 items: Arc::new(
                     origins
                         .iter()
-                        .map(|&o| RelayItem {
-                            origin: o,
+                        .zip(&want)
+                        .map(|(&origin, &payload)| RelayItem {
+                            origin,
                             ttl,
-                            payload: raw[o as usize].unwrap(),
+                            payload,
                         })
                         .collect::<Vec<_>>(),
                 ),
@@ -1542,12 +1168,20 @@ mod tests {
             assert_eq!(batch_bits, relay_bits, "identical charged size");
             assert_eq!(batch.encoded_bits(), batch_bits, "precomputed size honesty");
             // Roundtrip through the decode path.
-            let back: FloodBatch<u32> =
+            let back: ReachBatch<u32, Ttl> =
                 decode_from_bytes(&batch_bytes, batch_bits).expect("decodes");
-            assert_eq!(back.0.origins, origins);
-            for (i, &o) in origins.iter().enumerate() {
-                assert_eq!(Some(back.0.payloads.get(i, o)), raw[o as usize].as_ref());
+            let (ids, hop, got) = back.contents();
+            assert_eq!(ids, origins);
+            if !ids.is_empty() {
+                assert_eq!(hop, Ttl(ttl), "TTL header survives");
             }
+            assert_eq!(got, want.iter().collect::<Vec<_>>());
+            assert_eq!(back.encoded_bits(), batch_bits, "decoded size honesty");
+            assert_eq!(
+                encode_to_bytes(&back),
+                (batch_bytes, batch_bits),
+                "re-encode"
+            );
         }
         // An origin id near u32::MAX: decode keeps its payload beside the
         // id (no table sized by the id), and re-encoding reproduces the
@@ -1560,12 +1194,27 @@ mod tests {
             }]),
         };
         let (bytes, bits) = encode_to_bytes(&far);
-        let back: FloodBatch<u32> = decode_from_bytes(&bytes, bits).expect("decodes");
-        assert_eq!(back.0.origins, vec![u32::MAX - 1]);
-        assert_eq!(back.0.ttl, 2);
-        assert_eq!(*back.0.payloads.get(0, u32::MAX - 1), 5);
+        let back: ReachBatch<u32, Ttl> = decode_from_bytes(&bytes, bits).expect("decodes");
+        assert_eq!(back.contents(), (&[u32::MAX - 1][..], Ttl(2), vec![&5]));
         assert_eq!(back.encoded_bits(), bits, "decoded size honesty");
         assert_eq!(encode_to_bytes(&back), (bytes, bits), "re-encode");
+        // A TTL header must be round-uniform: mixed TTLs are no relay.
+        let mixed = OverlayRelay {
+            items: Arc::new(vec![
+                RelayItem {
+                    origin: 0,
+                    ttl: 2,
+                    payload: 5u32,
+                },
+                RelayItem {
+                    origin: 2,
+                    ttl: 1,
+                    payload: 5u32,
+                },
+            ]),
+        };
+        let (bytes, bits) = encode_to_bytes(&mixed);
+        assert!(decode_from_bytes::<ReachBatch<u32, Ttl>>(&bytes, bits).is_none());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   blocks/bits. Central simulations that charge the ledger directly
 //!   emit bare records (no meta) — their rounds and bits still count.
 //! * [`VirtualRecord`] — one per [`crate::OverlayEngine`] virtual
-//!   round, tagged with the overlay level (`G^k`, `G[S]`, `(G[S])^k`).
+//!   round, tagged with the overlay level (`G^k`, `G[S]`).
 //!   Virtual records carry virtual-level bits and never contribute to
 //!   the round/bit totals (the k host relay rounds already emitted
 //!   their own [`RoundRecord`]s).
@@ -122,7 +122,7 @@ pub const CONGEST_LEVEL: &str = "congest";
 /// [`CONGEST_LEVEL`], `host_rounds` = honest wire rounds).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VirtualRecord {
-    /// Overlay level label: `G^k`, `G[S]`, or `(G[S])^k` — or
+    /// Overlay level label: `G`, `G^k` or `G[S]` — or
     /// [`CONGEST_LEVEL`] for fragmentation dilation records.
     pub level: String,
     /// Virtual round index on the overlay engine.

@@ -253,6 +253,12 @@ impl<'a> BitReader<'a> {
         }
         Some(w - 1)
     }
+
+    /// Reads one Elias gamma code that must fit a `u32` (ids, TTLs,
+    /// distances): `None` above `u32::MAX` instead of truncating.
+    pub fn read_gamma_u32(&mut self) -> Option<u32> {
+        u32::try_from(self.read_gamma()?).ok()
+    }
 }
 
 /// A bit-exact wire format for a protocol message.
@@ -340,7 +346,7 @@ impl WireCodec for NodeId {
         w.write_gamma(self.0 as u64);
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        r.read_gamma().map(|v| NodeId(v as u32))
+        r.read_gamma_u32().map(NodeId)
     }
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.0 as u64)
@@ -471,7 +477,7 @@ pub fn read_gamma_u32s(r: &mut BitReader<'_>) -> Option<Vec<u32>> {
     // speculative pre-allocation on corrupt input.
     let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
     for _ in 0..len {
-        out.push(r.read_gamma()? as u32);
+        out.push(r.read_gamma_u32()?);
     }
     Some(out)
 }

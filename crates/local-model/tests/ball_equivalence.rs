@@ -10,16 +10,15 @@
 //! the streaming reach flood (against oracle distances) and the
 //! single-center collection, plus ledger fingerprints: rounds, bits,
 //! and per-edge maxima must be bit-identical across schedules. The ball
-//! flood's bits and per-edge maximum must also equal the charge of a
-//! certificate flood computed centrally from BFS distances, and the
-//! induced-subgraph collection must equal a run on the materialized
-//! subgraph.
+//! and reach floods' bits and per-edge maxima must also equal the charge
+//! of the flood computed centrally from BFS distances, and both floods
+//! under a member mask must equal a run on the materialized subgraph.
 
 use delta_graphs::{bfs, Graph, NodeId};
 use local_model::ball::BallItem;
 use local_model::{
-    collect_ball_centered, collect_ball_views, force_exec_mode, run_ball_phase_within,
-    run_reach_phase, BallMsg, BallView, ExecMode, RoundLedger, WireCodec,
+    collect_ball_centered, collect_ball_views, force_exec_mode, run_ball_phase, run_reach_phase,
+    BallMsg, BallView, ExecMode, ReachMsg, RoundLedger, WireCodec,
 };
 use proptest::prelude::*;
 
@@ -39,33 +38,69 @@ fn arb_graph_with_mask() -> impl Strategy<Value = (Graph, Vec<bool>)> {
     })
 }
 
-/// The radius-`r` certificate flood's charge, computed centrally: in
-/// round `t`, every node `v` with neighbors broadcasts the certificates
-/// of the nodes at distance `t − 1` (when there are any), and each of
-/// its `deg(v)` edges carries that [`BallMsg`]. Returns `(bits_sent,
+/// A radius-`r` flood's charge, computed centrally: in round `t`, every
+/// node `v` with neighbors broadcasts the relay of the sources at
+/// distance `t − 1` (when there are any), and each of its `deg(v)` edges
+/// carries it; `relay_bits` sizes that relay. Returns `(bits_sent,
 /// max_edge_bits)`.
-fn central_flood_charge(g: &Graph, r: usize, payload_of: impl Fn(u32) -> u32) -> (u64, u64) {
+fn central_flood_charge(
+    g: &Graph,
+    r: usize,
+    is_source: impl Fn(NodeId) -> bool,
+    relay_bits: impl Fn(&[NodeId]) -> u64,
+) -> (u64, u64) {
     let (mut bits_sent, mut max_edge_bits) = (0, 0);
     for v in g.nodes().filter(|&v| g.degree(v) > 0) {
         let d = bfs::distances(g, v);
         for t in 1..=r as u32 {
-            let items: Vec<BallItem<u32>> = g
+            let sources: Vec<NodeId> = g
                 .nodes()
-                .filter(|w| d[w.index()] == t - 1)
-                .map(|w| BallItem {
-                    id: w.0,
-                    adj: g.neighbors(w).iter().map(|x| x.0).collect(),
-                    payload: payload_of(w.0),
-                })
+                .filter(|&w| is_source(w) && d[w.index()] == t - 1)
                 .collect();
-            if !items.is_empty() {
-                let bits = BallMsg(items).encoded_bits();
+            if !sources.is_empty() {
+                let bits = relay_bits(&sources);
                 bits_sent += g.degree(v) as u64 * bits;
                 max_edge_bits = max_edge_bits.max(bits);
             }
         }
     }
     (bits_sent, max_edge_bits)
+}
+
+/// The certificate flood's relay: the [`BallMsg`] of the sources.
+fn ball_relay_bits(g: &Graph, sources: &[NodeId], payload_of: impl Fn(u32) -> u32) -> u64 {
+    let items: Vec<BallItem<u32>> = sources
+        .iter()
+        .map(|&w| BallItem {
+            id: w.0,
+            adj: g.neighbors(w).iter().map(|x| x.0).collect(),
+            payload: payload_of(w.0),
+        })
+        .collect();
+    BallMsg(items).encoded_bits()
+}
+
+/// The reach flood with every `stride`-th node (in the flood's id
+/// space) a source: each node's absorbed `(source, dist)` pairs.
+fn reach_heard(
+    g: &Graph,
+    members: Option<&[bool]>,
+    r: usize,
+    stride: u32,
+    ledger: &mut RoundLedger,
+) -> Vec<Vec<(u32, u32)>> {
+    run_reach_phase(
+        g,
+        members,
+        0,
+        r,
+        |v| (v.0 % stride == 0).then_some(()),
+        |_| Vec::new(),
+        |acc: &mut Vec<(u32, u32)>, id, dist, _| acc.push((id, dist)),
+        |_, acc| acc.clone(),
+        ledger,
+        "reach",
+    )
 }
 
 fn ledger_fingerprint(l: &RoundLedger) -> (u64, u64, u64, u64) {
@@ -110,7 +145,9 @@ proptest! {
         prop_assert_eq!(&seq, &par, "schedules diverged");
         prop_assert_eq!(seq_fp, par_fp, "ledger fingerprints diverged");
         prop_assert_eq!(seq_fp.0, r as u64, "a radius-r collection costs r rounds");
-        let (bits_sent, max_edge_bits) = central_flood_charge(&g, r, |v| v.wrapping_mul(7));
+        let (bits_sent, max_edge_bits) = central_flood_charge(&g, r, |_| true, |ws| {
+            ball_relay_bits(&g, ws, |v| v.wrapping_mul(7))
+        });
         prop_assert_eq!(seq_fp.1, bits_sent, "bits sent vs the central charge");
         prop_assert_eq!(seq_fp.2, max_edge_bits, "max edge bits vs the central charge");
         for view in &seq {
@@ -120,7 +157,7 @@ proptest! {
 
     #[test]
     fn induced_views_match_materialized_subgraph(gm in arb_graph_with_mask(), r in 0usize..4) {
-        // run_ball_phase_within on G[S] ≡ collect_ball_views on the
+        // run_ball_phase on G[S] ≡ collect_ball_views on the
         // materialized g.induced(S), id for id, in the member-rank space.
         let (g, mask) = gm;
         let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
@@ -129,9 +166,9 @@ proptest! {
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             let _guard = force_exec_mode(mode);
             let mut ledger = RoundLedger::new();
-            let within = run_ball_phase_within(
+            let within = run_ball_phase(
                 &g,
-                &mask,
+                Some(&mask),
                 0,
                 r,
                 payload_of,
@@ -147,23 +184,18 @@ proptest! {
     }
 
     #[test]
-    fn reach_floods_match_oracle_distances(g in arb_graph(), r in 1usize..4, stride in 1u32..5) {
+    fn reach_floods_match_oracle_distances(
+        g in arb_graph(),
+        r in 1usize..4,
+        stride in 1u32..5,
+        keep in proptest::collection::vec(proptest::bool::ANY, 48..49),
+    ) {
         // Every stride-th node is a source; each node must absorb
         // exactly the sources within distance r, at the right distance.
         let run = |mode: ExecMode| {
             let _guard = force_exec_mode(mode);
             let mut ledger = RoundLedger::new();
-            let heard: Vec<Vec<(u32, u32)>> = run_reach_phase(
-                &g,
-                0,
-                r,
-                |v| (v.0 % stride == 0).then_some(()),
-                |_| Vec::new(),
-                |acc: &mut Vec<(u32, u32)>, id, dist, _| acc.push((id, dist)),
-                |_, acc| acc.clone(),
-                &mut ledger,
-                "reach",
-            );
+            let heard = reach_heard(&g, None, r, stride, &mut ledger);
             (heard, ledger_fingerprint(&ledger))
         };
         let (seq, seq_fp) = run(ExecMode::Sequential);
@@ -180,6 +212,29 @@ proptest! {
                 .collect();
             want.sort_by_key(|&(s, dd)| (dd, s));
             prop_assert_eq!(got, &want, "node {} radius {}", v, r);
+        }
+        let (bits_sent, max_edge_bits) = central_flood_charge(
+            &g,
+            r,
+            |w| w.0 % stride == 0,
+            |ws| ReachMsg(ws.iter().map(|w| (w.0, ())).collect()).encoded_bits(),
+        );
+        prop_assert_eq!(seq_fp.1, bits_sent, "bits sent vs the central charge");
+        prop_assert_eq!(seq_fp.2, max_edge_bits, "max edge bits vs the central charge");
+        // Under a member mask the flood runs on G[S]: decisions and
+        // rounds equal a run on the materialized g.induced(S), in the
+        // member-rank space.
+        let mask = &keep[..g.n()];
+        let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+        let (sub, _map) = g.induced(&members);
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+            let _guard = force_exec_mode(mode);
+            let mut ledger = RoundLedger::new();
+            let within = reach_heard(&g, Some(mask), r, stride, &mut ledger);
+            let mut sub_ledger = RoundLedger::new();
+            let materialized = reach_heard(&sub, None, r, stride, &mut sub_ledger);
+            prop_assert_eq!(&within, &materialized, "decisions diverged under {:?}", mode);
+            prop_assert_eq!(ledger.total(), sub_ledger.total(), "dilation 1: same rounds");
         }
     }
 

@@ -8,11 +8,11 @@
 //! The JSONL encoding must round-trip through the reader with the same
 //! totals and a consistent trailer.
 
-use delta_graphs::{generators, Graph, ShardPlan};
+use delta_graphs::{bfs, generators, Graph, NodeId, ShardPlan};
 use local_model::{
-    Engine, ExecMode, FaultPlan, FaultyDriver, InducedOverlay, JsonlSink, MetricsRegistry, Outbox,
-    OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, RunManifest, TraceLine, TraceSummary,
-    Tracer,
+    force_exec_mode, run_reach_phase, Engine, ExecMode, FaultPlan, FaultyDriver, InducedOverlay,
+    JsonlSink, MetricsRegistry, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger,
+    RunManifest, TraceLine, TraceSummary, Tracer,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -50,6 +50,19 @@ fn assert_trace_matches(tr: &Tracer, ledger: &RoundLedger) {
 
 fn host() -> Graph {
     generators::random_regular(96, 4, 31)
+}
+
+/// `(node, source)` pairs at distance `1..=r`, by BFS: the sum of a
+/// radius-`r` flood's per-round frontier sizes.
+fn pairs_within(g: &Graph, r: u32, is_source: impl Fn(NodeId) -> bool) -> u64 {
+    g.nodes()
+        .map(|v| {
+            let d = bfs::distances(g, v);
+            g.nodes()
+                .filter(|&w| is_source(w) && (1..=r).contains(&d[w.index()]))
+                .count() as u64
+        })
+        .sum()
 }
 
 #[test]
@@ -91,10 +104,11 @@ fn overlay_trace_totals_match_ledger_in_both_modes() {
         assert_trace_matches(&tr, &ledger);
         assert_eq!(ledger.total(), 12, "4 virtual rounds dilate to 12");
         assert_eq!(reg.counter("virtual_rounds"), 4);
-        assert!(
-            reg.histogram("flood_frontier").is_some(),
-            "flood relays observe their frontier sizes"
-        );
+        // One frontier observation per relay round; each virtual round
+        // (every node broadcasts) reaches every pair at distance 1..=3.
+        let frontier = reg.histogram("flood_frontier").expect("relays observe");
+        assert_eq!(frontier.count, 12, "one observation per relay round");
+        assert_eq!(frontier.sum, 4 * pairs_within(&g, 3, |_| true));
 
         // G[S]: dilation 1, directed envelopes.
         let reg = MetricsRegistry::new();
@@ -106,6 +120,40 @@ fn overlay_trace_totals_match_ledger_in_both_modes() {
         drive(&mut induced, &mut ledger, 5);
         assert_trace_matches(&tr, &ledger);
         assert_eq!(reg.counter("virtual_rounds"), 5);
+    }
+}
+
+#[test]
+fn reach_flood_observes_its_frontier_in_both_modes() {
+    let g = host();
+    let is_source = |v: NodeId| v.0.is_multiple_of(5);
+    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        let _guard = force_exec_mode(mode);
+        let reg = MetricsRegistry::new();
+        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let mut ledger = tr.ledger();
+        let heard = run_reach_phase(
+            &g,
+            None,
+            0,
+            3,
+            |v| is_source(v).then_some(()),
+            |_| 0u64,
+            |acc: &mut u64, _, _, _| *acc += 1,
+            |_, &acc| acc,
+            &mut ledger,
+            "reach",
+        );
+        assert_trace_matches(&tr, &ledger);
+        let frontier = reg
+            .histogram("flood_frontier")
+            .expect("the reach flood observes");
+        assert_eq!(frontier.count, 3, "one observation per relay round");
+        assert_eq!(frontier.sum, pairs_within(&g, 3, is_source));
+        // The frontier pairs plus each source's own entry are exactly
+        // what the nodes absorbed.
+        let sources = g.nodes().filter(|&v| is_source(v)).count() as u64;
+        assert_eq!(heard.iter().sum::<u64>(), frontier.sum + sources);
     }
 }
 
