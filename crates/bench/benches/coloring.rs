@@ -45,6 +45,7 @@ fn bench_substrates(c: &mut Criterion) {
             let mut ledger = RoundLedger::new();
             black_box(marking_process(
                 &g,
+                None,
                 MarkingParams { p: 0.005, b: 6 },
                 3,
                 &mut coloring,

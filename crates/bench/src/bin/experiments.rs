@@ -4,7 +4,8 @@
 //! experiments [--quick] [--check-baseline] [--congest-bits N] [--out DIR] [ids...]
 //! ```
 //!
-//! With no ids, runs every experiment (T1–T6, F1–F9 of DESIGN.md §5),
+//! With no ids, runs every experiment (T1–T6, F1–F9, listed in
+//! `delta_coloring_bench::experiments::ALL`),
 //! fanning the experiments out across worker threads. Prints aligned
 //! tables to stdout (in canonical order), writes one CSV per experiment
 //! into `--out DIR` (default `results/`), and emits a

@@ -1,9 +1,11 @@
-//! The experiment implementations (DESIGN.md §5): T1–T6 and F1–F9.
+//! The experiment implementations: T1–T6 and F1–F9, listed in [`ALL`];
+//! each function's docs name what it checks and the expected shape.
 //!
 //! Every experiment returns a [`Table`]; the `experiments` binary prints
 //! them and writes CSVs. Absolute round counts depend on our substrate
-//! substitutions (DESIGN.md §4); the *shapes* are what EXPERIMENTS.md
-//! compares against the paper's bounds.
+//! substitutions (README.md, "Substitutions for the paper's
+//! constructions"); the *shapes* are what the tables compare against
+//! the paper's bounds.
 
 use crate::table::Table;
 use delta_coloring::baseline;

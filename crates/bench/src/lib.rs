@@ -1,8 +1,9 @@
 //! Experiment harness for the Δ-coloring reproduction.
 //!
-//! The paper is a theory paper with no empirical section; DESIGN.md §5
-//! defines the table/figure set this harness regenerates (T1–T5,
-//! F1–F6), one experiment per theorem or structural lemma. Each
+//! The paper is a theory paper with no empirical section; the
+//! [`experiments`] module lists the table/figure set this harness
+//! regenerates (T1–T6 and F1–F9, in [`experiments::ALL`] order), one
+//! experiment per theorem, structural lemma, or engine subsystem. Each
 //! experiment here returns structured rows and can print itself as an
 //! aligned text table and as CSV.
 

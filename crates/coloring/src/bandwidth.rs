@@ -5,11 +5,12 @@
 //! The paper's algorithms are stated in the LOCAL model (unbounded
 //! messages); the interesting scalability question is which substrates
 //! already fit the CONGEST regime of `O(log n)` bits per edge per
-//! round (the KMW lower-bound setting). Every protocol message type in
-//! this crate implements [`WireCodec`]; this module evaluates each
+//! round (the KMW lower-bound setting). Every message a substrate
+//! sends implements [`WireCodec`]; this module evaluates each such
 //! type's [`WireCodec::max_bits`] bound against the operational budget
 //! [`local_model::congest_budget`] (`16·⌈log₂ n⌉` bits) and labels the
-//! substrate:
+//! substrate (the headline drivers send nothing of their own and
+//! inherit the verdict of their unbounded phases):
 //!
 //! * [`BandwidthClass::Congest`] — every message fits the budget: the
 //!   substrate would run unchanged under CONGEST;
@@ -52,12 +53,7 @@
 //! per-edge loads the engine accounts at run time
 //! ([`local_model::MessageStats`]).
 
-use crate::brooks::BrooksMsg;
 use crate::decomp::DecompMsg;
-use crate::delta::det::DetMsg;
-use crate::delta::netdecomp::NetDecompMsg;
-use crate::delta::rand::RandMsg;
-use crate::delta::slocal::SlocalMsg;
 use crate::gallai::GallaiMsg;
 use crate::layering::LayerMsg;
 use crate::linial::LinialMsg;
@@ -66,8 +62,8 @@ use crate::mis::MisMsg;
 use crate::reduce::ReduceMsg;
 use crate::ruling::RulingMsg;
 use local_model::{
-    congest_budget, BallMsg, OverlayEnvelope, OverlayRelay, ReachMsg, RelayItem, WireCodec,
-    WireParams,
+    congest_budget, BallMsg, CenterMsg, OverlayEnvelope, OverlayRelay, ReachMsg, RelayItem,
+    WireCodec, WireParams,
 };
 
 /// Which bandwidth regime a substrate's wire format fits.
@@ -224,6 +220,22 @@ fn row<M: WireCodec>(
     }
 }
 
+/// A headline driver's row. A driver sends no message type of its own:
+/// it runs the substrates above, some of them unbounded, so it is
+/// LOCAL-only, mixed, and runs fragmented under enforcement.
+fn driver_row(name: &'static str, note: &'static str) -> SubstrateBandwidth {
+    SubstrateBandwidth {
+        name,
+        message: "(phases above)",
+        max_bits: None,
+        class: BandwidthClass::LocalOnly,
+        measurement: Measurement::Mixed,
+        execution: Execution::CongestEnforced,
+        trace: default_trace(Measurement::Mixed),
+        note,
+    }
+}
+
 /// Classifies every protocol substrate at the given graph parameters.
 /// Rows are ordered roughly bottom-up: the ball-collection subsystem
 /// and the primitives first, the headline drivers last.
@@ -338,16 +350,16 @@ pub fn classify(p: &WireParams) -> Vec<SubstrateBandwidth> {
             Measurement::Engine,
             "DCC detection collects radius-r balls: Theta(Delta^r) edges",
         ),
-        row::<BrooksMsg>(
+        row::<CenterMsg>(
             "brooks",
-            "BrooksMsg",
+            "CenterMsg",
             p,
             Measurement::Mixed,
             "first probe is an engine 2-ball; deep probes + walk central",
         ),
-        row::<BrooksMsg>(
+        row::<CenterMsg>(
             "repair",
-            "Color + BrooksMsg",
+            "Color + CenterMsg",
             p,
             Measurement::Mixed,
             "detection exchanges colors; healing inherits the Brooks ball probes",
@@ -366,34 +378,10 @@ pub fn classify(p: &WireParams) -> Vec<SubstrateBandwidth> {
             Measurement::Central,
             "fixed-point key + gamma-coded center",
         ),
-        row::<RandMsg>(
-            "delta/rand",
-            "RandMsg",
-            p,
-            Measurement::Mixed,
-            "inherits DCC detection + marking flood",
-        ),
-        row::<DetMsg>(
-            "delta/det",
-            "DetMsg",
-            p,
-            Measurement::Mixed,
-            "inherits power-graph ruling + repairs",
-        ),
-        row::<NetDecompMsg>(
-            "delta/netdecomp",
-            "NetDecompMsg",
-            p,
-            Measurement::Mixed,
-            "inherits separation blocking + repairs",
-        ),
-        row::<SlocalMsg>(
-            "delta/slocal",
-            "SlocalMsg",
-            p,
-            Measurement::Mixed,
-            "repairs rewrite whole balls",
-        ),
+        driver_row("delta/rand", "inherits DCC detection + marking flood"),
+        driver_row("delta/det", "inherits power-graph ruling + repairs"),
+        driver_row("delta/netdecomp", "inherits separation blocking + repairs"),
+        driver_row("delta/slocal", "repairs rewrite whole balls"),
     ]
 }
 

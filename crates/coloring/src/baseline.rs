@@ -9,7 +9,8 @@
 //!   simultaneously repaired nodes have disjoint recoloring balls. Round
 //!   complexity `O(log² n / log Δ)`-ish — polylogarithmic, the regime of
 //!   the `O(log³ n / log Δ)` bound of \[PS92, PS95\] that Theorems 1 and
-//!   3 improve on (see DESIGN.md §4 for the substitution note).
+//!   3 improve on (see README.md, "Substitutions for the paper's
+//!   constructions").
 
 use crate::brooks::{repair_single_uncolored, theorem5_radius};
 use crate::list_coloring::list_color_randomized;
@@ -31,6 +32,7 @@ pub fn randomized_delta_plus_one(
     let lists = Lists::uniform(g.n(), g.max_degree() + 1);
     list_color_randomized(
         g,
+        None,
         &lists,
         PartialColoring::new(g.n()),
         seed,

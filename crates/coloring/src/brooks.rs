@@ -19,74 +19,13 @@
 //! always has a free color, and a DCC endpoint is re-colored wholesale
 //! via its degree-choosability.
 
-use crate::gallai::{self, GallaiMsg};
+use crate::gallai;
 use crate::palette::{Color, ColoringError, PartialColoring};
 use delta_graphs::bfs;
 use delta_graphs::components::{block_order, blocks, is_connected};
 use delta_graphs::props;
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::gamma_bits;
-use local_model::{
-    collect_ball_centered, BitReader, BitWriter, RoundLedger, WireCodec, WireParams,
-};
-
-/// Wire format of the Theorem 5 repair. The *first* endpoint probe (the
-/// radius-2 ball that resolves the overwhelming majority of repairs)
-/// **executes through the engine** via
-/// [`local_model::collect_ball_centered`] — a TTL probe wave plus a
-/// certificate flood back, `2·r` measured rounds confined to the ball;
-/// the doubling deepening beyond radius 2 and the token walk remain
-/// charged central simulations (this enum declares their equivalent
-/// wire shapes). Locating a deep endpoint collects the `2·log_{Δ-1} n`
-/// ball (a [`GallaiMsg`] relay — unbounded), so `max_bits` is `None`
-/// and the repair is **LOCAL-only**; the color-shift walk itself is
-/// `O(log palette)` bits per step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrooksMsg {
-    /// Endpoint search: ball-collection relay.
-    Probe(GallaiMsg),
-    /// Token step to the path successor: "take color `c`, then uncolor
-    /// yourself and pass the token on".
-    Shift(u32),
-    /// Endpoint recoloring: "your new color within the DCC is `c`".
-    Assign(u32),
-}
-
-impl WireCodec for BrooksMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        match self {
-            BrooksMsg::Probe(g) => {
-                w.write_bits(0, 2);
-                g.encode(w);
-            }
-            BrooksMsg::Shift(c) => {
-                w.write_bits(1, 2);
-                w.write_gamma(*c as u64);
-            }
-            BrooksMsg::Assign(c) => {
-                w.write_bits(2, 2);
-                w.write_gamma(*c as u64);
-            }
-        }
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        match r.read_bits(2)? {
-            0 => GallaiMsg::decode(r).map(BrooksMsg::Probe),
-            1 => r.read_gamma().map(|c| BrooksMsg::Shift(c as u32)),
-            2 => r.read_gamma().map(|c| BrooksMsg::Assign(c as u32)),
-            _ => None,
-        }
-    }
-    fn encoded_bits(&self) -> u64 {
-        match self {
-            BrooksMsg::Probe(g) => 2 + g.encoded_bits(),
-            BrooksMsg::Shift(c) | BrooksMsg::Assign(c) => 2 + gamma_bits(*c as u64),
-        }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
-}
+use local_model::{collect_ball_centered, RoundLedger};
 
 /// Computes a Δ-coloring of a connected graph via Brooks' theorem.
 ///

@@ -4,7 +4,8 @@
 //! coloring the small shattered components (the paper uses \[PS92\] /
 //! \[AGLP89\] decompositions; we substitute MPX, which gives clusters of
 //! weak diameter `O(log n / β)` w.h.p. and a proper cluster-graph
-//! coloring — the two properties the consumers rely on. See DESIGN.md §4.)
+//! coloring — the two properties the consumers rely on. See README.md,
+//! "Substitutions for the paper's constructions".)
 
 use delta_graphs::{Graph, NodeId};
 use local_model::wire::{gamma_bits, gamma_max_bits};
@@ -39,7 +40,7 @@ impl WireCodec for DecompMsg {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let key = r.read_bits(64)?;
-        let center = r.read_gamma()? as u32;
+        let center = r.read_gamma_u32()?;
         Some(DecompMsg::Offer { key, center })
     }
     fn encoded_bits(&self) -> u64 {

@@ -13,86 +13,18 @@
 //!
 //! Round complexity `O(√Δ·log^{-3/2}Δ·log² n)` in the paper; our list
 //! coloring substitution changes the Δ-dependence but preserves the
-//! `log² n` scaling that experiment T3 measures (DESIGN.md §4, §5).
+//! `log² n` scaling that experiment T3 measures (README.md,
+//! "Substitutions for the paper's constructions"; T3 is listed with
+//! the other experiments in the bench crate's `experiments` module).
 
-use crate::brooks::{repair_single_uncolored, theorem5_radius, BrooksMsg};
-use crate::layering::{color_upper_layers, layers_from_base, LayerMsg};
-use crate::linial::LinialMsg;
-use crate::list_coloring::{LcMsg, ListColorMethod};
+use crate::brooks::{repair_single_uncolored, theorem5_radius};
+use crate::layering::{color_upper_layers, layers_from_base};
+use crate::list_coloring::ListColorMethod;
 use crate::palette::{ColoringError, PartialColoring};
-use crate::ruling::{ruling_forest, ruling_set_deterministic_alpha, RulingMsg};
+use crate::ruling::{ruling_forest, ruling_set_deterministic_alpha};
 use crate::verify::assert_nice;
 use delta_graphs::Graph;
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
-
-/// Wire format of the deterministic (Theorem 4) driver: the tagged
-/// union of its phases' messages. The `(R, ·)` ruling set runs on the
-/// power graph `G^{R-1}` with `R = Θ(log n)` (a [`RulingMsg::Relay`]),
-/// and the base repairs collect `Θ(log n)`-radius balls
-/// ([`BrooksMsg::Probe`]), so the driver is **LOCAL-only** despite its
-/// CONGEST-feasible Linial/list-coloring/layering phases.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DetMsg {
-    /// Symmetry breaking inside the list-coloring schedule.
-    Linial(LinialMsg),
-    /// Step 2: the ruling-set construction.
-    Ruling(RulingMsg),
-    /// Step 3: layer-index waves.
-    Layer(LayerMsg),
-    /// Step 4: list-coloring of the layers.
-    List(LcMsg),
-    /// Step 5: Theorem 5 repairs of the base layer.
-    Repair(BrooksMsg),
-}
-
-impl WireCodec for DetMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        match self {
-            DetMsg::Linial(m) => {
-                w.write_bits(0, 3);
-                m.encode(w);
-            }
-            DetMsg::Ruling(m) => {
-                w.write_bits(1, 3);
-                m.encode(w);
-            }
-            DetMsg::Layer(m) => {
-                w.write_bits(2, 3);
-                m.encode(w);
-            }
-            DetMsg::List(m) => {
-                w.write_bits(3, 3);
-                m.encode(w);
-            }
-            DetMsg::Repair(m) => {
-                w.write_bits(4, 3);
-                m.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        match r.read_bits(3)? {
-            0 => LinialMsg::decode(r).map(DetMsg::Linial),
-            1 => RulingMsg::decode(r).map(DetMsg::Ruling),
-            2 => LayerMsg::decode(r).map(DetMsg::Layer),
-            3 => LcMsg::decode(r).map(DetMsg::List),
-            4 => BrooksMsg::decode(r).map(DetMsg::Repair),
-            _ => None,
-        }
-    }
-    fn encoded_bits(&self) -> u64 {
-        3 + match self {
-            DetMsg::Linial(m) => m.encoded_bits(),
-            DetMsg::Ruling(m) => m.encoded_bits(),
-            DetMsg::Layer(m) => m.encoded_bits(),
-            DetMsg::List(m) => m.encoded_bits(),
-            DetMsg::Repair(m) => m.encoded_bits(),
-        }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
-}
+use local_model::RoundLedger;
 
 /// Configuration for the deterministic algorithm.
 #[derive(Debug, Clone, Copy)]

@@ -12,10 +12,9 @@ pub mod rand;
 pub mod slocal;
 
 pub use auto::{delta_color, Strategy};
-pub use det::{delta_color_det, DetConfig, DetMsg, DetStats};
-pub use netdecomp::{delta_color_netdecomp, NetDecompMsg, NetDecompStats};
+pub use det::{delta_color_det, DetConfig, DetStats};
+pub use netdecomp::{delta_color_netdecomp, NetDecompStats};
 pub use rand::{
-    delta_color_rand, shattering_probe, ComponentRuling, RandConfig, RandMsg, RandStats,
-    ShatterProbe,
+    delta_color_rand, shattering_probe, ComponentRuling, RandConfig, RandStats, ShatterProbe,
 };
-pub use slocal::{delta_color_slocal, slocal_locality_bound, SlocalMsg, SlocalStats};
+pub use slocal::{delta_color_slocal, slocal_locality_bound, SlocalStats};

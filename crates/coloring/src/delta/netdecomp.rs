@@ -3,81 +3,21 @@
 //!
 //! The paper's version computes a `(2^O(√log n), 2^O(√log n))` network
 //! decomposition \[PS92\] and derives an `(R, R+1)` ruling set from it;
-//! we substitute the MPX decomposition (see DESIGN.md §4) and derive the
+//! we substitute the MPX decomposition (see README.md, "Substitutions
+//! for the paper's constructions") and derive the
 //! ruling set by processing cluster color classes sequentially — within
 //! a class, clusters are non-adjacent, so their greedy choices are
 //! consistent after a distance-`R` exchange. The rest is the same
 //! layering pipeline as Theorem 4.
 
-use crate::brooks::{repair_single_uncolored, theorem5_radius, BrooksMsg};
-use crate::decomp::{mpx_decomposition, DecompMsg};
-use crate::layering::{color_upper_layers, layers_from_base, LayerMsg};
-use crate::list_coloring::{LcMsg, ListColorMethod};
+use crate::brooks::{repair_single_uncolored, theorem5_radius};
+use crate::decomp::mpx_decomposition;
+use crate::layering::{color_upper_layers, layers_from_base};
+use crate::list_coloring::ListColorMethod;
 use crate::palette::{ColoringError, PartialColoring};
 use crate::verify::assert_nice;
 use delta_graphs::{bfs, Graph, NodeId};
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
-
-/// Wire format of the Theorem 21 driver: the tagged union of its
-/// phases' messages. The decomposition, layering, and list-coloring
-/// phases are CONGEST-feasible, but deriving the ruling set blocks
-/// `separation`-radius balls and the base repairs probe
-/// `Θ(log n)`-radius balls ([`BrooksMsg::Probe`]) — so the driver is
-/// **LOCAL-only**.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetDecompMsg {
-    /// Step 1: MPX cluster offers.
-    Decomp(DecompMsg),
-    /// Steps 2–3: layer-index waves.
-    Layer(LayerMsg),
-    /// Step 4: list-coloring of the layers.
-    List(LcMsg),
-    /// Step 5: Theorem 5 repairs of the base layer.
-    Repair(BrooksMsg),
-}
-
-impl WireCodec for NetDecompMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        match self {
-            NetDecompMsg::Decomp(m) => {
-                w.write_bits(0, 2);
-                m.encode(w);
-            }
-            NetDecompMsg::Layer(m) => {
-                w.write_bits(1, 2);
-                m.encode(w);
-            }
-            NetDecompMsg::List(m) => {
-                w.write_bits(2, 2);
-                m.encode(w);
-            }
-            NetDecompMsg::Repair(m) => {
-                w.write_bits(3, 2);
-                m.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        match r.read_bits(2)? {
-            0 => DecompMsg::decode(r).map(NetDecompMsg::Decomp),
-            1 => LayerMsg::decode(r).map(NetDecompMsg::Layer),
-            2 => LcMsg::decode(r).map(NetDecompMsg::List),
-            3 => BrooksMsg::decode(r).map(NetDecompMsg::Repair),
-            _ => None,
-        }
-    }
-    fn encoded_bits(&self) -> u64 {
-        2 + match self {
-            NetDecompMsg::Decomp(m) => m.encoded_bits(),
-            NetDecompMsg::Layer(m) => m.encoded_bits(),
-            NetDecompMsg::List(m) => m.encoded_bits(),
-            NetDecompMsg::Repair(m) => m.encoded_bits(),
-        }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
-}
+use local_model::RoundLedger;
 
 /// Statistics of a [`delta_color_netdecomp`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -36,91 +36,21 @@
 //! | (1) DCC detection | `G` | engine ball floods ([`crate::gallai::find_dccs_all`]) |
 //! | (2) GDCC ruling | virtual minor (DCCs as nodes) | central Luby, charged `×(2r+1)` — set-nodes need leader simulation to compile |
 //! | (3) B layers | `G` | central BFS wave, charged |
-//! | (4) marking | `H = G[unremoved]` | **InducedOverlay** ([`crate::marking::marking_process_within`]): selection, backoff flood, pick balls, placement — all measured host rounds, removed nodes silent |
+//! | (4) marking | `H = G[unremoved]` | **InducedOverlay** ([`crate::marking::marking_process`] with the `H` mask): selection, backoff flood, pick balls, placement — all measured host rounds, removed nodes silent |
 //! | (5) boundary/C layers | `H` | central BFS waves, charged |
-//! | (6) CDCC detection | `G[component]` | **InducedOverlay** ([`crate::gallai::find_dccs_all_within`]) |
+//! | (6) CDCC detection | `G[component]` | **InducedOverlay** ([`local_model::run_ball_phase`] with the component mask and the [`crate::gallai::find_dcc_in_ball`] rule) |
 //! | (6) CDCC ruling | virtual minor (free nodes + DCCs) | central Luby/netdecomp, charged `×(r_c+1)` |
-//! | (6)–(9) layer coloring | `G[todo]` per layer | **InducedOverlay** ([`crate::layering::color_one_layer`] → `list_color_randomized_within`) |
+//! | (6)–(9) layer coloring | `G[todo]` per layer | **InducedOverlay** ([`crate::layering::color_one_layer`] → [`crate::list_coloring::list_color_randomized`] with the todo mask) |
 
-use crate::gallai::{color_component_respecting, GallaiMsg};
-use crate::layering::{color_one_layer, color_upper_layers, layers_from_base, LayerMsg, Layering};
-use crate::list_coloring::{LcMsg, ListColorMethod};
-use crate::marking::{marking_process, MarkingParams, MkMsg};
-use crate::mis::{luby_mis, members, MisMsg};
+use crate::gallai::color_component_respecting;
+use crate::layering::{color_one_layer, color_upper_layers, layers_from_base, Layering};
+use crate::list_coloring::ListColorMethod;
+use crate::marking::{marking_process, MarkingParams};
+use crate::mis::{luby_mis, members};
 use crate::palette::{ColoringError, PartialColoring};
 use crate::verify::assert_nice;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
-
-/// Wire format of the whole randomized driver: the tagged union of
-/// everything its phases put on the wire. The DCC-detection
-/// ([`GallaiMsg`]) and marking-flood ([`MkMsg`]) phases are unbounded,
-/// so the driver as a whole is **LOCAL-only** (`max_bits` is `None`)
-/// even though its list-coloring/MIS/layering phases are individually
-/// CONGEST-feasible — exactly the paper's situation, where locality
-/// (not bandwidth) is the resource being optimized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RandMsg {
-    /// Phases (1)–(2): DCC detection ball relays.
-    Detect(GallaiMsg),
-    /// Phase (2)/(6): ruling-set MIS on a virtual graph.
-    Ruling(MisMsg),
-    /// Phase (4): the marking process.
-    Marking(MkMsg),
-    /// Phases (3)/(5)/(6): layer-index waves.
-    Layer(LayerMsg),
-    /// Phases (6)–(9): list-coloring trials on the layers.
-    List(LcMsg),
-}
-
-impl WireCodec for RandMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        match self {
-            RandMsg::Detect(m) => {
-                w.write_bits(0, 3);
-                m.encode(w);
-            }
-            RandMsg::Ruling(m) => {
-                w.write_bits(1, 3);
-                m.encode(w);
-            }
-            RandMsg::Marking(m) => {
-                w.write_bits(2, 3);
-                m.encode(w);
-            }
-            RandMsg::Layer(m) => {
-                w.write_bits(3, 3);
-                m.encode(w);
-            }
-            RandMsg::List(m) => {
-                w.write_bits(4, 3);
-                m.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        match r.read_bits(3)? {
-            0 => GallaiMsg::decode(r).map(RandMsg::Detect),
-            1 => MisMsg::decode(r).map(RandMsg::Ruling),
-            2 => MkMsg::decode(r).map(RandMsg::Marking),
-            3 => LayerMsg::decode(r).map(RandMsg::Layer),
-            4 => LcMsg::decode(r).map(RandMsg::List),
-            _ => None,
-        }
-    }
-    fn encoded_bits(&self) -> u64 {
-        3 + match self {
-            RandMsg::Detect(m) => m.encoded_bits(),
-            RandMsg::Ruling(m) => m.encoded_bits(),
-            RandMsg::Marking(m) => m.encoded_bits(),
-            RandMsg::Layer(m) => m.encoded_bits(),
-            RandMsg::List(m) => m.encoded_bits(),
-        }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
-}
+use local_model::RoundLedger;
 
 /// How phase (6) computes the ruling set `M'` of the virtual CDCC
 /// graph inside each leftover component.
@@ -132,7 +62,8 @@ pub enum ComponentRuling {
     /// Network decomposition of the CDCC graph, then a maximal
     /// independent set built cluster-color-class by cluster-color-class
     /// (the paper's `Runtime(n)` path, Lemma 24 (P3)/(P4), with the MPX
-    /// substitution of DESIGN.md §4).
+    /// substitution of README.md, "Substitutions for the paper's
+    /// constructions").
     NetDecomp,
 }
 
@@ -161,7 +92,8 @@ pub struct RandConfig {
 impl RandConfig {
     /// Defaults for the large-Δ version (Theorem 3, `Δ >= 4`):
     /// `r = O(1)`, backoff `b = 6`, calibrated selection probability
-    /// (see [`MarkingParams::calibrated`] and DESIGN.md §4).
+    /// (see [`MarkingParams::calibrated`] and README.md, "Substitutions
+    /// for the paper's constructions").
     pub fn large_delta(g: &Graph, seed: u64) -> Self {
         let delta = g.max_degree().max(4);
         let b = 6;
@@ -323,6 +255,7 @@ pub fn shattering_probe(g: &Graph, config: &RandConfig, seed: u64) -> ShatterPro
     let mut h_coloring = PartialColoring::new(g.n());
     let outcome = marking_process(
         g,
+        None,
         config.marking,
         seed,
         &mut h_coloring,
@@ -427,9 +360,9 @@ fn run_once(
         // straight into the h-indexed bookkeeping below.)
         // --------------------------------------------------------------
         let mut h_coloring = PartialColoring::new(h.n());
-        let outcome = crate::marking::marking_process_within(
+        let outcome = marking_process(
             g,
-            &h_mask,
+            Some(&h_mask),
             config.marking,
             seed ^ 0xa5a5,
             &mut h_coloring,
@@ -694,12 +627,14 @@ fn color_small_component(
         }
         m
     };
-    let found_all = crate::gallai::find_dccs_all_within(
+    let size_cap = crate::gallai::dcc_size_cap(delta);
+    let found_all = local_model::run_ball_phase::<(), _, _, _>(
         g,
-        &comp_mask,
+        Some(&comp_mask),
+        0,
         detect_r,
-        2 * detect_r,
-        crate::gallai::dcc_size_cap(delta),
+        |_| (),
+        |_, view| crate::gallai::find_dcc_in_ball(&view.to_ball(), 2 * detect_r, size_cap),
         ledger,
         "phase6-cdcc",
     );

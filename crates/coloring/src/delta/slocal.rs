@@ -12,55 +12,11 @@
 //! This module implements that algorithm and reports the maximum
 //! locality actually used, which experiments compare to the bound.
 
-use crate::brooks::{repair_single_uncolored, theorem5_radius, BrooksMsg};
+use crate::brooks::{repair_single_uncolored, theorem5_radius};
 use crate::palette::{ColoringError, PartialColoring};
 use crate::verify::assert_nice;
 use delta_graphs::Graph;
-use local_model::wire::gamma_bits;
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
-
-/// Wire format of the SLOCAL driver: sequential greedy coloring
-/// announcements plus Theorem 5 repairs. The repairs read (and
-/// rewrite) whole `O(log_Δ n)`-radius balls, so the driver is
-/// **LOCAL-only** — consistent with SLOCAL's definition, which bounds
-/// locality, not bandwidth.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlocalMsg {
-    /// "I committed color `c`" (greedy step announcement).
-    Commit(u32),
-    /// A Theorem 5 repair message inside the ball.
-    Repair(BrooksMsg),
-}
-
-impl WireCodec for SlocalMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        match self {
-            SlocalMsg::Commit(c) => {
-                w.write_bool(false);
-                w.write_gamma(*c as u64);
-            }
-            SlocalMsg::Repair(m) => {
-                w.write_bool(true);
-                m.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        match r.read_bool()? {
-            false => r.read_gamma().map(|c| SlocalMsg::Commit(c as u32)),
-            true => BrooksMsg::decode(r).map(SlocalMsg::Repair),
-        }
-    }
-    fn encoded_bits(&self) -> u64 {
-        match self {
-            SlocalMsg::Commit(c) => 1 + gamma_bits(*c as u64),
-            SlocalMsg::Repair(m) => 1 + m.encoded_bits(),
-        }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
-}
+use local_model::RoundLedger;
 
 /// Statistics of an SLOCAL run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -52,8 +52,8 @@ impl WireCodec for GallaiMsg {
         let len = r.read_gamma()?;
         let mut edges = Vec::with_capacity(len.min(1 << 20) as usize);
         for _ in 0..len {
-            let a = r.read_gamma()? as u32;
-            let b = r.read_gamma()? as u32;
+            let a = r.read_gamma_u32()?;
+            let b = r.read_gamma_u32()?;
             edges.push((a, b));
         }
         Some(GallaiMsg::BallEdges(edges))
@@ -146,36 +146,6 @@ pub fn find_dccs_all(
     run_ball_phase::<(), _, _, _>(
         g,
         None,
-        0,
-        r,
-        |_| (),
-        |_, view| find_dcc_in_ball(&view.to_ball(), max_radius, max_size),
-        ledger,
-        phase,
-    )
-}
-
-/// [`find_dccs_all`] on the **induced subgraph** `G[members]`, executed
-/// through the `InducedOverlay` on the host engine
-/// ([`local_model::run_ball_phase`] with a mask): non-members relay nothing,
-/// so the certificate floods — and the balls they assemble — live
-/// entirely inside the live subgraph. The randomized driver's phase (6)
-/// uses this for per-component CDCC detection without materializing the
-/// component. Results (and the `FoundDcc` node ids) are in the
-/// member-rank space, identical to a materialized `g.induced(members)`
-/// run.
-pub fn find_dccs_all_within(
-    g: &Graph,
-    members: &[bool],
-    r: usize,
-    max_radius: usize,
-    max_size: usize,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<Option<FoundDcc>> {
-    run_ball_phase::<(), _, _, _>(
-        g,
-        Some(members),
         0,
         r,
         |_| (),

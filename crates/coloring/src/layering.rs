@@ -34,7 +34,7 @@ impl WireCodec for LayerMsg {
         w.write_gamma(*i as u64);
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        r.read_gamma().map(|i| LayerMsg::Layer(i as u32))
+        r.read_gamma_u32().map(LayerMsg::Layer)
     }
     fn encoded_bits(&self) -> u64 {
         let LayerMsg::Layer(i) = self;
@@ -218,9 +218,9 @@ pub fn color_one_layer(
             for &v in &todo {
                 mask[v.index()] = true;
             }
-            crate::list_coloring::list_color_randomized_within(
+            crate::list_coloring::list_color_randomized(
                 g,
-                &mask,
+                Some(&mask),
                 &lists,
                 PartialColoring::new(todo.len()),
                 seed,

@@ -17,7 +17,7 @@
 //! without recoloring. This crate implements the paper's algorithms and
 //! every substrate they stand on:
 //!
-//! Every protocol message type implements
+//! Every message the engines carry implements
 //! [`local_model::WireCodec`] — a bit-exact wire format with a
 //! `max_bits(graph_params)` bound — and the engine charges each
 //! transmission's exact size, so every run reports its CONGEST-style
@@ -46,7 +46,7 @@
 //! internal materialization layers whose logical level is enforced
 //! instead) and how its numbers are obtained; the verdicts below are
 //! for the implemented wire formats (see each message type's docs for
-//! why):
+//! why; a headline driver inherits the verdict of its phases):
 //!
 //! | Module | Contents | Paper reference | Bandwidth | CONGEST execution | Measurement |
 //! |---|---|---|---|---|---|
@@ -56,10 +56,10 @@
 //! | [`mis`] | Luby's MIS, on the host graph and on the `G^k` overlay | Lemma 20 substrate | CONGEST-feasible (host); LOCAL-only on overlays | congest-feasible | engine (measured) |
 //! | [`ruling`] | ruling sets and ruling forests | Lemma 20 | LOCAL-only (power-graph relays) | congest-enforced | engine (measured): bit-halving reach-floods + Luby on the `G^k` overlay |
 //! | [`list_coloring`] | `(deg+1)`-list coloring, randomized & deterministic | Theorems 18, 19 | CONGEST-feasible | congest-feasible | engine (measured); randomized also on the induced overlay |
-//! | [`gallai`] | degree-choosable components, Gallai trees, the degree-list solver | Definitions 6–9, Theorem 8 | LOCAL-only (ball relays) | congest-enforced | engine (measured) via [`gallai::find_dccs_all`] / [`gallai::find_dccs_all_within`] |
+//! | [`gallai`] | degree-choosable components, Gallai trees, the degree-list solver | Definitions 6–9, Theorem 8 | LOCAL-only (ball relays) | congest-enforced | engine (measured) via [`gallai::find_dccs_all`]; masked runs through [`local_model::run_ball_phase`] on the induced overlay |
 //! | [`brooks`] | sequential Brooks & the distributed Brooks repair | Theorem 5, Lemma 16 | LOCAL-only (ball probes) | congest-enforced | mixed: radius-2 probe engine-backed, deepening + walk central |
 //! | [`layering`] | the layering technique | Section 3 | CONGEST-feasible | congest-feasible | mixed: todo-subgraph coloring on the induced overlay, BFS waves central |
-//! | [`marking`] | the marking process and T-nodes | Section 2.2, phase (4) | LOCAL-only (backoff flood) | congest-enforced | engine (measured), incl. [`marking::marking_process_within`] on the induced overlay |
+//! | [`marking`] | the marking process and T-nodes | Section 2.2, phase (4) | LOCAL-only (backoff flood) | congest-enforced | engine (measured), on the induced overlay given a member mask ([`marking::marking_process`]) |
 //! | [`decomp`] | MPX network decomposition | \[PS92\]/\[AGLP89\] substitute | CONGEST-feasible | congest-feasible | central (charged) |
 //! | [`delta`] | the headline algorithms | Theorems 1, 3, 4 | LOCAL-only (inherit detection/repairs) | congest-enforced | mixed |
 //! | [`baseline`] | `(Δ+1)` baseline and a PS-style Δ-coloring baseline | \[PS92, PS95\] | — | — | mixed |

@@ -4,8 +4,8 @@
 //! a proper coloring from the lists. This is the workhorse the layering
 //! technique calls once per layer (Sections 3 and 4.1 of the paper).
 //!
-//! Two solvers are provided (see DESIGN.md §4 for the substitution
-//! rationale):
+//! Two solvers are provided (see README.md, "Substitutions for the
+//! paper's constructions", for the rationale):
 //!
 //! * [`list_color_randomized`] — each round, every uncolored node
 //!   proposes a uniformly random available color and keeps it unless a
@@ -56,7 +56,7 @@ pub fn list_color(
 ) -> Result<PartialColoring, ColoringError> {
     match method {
         ListColorMethod::Randomized => {
-            list_color_randomized(g, lists, partial, seed, ledger, phase)
+            list_color_randomized(g, None, lists, partial, seed, ledger, phase)
         }
         ListColorMethod::Deterministic => {
             list_color_deterministic(g, lists, partial, ledger, phase)
@@ -132,12 +132,21 @@ impl WireCodec for LcMsg {
 /// one node is colored every two rounds, so the `4n + 16` round cap is
 /// only reachable on malformed instances.
 ///
+/// With `members == Some(mask)` the instance is the **induced
+/// subgraph** `G[members]`, executed through the `InducedOverlay` on
+/// the host engine: the trial rounds are real host rounds in which
+/// non-members stay silent. Ids (`lists`, `coloring`, the result) then
+/// live in the member-rank space — identical to a materialized
+/// `g.induced(members)` run. This is how the layering technique colors
+/// its per-layer todo subgraphs without materializing them.
+///
 /// # Errors
 ///
 /// [`ColoringError::Unsolvable`] when a node's available list empties
 /// (malformed instance).
 pub fn list_color_randomized(
     g: &Graph,
+    members: Option<&[bool]>,
     lists: &Lists,
     coloring: PartialColoring,
     seed: u64,
@@ -147,50 +156,30 @@ pub fn list_color_randomized(
     if coloring.uncolored().next().is_none() {
         return Ok(coloring);
     }
-    let engine = local_model::compile(Engine::new(g, seed, |v| LcState {
+    let init = |v: NodeId| LcState {
         color: coloring.get(v),
         announced: false,
         proposal: None,
         used: Vec::new(),
         stuck: false,
-    }));
-    let out = list_color_randomized_core(engine, lists, coloring, ledger, phase)?;
-    debug_assert!(out.validate_proper(g).is_ok());
-    Ok(out)
-}
-
-/// [`list_color_randomized`] on the **induced subgraph** `G[members]`,
-/// executed through the `InducedOverlay` on the host engine: the trial
-/// rounds are real host rounds in which non-members stay silent. Ids
-/// (`lists`, `coloring`, the result) live in the member-rank space —
-/// identical to a materialized `g.induced(members)` run. This is how
-/// the layering technique colors its per-layer todo subgraphs without
-/// materializing them.
-pub fn list_color_randomized_within(
-    g: &Graph,
-    members: &[bool],
-    lists: &Lists,
-    coloring: PartialColoring,
-    seed: u64,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Result<PartialColoring, ColoringError> {
-    if coloring.uncolored().next().is_none() {
-        return Ok(coloring);
+    };
+    match members {
+        None => {
+            let engine = local_model::compile(Engine::new(g, seed, init));
+            let out = list_color_randomized_core(engine, lists, coloring, ledger, phase)?;
+            debug_assert!(out.validate_proper(g).is_ok());
+            Ok(out)
+        }
+        Some(members) => {
+            let engine = local_model::compile(OverlayEngine::new(
+                g,
+                InducedOverlay { members },
+                seed,
+                init,
+            ));
+            list_color_randomized_core(engine, lists, coloring, ledger, phase)
+        }
     }
-    let engine = local_model::compile(OverlayEngine::new(
-        g,
-        InducedOverlay { members },
-        seed,
-        |r| LcState {
-            color: coloring.get(r),
-            announced: false,
-            proposal: None,
-            used: Vec::new(),
-            stuck: false,
-        },
-    ));
-    list_color_randomized_core(engine, lists, coloring, ledger, phase)
 }
 
 /// The trial-coloring loop, generic over the round driver.
@@ -364,6 +353,7 @@ mod tests {
             let mut ledger = RoundLedger::new();
             let c = list_color_randomized(
                 g,
+                None,
                 &lists,
                 PartialColoring::new(g.n()),
                 i as u64,
@@ -453,7 +443,15 @@ mod tests {
         let g = generators::path(2);
         let lists = Lists::new(vec![vec![Color(0)], vec![Color(0)]]);
         let mut ledger = RoundLedger::new();
-        let r = list_color_randomized(&g, &lists, PartialColoring::new(2), 0, &mut ledger, "lc");
+        let r = list_color_randomized(
+            &g,
+            None,
+            &lists,
+            PartialColoring::new(2),
+            0,
+            &mut ledger,
+            "lc",
+        );
         assert!(r.is_err());
     }
 
@@ -462,8 +460,16 @@ mod tests {
         let g = Graph::empty(0);
         let lists = Lists::new(vec![]);
         let mut ledger = RoundLedger::new();
-        let c = list_color_randomized(&g, &lists, PartialColoring::new(0), 0, &mut ledger, "lc")
-            .unwrap();
+        let c = list_color_randomized(
+            &g,
+            None,
+            &lists,
+            PartialColoring::new(0),
+            0,
+            &mut ledger,
+            "lc",
+        )
+        .unwrap();
         assert!(c.is_total());
         assert_eq!(ledger.total(), 0);
     }

@@ -64,7 +64,7 @@ impl WireCodec for MkMsg {
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         match r.read_bits(2)? {
             0 => Some(MkMsg::Propose),
-            1 => r.read_gamma().map(|id| MkMsg::Claim(id as u32)),
+            1 => r.read_gamma_u32().map(MkMsg::Claim),
             2 => Some(MkMsg::Accept),
             _ => None,
         }
@@ -104,7 +104,8 @@ impl MarkingParams {
     /// Practically calibrated parameters: same backoff distances, but
     /// `p` scaled to the inverse expected ball size `(Δ-1)^-b` so that a
     /// constant fraction of selections survives the backoff at feasible
-    /// `n` (the paper's constants are asymptotic; see DESIGN.md §4).
+    /// `n` (the paper's constants are asymptotic; see README.md,
+    /// "Substitutions for the paper's constructions").
     pub fn calibrated(delta: usize) -> Self {
         let b = if delta >= 4 { 6 } else { 12 };
         let base = (delta.max(3) - 1) as f64;
@@ -115,7 +116,7 @@ impl MarkingParams {
     }
 }
 
-/// Result of the marking process on `h`.
+/// Result of the marking process.
 #[derive(Debug, Clone)]
 pub struct MarkingOutcome {
     /// Surviving selected nodes (the T-nodes), each with its two marked
@@ -136,77 +137,6 @@ pub struct TNode {
     pub m1: NodeId,
     /// Second marked neighbor.
     pub m2: NodeId,
-}
-
-/// Runs the marking process on the graph `h` (the remainder graph; use
-/// an induced subgraph when operating within a larger instance), writing
-/// [`Color::FIRST`] into `coloring` for marked nodes.
-///
-/// # Example
-///
-/// ```
-/// use delta_coloring::marking::{check_marking, marking_process, MarkingParams};
-/// use delta_coloring::palette::PartialColoring;
-/// use delta_graphs::generators;
-/// use local_model::RoundLedger;
-///
-/// let h = generators::random_regular(500, 4, 1);
-/// let mut coloring = PartialColoring::new(h.n());
-/// let mut ledger = RoundLedger::new();
-/// let out = marking_process(
-///     &h,
-///     MarkingParams { p: 0.01, b: 6 },
-///     42,
-///     &mut coloring,
-///     &mut ledger,
-///     "marking",
-/// );
-/// assert!(check_marking(&h, &out, 6));
-/// // Every T-node now has two same-colored neighbors: guaranteed slack.
-/// for t in &out.t_nodes {
-///     assert!(coloring.has_repeated_neighbor_color(&h, t.node));
-/// }
-/// ```
-///
-/// LOCAL cost, all engine-executed and measured: 1 round to select,
-/// `b` rounds of backoff flood ([`local_model::run_reach_phase`]),
-/// 2 rounds of radius-2 ball collection for the survivor picks
-/// ([`local_model::run_ball_phase`]), and 3 rounds of
-/// propose / claim / accept mark placement — `b + 6` rounds charged to
-/// `phase`, with nonzero `bits_sent` whenever anything was selected.
-pub fn marking_process(
-    h: &Graph,
-    params: MarkingParams,
-    seed: u64,
-    coloring: &mut PartialColoring,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> MarkingOutcome {
-    marking_core(h, None, params, seed, coloring, ledger, phase)
-}
-
-/// [`marking_process`] on the **induced subgraph** `G[members]`,
-/// executed through the [`InducedOverlay`] on the host engine: removed
-/// (non-member) nodes send nothing and receive nothing, so the backoff
-/// flood, the radius-2 pick collection, and the propose/claim/accept
-/// placement all run as real host-graph message-passing rounds with
-/// measured bits — this is how the randomized driver executes its
-/// remainder-graph phase (4).
-///
-/// All ids — the outcome's T-nodes and marks, and the `coloring` (which
-/// must have `members.count_true()` slots) — live in the member-rank
-/// space, identical to a materialized `g.induced(members)` run.
-#[allow(clippy::too_many_arguments)]
-pub fn marking_process_within(
-    g: &Graph,
-    members: &[bool],
-    params: MarkingParams,
-    seed: u64,
-    coloring: &mut PartialColoring,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> MarkingOutcome {
-    marking_core(g, Some(members), params, seed, coloring, ledger, phase)
 }
 
 /// Per-node state of the mark-placement rounds.
@@ -312,11 +242,54 @@ fn placement_rounds<DR: RoundDriver<ResState>>(
     driver.into_node_states()
 }
 
-/// The marking process, written once for both substrates: the whole
-/// host graph (`members == None`) and the induced subgraph through the
-/// overlay (`members == Some(mask)` — node ids are member ranks).
-#[allow(clippy::too_many_arguments)]
-fn marking_core(
+/// Runs the marking process on the remainder graph, writing
+/// [`Color::FIRST`] into `coloring` for marked nodes.
+///
+/// The remainder graph is `g` itself (`members == None`) or its
+/// **induced subgraph** `G[members]`, executed through the
+/// [`InducedOverlay`] on the host engine: non-members send and receive
+/// nothing, so the backoff flood, the radius-2 pick collection, and the
+/// propose/claim/accept placement all run as real host-graph rounds
+/// with measured bits — this is how the randomized driver executes its
+/// phase (4). Under a mask all ids — the outcome's T-nodes and marks,
+/// and the `coloring` (which must have one slot per member) — live in
+/// the member-rank space, identical to a materialized
+/// `g.induced(members)` run.
+///
+/// # Example
+///
+/// ```
+/// use delta_coloring::marking::{check_marking, marking_process, MarkingParams};
+/// use delta_coloring::palette::PartialColoring;
+/// use delta_graphs::generators;
+/// use local_model::RoundLedger;
+///
+/// let h = generators::random_regular(500, 4, 1);
+/// let mut coloring = PartialColoring::new(h.n());
+/// let mut ledger = RoundLedger::new();
+/// let out = marking_process(
+///     &h,
+///     None,
+///     MarkingParams { p: 0.01, b: 6 },
+///     42,
+///     &mut coloring,
+///     &mut ledger,
+///     "marking",
+/// );
+/// assert!(check_marking(&h, &out, 6));
+/// // Every T-node now has two same-colored neighbors: guaranteed slack.
+/// for t in &out.t_nodes {
+///     assert!(coloring.has_repeated_neighbor_color(&h, t.node));
+/// }
+/// ```
+///
+/// LOCAL cost, all engine-executed and measured: 1 round to select,
+/// `b` rounds of backoff flood ([`local_model::run_reach_phase`]),
+/// 2 rounds of radius-2 ball collection for the survivor picks
+/// ([`local_model::run_ball_phase`]), and 3 rounds of
+/// propose / claim / accept mark placement — `b + 6` rounds charged to
+/// `phase`, with nonzero `bits_sent` whenever anything was selected.
+pub fn marking_process(
     g: &Graph,
     members: Option<&[bool]>,
     params: MarkingParams,
@@ -514,7 +487,7 @@ mod tests {
         let params = MarkingParams { p: 0.01, b: 6 };
         let mut coloring = PartialColoring::new(g.n());
         let mut ledger = RoundLedger::new();
-        let out = marking_process(&g, params, 1, &mut coloring, &mut ledger, "mark");
+        let out = marking_process(&g, None, params, 1, &mut coloring, &mut ledger, "mark");
         assert!(check_marking(&g, &out, 6));
         // 1 select + b flood + 2 ball + 3 placement rounds, all engine
         // rounds with measured traffic.
@@ -535,7 +508,7 @@ mod tests {
         let params = MarkingParams { p: 0.5, b: 12 };
         let mut coloring = PartialColoring::new(g.n());
         let mut ledger = RoundLedger::new();
-        let out = marking_process(&g, params, 2, &mut coloring, &mut ledger, "mark");
+        let out = marking_process(&g, None, params, 2, &mut coloring, &mut ledger, "mark");
         assert!(check_marking(&g, &out, 12));
         // With p = 0.5 on 500 nodes and b = 12, backoff kills almost
         // everything (expected survivors ~ 0).
@@ -550,7 +523,7 @@ mod tests {
         let mut ledger = RoundLedger::new();
         // b = 0: backoff never unselects; but neighborhoods are cliques,
         // so no non-adjacent pair exists.
-        let out = marking_process(&g, params, 3, &mut coloring, &mut ledger, "mark");
+        let out = marking_process(&g, None, params, 3, &mut coloring, &mut ledger, "mark");
         assert!(out.t_nodes.is_empty());
         assert_eq!(coloring.colored_count(), 0);
     }
@@ -564,7 +537,7 @@ mod tests {
         let params = MarkingParams { p: 0.2, b: 4 };
         let mut coloring = PartialColoring::new(g.n());
         let mut ledger = RoundLedger::new();
-        let out = marking_process(&g, params, 5, &mut coloring, &mut ledger, "mark");
+        let out = marking_process(&g, None, params, 5, &mut coloring, &mut ledger, "mark");
         for t in &out.t_nodes {
             assert!(coloring.has_repeated_neighbor_color(&g, t.node));
         }
@@ -578,6 +551,7 @@ mod tests {
             let mut ledger = RoundLedger::new();
             let out = marking_process(
                 &g,
+                None,
                 MarkingParams { p: 0.02, b: 6 },
                 seed,
                 &mut coloring,

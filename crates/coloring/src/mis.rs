@@ -62,7 +62,7 @@ impl WireCodec for MisMsg {
         match r.read_bool()? {
             false => Some(MisMsg::Draw {
                 value: r.read_gamma()?,
-                tiebreak: r.read_gamma()? as u32,
+                tiebreak: r.read_gamma_u32()?,
             }),
             true => Some(MisMsg::Joined),
         }

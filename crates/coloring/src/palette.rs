@@ -45,7 +45,7 @@ impl local_model::WireCodec for Color {
         w.write_gamma(self.0 as u64);
     }
     fn decode(r: &mut local_model::BitReader<'_>) -> Option<Self> {
-        r.read_gamma().map(|v| Color(v as u32))
+        r.read_gamma_u32().map(Color)
     }
     fn encoded_bits(&self) -> u64 {
         local_model::wire::gamma_bits(self.0 as u64)

@@ -6,7 +6,7 @@
 //! simultaneously re-pick a free color in one round. This is the
 //! standard `O(m)`-round reduction used as our stand-in for the
 //! locally-iterative list-coloring subroutines the paper cites (see
-//! DESIGN.md §4 on substitutions).
+//! README.md, "Substitutions for the paper's constructions").
 
 use crate::palette::PartialColoring;
 use delta_graphs::Graph;
@@ -31,7 +31,7 @@ impl WireCodec for ReduceMsg {
         w.write_gamma(*c as u64);
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        r.read_gamma().map(|c| ReduceMsg::Color(c as u32))
+        r.read_gamma_u32().map(ReduceMsg::Color)
     }
     fn encoded_bits(&self) -> u64 {
         let ReduceMsg::Color(c) = self;
@@ -91,11 +91,6 @@ pub fn reduce_colors(
         );
     }
     colors.copy_from_slice(&engine.into_node_states());
-}
-
-/// Converts a per-node `u32` color slice into a total [`PartialColoring`].
-pub fn to_partial(colors: &[u32]) -> PartialColoring {
-    PartialColoring::from_total(colors)
 }
 
 /// Computes a `(Δ+1)`-coloring deterministically: Linial to `O(Δ²)`

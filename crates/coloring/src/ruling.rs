@@ -9,7 +9,8 @@
 //! * [`ruling_set_deterministic`]: the classical bit-halving
 //!   construction on node identifiers — a `(2, O(log n))` ruling set in
 //!   `O(log n)` rounds, lifted to `(α, O(α·log n))` via the power graph
-//!   (stand-in for Lemma 20 (1)/(2), see DESIGN.md §4).
+//!   (stand-in for Lemma 20 (1)/(2), see README.md, "Substitutions for
+//!   the paper's constructions").
 //! * [`ruling_forest`]: the assignment of every node to its closest
 //!   ruling node — the base-layer structure of the layering technique.
 
@@ -66,7 +67,7 @@ impl WireCodec for RulingMsg {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         match r.read_bool()? {
-            false => Some(RulingMsg::Candidate(r.read_gamma()? as u32)),
+            false => r.read_gamma_u32().map(RulingMsg::Candidate),
             true => read_gamma_u32s(r).map(RulingMsg::Relay),
         }
     }

@@ -4,9 +4,7 @@
 //! soundness (`encoded_bits(m) <= max_bits(p)` for every message the
 //! protocol can legally send at parameters `p`).
 
-use delta_coloring::brooks::BrooksMsg;
 use delta_coloring::decomp::DecompMsg;
-use delta_coloring::delta::{DetMsg, NetDecompMsg, RandMsg, SlocalMsg};
 use delta_coloring::gallai::GallaiMsg;
 use delta_coloring::layering::LayerMsg;
 use delta_coloring::linial::LinialMsg;
@@ -17,7 +15,7 @@ use delta_coloring::palette::Color;
 use delta_coloring::reduce::ReduceMsg;
 use delta_coloring::ruling::RulingMsg;
 use local_model::wire::{decode_from_bytes, encode_to_bytes};
-use local_model::{WireCodec, WireParams};
+use local_model::{BitWriter, WireCodec, WireParams};
 use proptest::prelude::*;
 
 fn roundtrip<M: WireCodec + PartialEq + std::fmt::Debug>(m: &M) {
@@ -136,56 +134,6 @@ proptest! {
         let gm = GallaiMsg::BallEdges(edges);
         roundtrip(&gm);
         prop_assert!(GallaiMsg::max_bits(&p).is_none());
-        // Brooks repair messages.
-        roundtrip(&BrooksMsg::Probe(gm.clone()));
-        roundtrip(&BrooksMsg::Shift(color));
-        roundtrip(&BrooksMsg::Assign(color));
-        prop_assert!(BrooksMsg::max_bits(&p).is_none());
-    }
-
-    #[test]
-    fn driver_unions_roundtrip(ids in proptest::collection::vec(0u32..1 << 20, 0..20), color in 0u32..1 << 10, key in 0u64..u64::MAX) {
-        let p = params(1 << 14, 4);
-        let rand_msgs = [
-            RandMsg::Detect(GallaiMsg::BallEdges(ids.iter().map(|&a| (a, a ^ 1)).collect())),
-            RandMsg::Ruling(MisMsg::Draw { value: key % draw_domain(1 << 14), tiebreak: color }),
-            RandMsg::Marking(MkMsg::Claim(color)),
-            RandMsg::Layer(LayerMsg::Layer(color)),
-            RandMsg::List(LcMsg::Propose(Color(color))),
-        ];
-        for m in &rand_msgs {
-            roundtrip(m);
-        }
-        prop_assert!(RandMsg::max_bits(&p).is_none());
-        let det_msgs = [
-            DetMsg::Linial(LinialMsg::Color(color as u64)),
-            DetMsg::Ruling(RulingMsg::Relay(ids.clone())),
-            DetMsg::Layer(LayerMsg::Layer(color)),
-            DetMsg::List(LcMsg::Colored(Color(color))),
-            DetMsg::Repair(BrooksMsg::Shift(color)),
-        ];
-        for m in &det_msgs {
-            roundtrip(m);
-        }
-        prop_assert!(DetMsg::max_bits(&p).is_none());
-        let nd_msgs = [
-            NetDecompMsg::Decomp(DecompMsg::Offer { key, center: color }),
-            NetDecompMsg::Layer(LayerMsg::Layer(color)),
-            NetDecompMsg::List(LcMsg::Propose(Color(color))),
-            NetDecompMsg::Repair(BrooksMsg::Assign(color)),
-        ];
-        for m in &nd_msgs {
-            roundtrip(m);
-        }
-        prop_assert!(NetDecompMsg::max_bits(&p).is_none());
-        let sl_msgs = [
-            SlocalMsg::Commit(color),
-            SlocalMsg::Repair(BrooksMsg::Probe(GallaiMsg::BallEdges(vec![]))),
-        ];
-        for m in &sl_msgs {
-            roundtrip(m);
-        }
-        prop_assert!(SlocalMsg::max_bits(&p).is_none());
     }
 
     #[test]
@@ -204,4 +152,78 @@ proptest! {
             }
         }
     }
+}
+
+/// Checks a decoder's `u32` field: the stream `write(w, x)` decodes to
+/// `small` for `x = 5` and to `None` for `x = 2^32 + 5`, which a
+/// truncating decoder would wrap to 5.
+fn rejects_u32_overflow<M: WireCodec + PartialEq + std::fmt::Debug>(
+    write: impl Fn(&mut BitWriter, u64),
+    small: M,
+) {
+    let stream = |x: u64| {
+        let mut w = BitWriter::new();
+        write(&mut w, x);
+        w.finish()
+    };
+    let (bytes, bits) = stream((1 << 32) + 5);
+    assert_eq!(decode_from_bytes::<M>(&bytes, bits), None, "{small:?}");
+    let (bytes, bits) = stream(5);
+    assert_eq!(decode_from_bytes::<M>(&bytes, bits), Some(small));
+}
+
+#[test]
+fn u32_fields_reject_values_of_two_to_the_32_and_above() {
+    rejects_u32_overflow(|w, x| w.write_gamma(x), ReduceMsg::Color(5));
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_bits(7, 64);
+            w.write_gamma(x);
+        },
+        DecompMsg::Offer { key: 7, center: 5 },
+    );
+    rejects_u32_overflow(|w, x| w.write_gamma(x), Color(5));
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_bool(false);
+            w.write_gamma(x);
+        },
+        RulingMsg::Candidate(5),
+    );
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_bits(1, 2);
+            w.write_gamma(x);
+        },
+        MkMsg::Claim(5),
+    );
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_bool(false);
+            w.write_gamma(9);
+            w.write_gamma(x);
+        },
+        MisMsg::Draw {
+            value: 9,
+            tiebreak: 5,
+        },
+    );
+    // Both endpoints of a relayed edge.
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_gamma(1);
+            w.write_gamma(x);
+            w.write_gamma(3);
+        },
+        GallaiMsg::BallEdges(vec![(5, 3)]),
+    );
+    rejects_u32_overflow(
+        |w, x| {
+            w.write_gamma(1);
+            w.write_gamma(3);
+            w.write_gamma(x);
+        },
+        GallaiMsg::BallEdges(vec![(3, 5)]),
+    );
+    rejects_u32_overflow(|w, x| w.write_gamma(x), LayerMsg::Layer(5));
 }

@@ -167,11 +167,6 @@ impl<'g> PowerNeighborhoods<'g> {
     }
 }
 
-/// Convenience constructor for [`PowerNeighborhoods::new`].
-pub fn power_neighbors_all(g: &Graph, k: usize) -> PowerNeighborhoods<'_> {
-    PowerNeighborhoods::new(g, k)
-}
-
 /// Materializes the power graph `G^k`. For `k == 1` this is a copy of
 /// `G`.
 ///

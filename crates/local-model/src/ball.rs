@@ -595,33 +595,6 @@ where
     )
 }
 
-/// Collects every node's radius-`r` [`BallView`] through the engine
-/// (see [`run_ball_phase`]); `radius` rounds and their measured bits are
-/// charged to `phase`. Retains `Θ(Σ_v |B_r(v)|)` memory — intended for
-/// small radii, tests, and benchmarks; production phases should decide
-/// inside [`run_ball_phase`] instead of keeping the views.
-pub fn collect_ball_views<M>(
-    graph: &Graph,
-    radius: usize,
-    payload_of: impl Fn(NodeId) -> M + Sync,
-    ledger: &mut RoundLedger,
-    phase: &str,
-) -> Vec<BallView<M>>
-where
-    M: Clone + Send + Sync + WireCodec + 'static,
-{
-    run_ball_phase(
-        graph,
-        None,
-        0,
-        radius,
-        payload_of,
-        |_, view| view.clone(),
-        ledger,
-        phase,
-    )
-}
-
 /// Per-node state of the flood kernel: the segmented origin-id window
 /// (module docs) plus the caller's accumulator. Segment
 /// `[last_start..]` holds sources first heard last round (sorted ids —
@@ -1218,7 +1191,16 @@ mod tests {
         ] {
             for r in 0..=3 {
                 let mut ledger = RoundLedger::new();
-                let views = collect_ball_views::<()>(&g, r, |_| (), &mut ledger, "b");
+                let views = run_ball_phase::<(), _, _, _>(
+                    &g,
+                    None,
+                    0,
+                    r,
+                    |_| (),
+                    |_, v| v.clone(),
+                    &mut ledger,
+                    "b",
+                );
                 assert_eq!(ledger.total(), r as u64);
                 views_match_oracle(&g, r, &views);
                 if r > 0 && g.m() > 0 {
@@ -1232,7 +1214,16 @@ mod tests {
     fn payloads_travel_with_items() {
         let g = generators::cycle(8);
         let mut ledger = RoundLedger::new();
-        let views = collect_ball_views(&g, 2, |v| v.0 * 10, &mut ledger, "b");
+        let views = run_ball_phase(
+            &g,
+            None,
+            0,
+            2,
+            |v| v.0 * 10,
+            |_, v| v.clone(),
+            &mut ledger,
+            "b",
+        );
         for view in &views {
             for (i, &m) in view.members.iter().enumerate() {
                 assert_eq!(view.payloads[i], m * 10);

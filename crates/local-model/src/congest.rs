@@ -71,7 +71,7 @@
 //! [`MessageStats`] are therefore seed-bit-identical to the
 //! unfragmented LOCAL run (`tests/congest_equivalence.rs`).
 
-use crate::engine::{BandwidthConfig, BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
+use crate::engine::{BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::trace::VirtualRecord;
 use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec, WireParams};
@@ -139,7 +139,7 @@ pub fn enforced_budget() -> Option<u64> {
 /// coloring substrates call this at every internal engine construction
 /// site, which is what lets one guard flip a whole algorithm onto
 /// honest CONGEST wire rounds with zero call-site changes.
-pub fn compile<D: BandwidthConfig>(inner: D) -> CongestEngine<D> {
+pub fn compile<S: Send, D: RoundDriver<S>>(inner: D) -> CongestEngine<D> {
     match enforced_budget() {
         Some(bits) => CongestEngine::enforced(inner, bits),
         None => CongestEngine::transparent(inner),
@@ -499,7 +499,6 @@ struct RoundAcc {
     deliveries: AtomicU64,
     bits: AtomicU64,
     max_edge: AtomicU64,
-    violations: AtomicU64,
     fragments: AtomicU64,
     reassembled: AtomicU64,
 }
@@ -519,10 +518,6 @@ pub struct CongestEngine<D> {
     inner: D,
     /// `Some` = enforcing at the fragmenter's budget.
     frag: Option<Fragmenter>,
-    /// Policy the *logical* (unfragmented) stats are judged against —
-    /// [`BandwidthPolicy::Local`] by default, so logical stats compare
-    /// bit-identically with a plain LOCAL run.
-    logical_policy: BandwidthPolicy,
     lanes: Vec<Mutex<Lane>>,
     /// Outstanding chunks across all lanes: staged at enqueue, released
     /// at pop. Zero during a recv phase means the backlog emptied and
@@ -541,7 +536,6 @@ impl<D> CongestEngine<D> {
         CongestEngine {
             inner,
             frag: None,
-            logical_policy: BandwidthPolicy::Local,
             lanes: Vec::new(),
             outstanding: AtomicU64::new(0),
             logical_rounds: 0,
@@ -559,14 +553,6 @@ impl<D> CongestEngine<D> {
     /// The enforced budget, if enforcing.
     pub fn budget(&self) -> Option<u64> {
         self.frag.map(|f| f.budget())
-    }
-
-    /// Sets the policy the logical-level stats are judged against
-    /// (builder style; accounting only). Default
-    /// [`BandwidthPolicy::Local`].
-    pub fn with_logical_bandwidth(mut self, policy: BandwidthPolicy) -> Self {
-        self.logical_policy = policy;
-        self
     }
 
     /// Logical rounds executed (what the algorithm counts).
@@ -598,23 +584,14 @@ impl<D> CongestEngine<D> {
         &self.inner
     }
 
-    /// The wrapped driver, mutably.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
-    /// Unwraps to the inner driver.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-}
-
-impl<D: BandwidthConfig> CongestEngine<D> {
     /// An enforcing wrapper at `bits` per edge per wire round. The
     /// inner driver's accounting policy is switched to
     /// [`BandwidthPolicy::Congest`] at the same budget, so the ledger
     /// *proves* compliance: chunked traffic accounts zero violations.
-    pub fn enforced(mut inner: D, bits: u64) -> Self {
+    pub fn enforced<S: Send>(mut inner: D, bits: u64) -> Self
+    where
+        D: RoundDriver<S>,
+    {
         inner.set_bandwidth_policy(BandwidthPolicy::Congest { bits });
         let mut e = CongestEngine::transparent(inner);
         e.frag = Some(Fragmenter::new(bits));
@@ -634,7 +611,6 @@ fn stage_outbox<M: WireCodec>(
     frag: &Fragmenter,
     out: &Outbox<M>,
     degree: usize,
-    logical_budget: u64,
     acc: &RoundAcc,
 ) -> u64 {
     let (bcast, directed) = out.parts();
@@ -642,7 +618,6 @@ fn stage_outbox<M: WireCodec>(
     let mut staged = 0u64;
     let mut bits = 0u64;
     let mut deliveries = 0u64;
-    let mut violations = 0u64;
     let bcast_bits = bcast.map_or(0, WireCodec::encoded_bits);
     if let Some(m) = bcast {
         acc.broadcasts.fetch_add(1, Ordering::SeqCst);
@@ -670,22 +645,13 @@ fn stage_outbox<M: WireCodec>(
     // load plus the broadcast; the remaining (broadcast-only) edges
     // carry just the broadcast.
     for &(_, dir) in &dir_loads {
-        let load = dir + bcast_bits;
-        acc.max_edge_up_to(load);
-        if load > logical_budget {
-            violations += 1;
-        }
+        acc.max_edge_up_to(dir + bcast_bits);
     }
-    let uncovered = degree - dir_loads.len() as u64;
-    if bcast.is_some() && uncovered > 0 {
+    if bcast.is_some() && degree > dir_loads.len() as u64 {
         acc.max_edge_up_to(bcast_bits);
-        if bcast_bits > logical_budget {
-            violations += uncovered;
-        }
     }
     acc.bits.fetch_add(bits, Ordering::SeqCst);
     acc.deliveries.fetch_add(deliveries, Ordering::SeqCst);
-    acc.violations.fetch_add(violations, Ordering::SeqCst);
     acc.fragments.fetch_add(staged, Ordering::SeqCst);
     staged
 }
@@ -716,10 +682,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
         if self.lanes.len() != n {
             self.lanes = (0..n).map(|_| Mutex::new(Lane::default())).collect();
         }
-        let logical_budget = match self.logical_policy {
-            BandwidthPolicy::Local => u64::MAX,
-            BandwidthPolicy::Congest { bits } => bits,
-        };
         let acc = RoundAcc::default();
         let t0 = ledger.tracing().then(Instant::now);
         let lanes = &self.lanes;
@@ -758,14 +720,7 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
                 // A crashed receiver may have missed a delivery round;
                 // its stale partial streams must not mix into this one.
                 lane.asm.reset();
-                let staged = stage_outbox(
-                    &mut lane,
-                    &frag,
-                    &logical,
-                    ctx.degree,
-                    logical_budget,
-                    acc_ref,
-                );
+                let staged = stage_outbox(&mut lane, &frag, &logical, ctx.degree, acc_ref);
                 outstanding.fetch_add(staged, Ordering::SeqCst);
                 let popped = lane.sched.pop_round(out);
                 outstanding.fetch_sub(popped, Ordering::SeqCst);
@@ -812,7 +767,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
         self.stats.deliveries += acc.deliveries.into_inner();
         self.stats.bits_sent += acc.bits.into_inner();
         self.stats.max_edge_bits = self.stats.max_edge_bits.max(acc.max_edge.into_inner());
-        self.stats.congest_violations += acc.violations.into_inner();
         let vround = self.logical_rounds;
         self.logical_rounds += 1;
         self.wire_rounds += wire;
@@ -832,6 +786,10 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
 
     fn node_states(&self) -> &[S] {
         self.inner.node_states()
+    }
+
+    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
+        self.inner.set_bandwidth_policy(policy);
     }
 
     /// Enforced: the **logical** (whole-message) counters — comparable
@@ -854,30 +812,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
 
     fn into_node_states(self) -> Vec<S> {
         self.inner.into_node_states()
-    }
-}
-
-impl<D> CongestEngine<D> {
-    /// The inner driver's own (chunk-level, when enforcing) counters.
-    pub fn wire_stats(&self) -> MessageStats
-    where
-        D: RoundDriverStats,
-    {
-        self.inner.driver_stats()
-    }
-}
-
-/// Stats access without the [`RoundDriver`] state parameter (blanket:
-/// any driver for the unit state works; concrete engines also expose
-/// `message_stats` directly).
-pub trait RoundDriverStats {
-    /// The driver's cumulative message counters.
-    fn driver_stats(&self) -> MessageStats;
-}
-
-impl<D: RoundDriver<()>> RoundDriverStats for D {
-    fn driver_stats(&self) -> MessageStats {
-        self.round_stats()
     }
 }
 

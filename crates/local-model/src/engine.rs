@@ -344,23 +344,6 @@ impl BandwidthPolicy {
     }
 }
 
-/// Post-construction access to a driver's [`BandwidthPolicy`] — the
-/// hook [`crate::congest::CongestEngine`] uses to switch an inner
-/// driver it wraps onto the CONGEST accounting regime. Separate from
-/// [`RoundDriver`] because it does not depend on the state type.
-pub trait BandwidthConfig {
-    /// Replaces the policy the driver's accounting runs under (for an
-    /// overlay: its virtual-level policy; accounting only — delivery is
-    /// never truncated).
-    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy);
-}
-
-impl<S: Send> BandwidthConfig for Engine<'_, S> {
-    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
-        self.policy = policy;
-    }
-}
-
 /// Message-volume and bandwidth counters, accumulated across rounds.
 /// One broadcast counts once in `broadcasts` and `degree(sender)` times
 /// in `deliveries`; a directed message counts once in each. Bits are
@@ -1025,6 +1008,12 @@ pub trait RoundDriver<S: Send> {
     /// Immutable view of all node states (indexed by virtual id).
     fn node_states(&self) -> &[S];
 
+    /// Replaces the policy the driver's accounting runs under (for an
+    /// overlay: its virtual-level policy; accounting only — delivery is
+    /// never truncated). [`crate::congest::CongestEngine`] uses it to
+    /// switch the driver it wraps onto the CONGEST regime.
+    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy);
+
     /// The driver's message counters at its own level of abstraction:
     /// host-level for [`Engine`], virtual-level (comparable with a
     /// materialized run) for an overlay.
@@ -1057,6 +1046,10 @@ impl<S: Send> RoundDriver<S> for Engine<'_, S> {
 
     fn node_states(&self) -> &[S] {
         self.states()
+    }
+
+    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
+        self.policy = policy;
     }
 
     fn round_stats(&self) -> MessageStats {

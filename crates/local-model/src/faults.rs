@@ -60,7 +60,7 @@
 //! driver untouched: transcripts, stats, and the ledger are
 //! bit-identical to an unwrapped run.
 
-use crate::engine::{MessageStats, NodeCtx, Outbox, RoundDriver};
+use crate::engine::{BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::wire::{BitReader, BitWriter, WireCodec};
 use delta_graphs::NodeId;
@@ -392,12 +392,6 @@ impl<D> FaultyDriver<D> {
     }
 }
 
-impl<D: crate::engine::BandwidthConfig> crate::engine::BandwidthConfig for FaultyDriver<D> {
-    fn set_bandwidth_policy(&mut self, policy: crate::engine::BandwidthPolicy) {
-        self.inner.set_bandwidth_policy(policy);
-    }
-}
-
 impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {
     fn node_count(&self) -> usize {
         self.inner.node_count()
@@ -557,6 +551,10 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {
 
     fn node_states(&self) -> &[S] {
         self.inner.node_states()
+    }
+
+    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
+        self.inner.set_bandwidth_policy(policy);
     }
 
     fn round_stats(&self) -> MessageStats {

@@ -73,19 +73,12 @@
 //!   states and logical [`MessageStats`] stay seed-bit-identical to the
 //!   unfragmented run (`tests/congest_equivalence.rs`); a thread-local
 //!   [`enforce_congest`] guard flips every [`compile`]d engine
-//!   construction in the coloring crate onto this mode at once;
-//! * central ball materialization through [`Graph::ball`]
-//!   (`delta_graphs`) with explicit round charging on a
-//!   [`RoundLedger`], packaged as [`BallOracle`] — the reference oracle
-//!   the engine-backed collection is proven against
-//!   (`tests/ball_equivalence.rs`).
-//!
-//! [`Graph::ball`]: delta_graphs::Graph::ball
+//!   construction in the coloring crate onto this mode at once.
 //!
 //! Every algorithm in the `delta-coloring` crate charges the rounds a
 //! real LOCAL execution would take to a [`RoundLedger`], broken down by
-//! phase, which is what the experiments report. Every message type
-//! implements [`WireCodec`] — a bit-exact wire format with a
+//! phase, which is what the experiments report. Every message the
+//! engine carries implements [`WireCodec`] — a bit-exact wire format with a
 //! `max_bits` bound — and the engine charges each transmission's exact
 //! wire size during routing, extending [`MessageStats`] and the ledger
 //! with CONGEST-style bandwidth accounting (bits sent, heaviest
@@ -97,30 +90,27 @@ pub mod congest;
 pub mod engine;
 pub mod faults;
 pub mod ledger;
-pub mod oracle;
 pub mod overlay;
 pub mod shard;
 pub mod trace;
 pub mod wire;
 
 pub use ball::{
-    collect_ball_centered, collect_ball_views, run_ball_phase, run_reach_phase, BallMsg, BallView,
-    CenterMsg, ReachMsg,
+    collect_ball_centered, run_ball_phase, run_reach_phase, BallMsg, BallView, CenterMsg, ReachMsg,
 };
 pub use congest::{
     compile, enforce_congest, enforced_budget, CongestChunk, CongestEngine, CongestGuard,
     Fragmenter, PipelineScheduler, Reassembler, MIN_CONGEST_BITS,
 };
 pub use engine::{
-    force_exec_mode, BandwidthConfig, BandwidthPolicy, Engine, EngineError, ExecMode,
-    ExecModeGuard, MessageStats, NodeCtx, Outbox, RoundDriver, PARALLEL_THRESHOLD,
+    force_exec_mode, BandwidthPolicy, Engine, EngineError, ExecMode, ExecModeGuard, MessageStats,
+    NodeCtx, Outbox, RoundDriver, PARALLEL_THRESHOLD,
 };
 pub use faults::{CrashWindow, FaultCounters, FaultEvent, FaultKind, FaultPlan, FaultyDriver, PPM};
 pub use ledger::RoundLedger;
-pub use oracle::BallOracle;
 pub use overlay::{
-    expand_rank_mask, InducedOverlay, OverlayEngine, OverlayEnvelope, OverlayRelay, PowerOverlay,
-    RelayItem, VirtualTopology,
+    InducedOverlay, OverlayEngine, OverlayEnvelope, OverlayRelay, PowerOverlay, RelayItem,
+    VirtualTopology,
 };
 pub use shard::{BoundaryStats, ShardedEngine};
 pub use trace::{

@@ -888,14 +888,6 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     }
 }
 
-impl<S, T: VirtualTopology> crate::engine::BandwidthConfig for OverlayEngine<'_, S, T> {
-    /// Replaces the **virtual-level** policy (host relay accounting is
-    /// unaffected, as with [`OverlayEngine::with_bandwidth`]).
-    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
-        self.policy = policy;
-    }
-}
-
 impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
     fn node_count(&self) -> usize {
         self.members.len()
@@ -917,6 +909,12 @@ impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
 
     fn node_states(&self) -> &[S] {
         self.states()
+    }
+
+    /// Replaces the **virtual-level** policy (host relay accounting is
+    /// unaffected, as with [`OverlayEngine::with_bandwidth`]).
+    fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
+        self.policy = policy;
     }
 
     fn round_stats(&self) -> MessageStats {
@@ -957,27 +955,6 @@ fn virtual_degrees<T: VirtualTopology>(
             vdeg
         }
     }
-}
-
-/// Expands a rank-indexed membership mask (e.g. an MIS on the overlay)
-/// back to a host-indexed mask.
-pub fn expand_rank_mask<T: VirtualTopology>(
-    host: &Graph,
-    topo: &T,
-    rank_mask: &[bool],
-) -> Vec<bool> {
-    let mut out = vec![false; host.n()];
-    let mut r = 0usize;
-    for v in host.nodes() {
-        if topo.is_member(v) {
-            if rank_mask[r] {
-                out[v.index()] = true;
-            }
-            r += 1;
-        }
-    }
-    debug_assert_eq!(r, rank_mask.len(), "rank mask length mismatch");
-    out
 }
 
 #[cfg(test)]
@@ -1215,15 +1192,5 @@ mod tests {
         };
         let (bytes, bits) = encode_to_bytes(&mixed);
         assert!(decode_from_bytes::<ReachBatch<u32, Ttl>>(&bytes, bits).is_none());
-    }
-
-    #[test]
-    fn expand_rank_mask_round_trips() {
-        let g = generators::path(6);
-        let mask = vec![false, true, true, false, true, true];
-        let topo = InducedOverlay { members: &mask };
-        let rank_mask = vec![true, false, false, true]; // hosts 1 and 5
-        let host_mask = expand_rank_mask(&g, &topo, &rank_mask);
-        assert_eq!(host_mask, vec![false, true, false, false, false, true]);
     }
 }

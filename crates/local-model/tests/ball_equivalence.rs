@@ -17,8 +17,8 @@
 use delta_graphs::{bfs, Graph, NodeId};
 use local_model::ball::BallItem;
 use local_model::{
-    collect_ball_centered, collect_ball_views, force_exec_mode, run_ball_phase, run_reach_phase,
-    BallMsg, BallView, ExecMode, ReachMsg, RoundLedger, WireCodec,
+    collect_ball_centered, force_exec_mode, run_ball_phase, run_reach_phase, BallMsg, BallView,
+    ExecMode, ReachMsg, RoundLedger, WireCodec,
 };
 use proptest::prelude::*;
 
@@ -137,7 +137,16 @@ proptest! {
         let run = |mode: ExecMode| {
             let _guard = force_exec_mode(mode);
             let mut ledger = RoundLedger::new();
-            let views = collect_ball_views(&g, r, |v| v.0.wrapping_mul(7), &mut ledger, "ball");
+            let views = run_ball_phase(
+                &g,
+                None,
+                0,
+                r,
+                |v| v.0.wrapping_mul(7),
+                |_, view| view.clone(),
+                &mut ledger,
+                "ball",
+            );
             (views, ledger_fingerprint(&ledger))
         };
         let (seq, seq_fp) = run(ExecMode::Sequential);
@@ -157,8 +166,8 @@ proptest! {
 
     #[test]
     fn induced_views_match_materialized_subgraph(gm in arb_graph_with_mask(), r in 0usize..4) {
-        // run_ball_phase on G[S] ≡ collect_ball_views on the
-        // materialized g.induced(S), id for id, in the member-rank space.
+        // run_ball_phase on G[S] ≡ run_ball_phase on the materialized
+        // g.induced(S), id for id, in the member-rank space.
         let (g, mask) = gm;
         let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
         let (sub, _map) = g.induced(&members);
@@ -177,7 +186,16 @@ proptest! {
                 "ball",
             );
             let mut sub_ledger = RoundLedger::new();
-            let materialized = collect_ball_views(&sub, r, payload_of, &mut sub_ledger, "ball");
+            let materialized = run_ball_phase(
+                &sub,
+                None,
+                0,
+                r,
+                payload_of,
+                |_, view| view.clone(),
+                &mut sub_ledger,
+                "ball",
+            );
             prop_assert_eq!(&within, &materialized, "views diverged under {:?}", mode);
             prop_assert_eq!(ledger.total(), sub_ledger.total(), "dilation 1: same rounds");
         }

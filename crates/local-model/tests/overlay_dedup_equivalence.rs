@@ -77,7 +77,8 @@ struct RefCharges {
 /// self excluded) and accumulates the wire charges: each arc a batch
 /// crosses is charged the batch's exact encoded size — `gamma(len)`
 /// then per origin `gamma(origin) + gamma(ttl) + payload` — matching
-/// `FloodBatch`'s (and the old `OverlayRelay`'s) codec.
+/// the codec of the flood kernel's `G^k` relay batch (a `ReachBatch`
+/// with a TTL hop header), which encodes like `OverlayRelay`.
 fn two_ring_flood(
     g: &Graph,
     k: usize,

@@ -59,6 +59,7 @@ fn main() {
     let mut ledger = RoundLedger::new();
     let outcome = marking_process(
         &g,
+        None,
         MarkingParams { p: 0.002, b: 6 },
         3,
         &mut coloring,

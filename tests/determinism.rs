@@ -12,7 +12,7 @@ use delta_coloring::list_coloring::list_color_randomized;
 use delta_coloring::marking::{marking_process, MarkingParams};
 use delta_coloring::mis::luby_mis;
 use delta_coloring::palette::{Lists, PartialColoring};
-use delta_graphs::{generators, Graph};
+use delta_graphs::{generators, Graph, NodeId};
 use local_model::{force_exec_mode, Engine, ExecMode, Outbox, RoundLedger};
 
 /// Runs `f` once under each forced schedule and returns both results.
@@ -111,6 +111,7 @@ fn list_coloring_is_schedule_independent() {
             let mut ledger = RoundLedger::new();
             let c = list_color_randomized(
                 &g,
+                None,
                 &lists,
                 PartialColoring::new(g.n()),
                 9,
@@ -181,9 +182,9 @@ fn overlay_marking_within_is_schedule_independent() {
     let (seq, par) = under_both_modes(|| {
         let mut coloring = PartialColoring::new(member_count);
         let mut ledger = RoundLedger::new();
-        let out = delta_coloring::marking::marking_process_within(
+        let out = marking_process(
             &g,
-            &mask,
+            Some(&mask),
             MarkingParams { p: 0.02, b: 6 },
             13,
             &mut coloring,
@@ -203,6 +204,7 @@ fn overlay_marking_within_is_schedule_independent() {
         let mut ledger = RoundLedger::new();
         marking_process(
             &sub,
+            None,
             MarkingParams { p: 0.02, b: 6 },
             13,
             &mut coloring,
@@ -212,6 +214,83 @@ fn overlay_marking_within_is_schedule_independent() {
     };
     assert_eq!(seq.0, mat.t_nodes, "T-nodes diverged from materialized run");
     assert_eq!(seq.1, mat.marked, "marks diverged from materialized run");
+}
+
+#[test]
+fn masked_trial_coloring_matches_materialized_run() {
+    // The randomized driver colors every layer of phases (6)–(9)
+    // through the induced overlay. On random graphs and masks, the
+    // masked trial coloring must return the colors, and charge the
+    // rounds, of a run on the materialized G[S], under both schedules.
+    // Lists are the Δ palette minus colored host neighbors, as
+    // `color_one_layer` builds them; as in a layer step, every member
+    // has an uncolored neighbor below it, so the instance is deg+1.
+    use rand::{Rng, SeedableRng};
+    for seed in 0..16u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = 48 + 16 * (seed as usize % 4);
+        let g = generators::random_regular(n, 3 + seed as usize % 3, seed);
+        let delta = g.max_degree();
+        let below: Vec<bool> = g.nodes().map(|_| rng.random_bool(0.3)).collect();
+        let mask: Vec<bool> = g
+            .nodes()
+            .map(|v| {
+                !below[v.index()]
+                    && g.neighbors(v).iter().any(|w| below[w.index()])
+                    && rng.random_bool(0.7)
+            })
+            .collect();
+        // Greedy Δ-palette precoloring of the nodes above the layer
+        // (a node with no free color stays uncolored).
+        let mut coloring = PartialColoring::new(g.n());
+        for v in g.nodes() {
+            if !below[v.index()] && !mask[v.index()] {
+                if let Some(&c) = coloring.free_colors(&g, v, delta).first() {
+                    coloring.set(v, c);
+                }
+            }
+        }
+        let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
+        let lists = Lists::new(
+            members
+                .iter()
+                .map(|&v| {
+                    let used = coloring.neighbor_colors(&g, v);
+                    delta_coloring::palette::palette(delta)
+                        .into_iter()
+                        .filter(|c| used.binary_search(c).is_err())
+                        .collect()
+                })
+                .collect(),
+        );
+        let (sub, _map) = g.induced(&members);
+        let run = |host: &Graph, mask: Option<&[bool]>| {
+            let mut ledger = RoundLedger::new();
+            let c = list_color_randomized(
+                host,
+                mask,
+                &lists,
+                PartialColoring::new(members.len()),
+                seed,
+                &mut ledger,
+                "lc",
+            )
+            .expect("deg+1 instances are solvable");
+            (c, ledger.total())
+        };
+        let (seq, par) = under_both_modes(|| (run(&g, Some(&mask)), run(&sub, None)));
+        assert!(seq == par, "seed {seed}: schedules diverged");
+        let ((masked, masked_rounds), (materialized, materialized_rounds)) = seq;
+        assert!(
+            masked == materialized,
+            "seed {seed}: colors diverged from materialized run"
+        );
+        assert_eq!(
+            masked_rounds, materialized_rounds,
+            "seed {seed}: rounds diverged from materialized run"
+        );
+        assert!(materialized.is_total() && materialized.validate_proper(&sub).is_ok());
+    }
 }
 
 #[test]
@@ -238,6 +317,7 @@ fn marking_is_schedule_independent() {
         let mut ledger = RoundLedger::new();
         let out = marking_process(
             &g,
+            None,
             MarkingParams { p: 0.02, b: 6 },
             13,
             &mut coloring,

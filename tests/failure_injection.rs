@@ -157,6 +157,7 @@ fn marking_with_extreme_parameters_stays_sound() {
         let mut ledger = RoundLedger::new();
         let out = delta_coloring::marking::marking_process(
             &g,
+            None,
             MarkingParams { p, b },
             3,
             &mut coloring,

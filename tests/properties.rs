@@ -229,7 +229,7 @@ proptest! {
         let g = generators::random_regular(n, 4, seed);
         let mut coloring = PartialColoring::new(g.n());
         let mut ledger = RoundLedger::new();
-        let out = marking_process(&g, MarkingParams { p, b }, seed, &mut coloring, &mut ledger, "m");
+        let out = marking_process(&g, None, MarkingParams { p, b }, seed, &mut coloring, &mut ledger, "m");
         prop_assert!(check_marking(&g, &out, b));
         prop_assert!(coloring.validate_proper(&g).is_ok());
     }
