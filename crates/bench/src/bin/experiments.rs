@@ -14,15 +14,11 @@
 //! (`max_edge_bits`) the engine's CONGEST-style accounting observed —
 //! so bandwidth regressions diff exactly like wall-clock ones.
 //!
-//! After the tables, a **bandwidth table** classifies every protocol
-//! substrate (wire-format `max_bits` bound vs the `O(log n)` CONGEST
-//! budget: CONGEST-feasible or LOCAL-only), says how each substrate
-//! executes (engine-backed with measured loads vs charged central
-//! simulation), whether its rows run CONGEST-enforced through the
-//! fragmentation layer (`local / congest-enforced / congest-feasible`
-//! plus the static blow-up each enforced row pays), and lists each
-//! experiment's measured per-edge load with the fragmentation factor
-//! that load would cost on CONGEST wires. `--congest-bits N` overrides
+//! After the tables, a **bandwidth table** lists each experiment's
+//! measured heaviest per-edge load against the `O(log n)` CONGEST
+//! budget, with the fragmentation factor that load would cost on
+//! CONGEST wires; `trace-summary` splits the same figure by phase (its
+//! `max-edge` column). `--congest-bits N` overrides
 //! the enforced wire budget the `f9` experiment runs under (default
 //! `congest_budget(n)`); the chosen budget lands in `BENCH_delta.json`
 //! as f9's `congest_bits` metric.
@@ -50,12 +46,10 @@
 //! change — while wall-clock stays advisory. Drift exits nonzero, and
 //! check mode never refreshes the committed baseline file.
 
-use delta_coloring::bandwidth::classify;
 use delta_coloring_bench::experiments::{run, Scale, ALL};
 use delta_coloring_bench::Table;
 use local_model::{
     congest_budget, JsonlSink, ProgressSink, RoundLedger, RunManifest, TraceSink, Tracer,
-    WireParams,
 };
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -388,68 +382,24 @@ fn run_baseline_check(
     }
 }
 
-/// Prints the substrate bandwidth classification (static wire-format
-/// bounds vs the CONGEST budget) followed by the measured
-/// per-experiment loads the engine accounted this run.
+/// Prints each experiment's measured heaviest per-edge load (engine
+/// accounted, any directed edge in any round) against the CONGEST
+/// budget at a size representative of the run scale.
 fn print_bandwidth_table(quick: bool, results: &[(String, Table, f64)]) {
-    // Parameters representative of the run scale (Δ = 4 dominates the
-    // sweeps); the classification is monotone in n for every substrate.
-    let p = WireParams {
-        n: if quick { 1 << 12 } else { 1 << 16 },
-        max_degree: 4,
-        palette: 5,
-    };
+    let n: u64 = if quick { 1 << 12 } else { 1 << 16 };
+    let budget = congest_budget(n);
     println!(
-        "== per-algorithm bandwidth: wire-format bounds vs CONGEST budget ({} bits at n = {}, delta = {}) ==",
-        congest_budget(p.n),
-        p.n,
-        p.max_degree
-    );
-    let budget = congest_budget(p.n);
-    // Static per-round blow-up an enforced row pays: its wire-format
-    // ceiling fragmented onto the budget ("-" when the bound is
-    // run-time only or no fragmentation is needed).
-    let blowup = |max_bits: Option<u64>| match max_bits {
-        Some(b) if b > budget => format!("x{}", b.div_ceil(budget)),
-        Some(_) => "x1".into(),
-        None => "-".into(),
-    };
-    println!(
-        "{:<18} {:<18} {:>10}  {:<14} {:<18} {:<18} {:>7}  {:<21} why",
-        "substrate", "message", "max_bits", "class", "execution", "measurement", "blowup", "trace"
-    );
-    println!("{}", "-".repeat(150));
-    for row in classify(&p) {
-        let bits = row
-            .max_bits
-            .map(|b| b.to_string())
-            .unwrap_or_else(|| "unbounded".into());
-        println!(
-            "{:<18} {:<18} {:>10}  {:<14} {:<18} {:<18} {:>7}  {:<21} {}",
-            row.name,
-            row.message,
-            bits,
-            row.class.to_string(),
-            row.execution.to_string(),
-            row.measurement.to_string(),
-            blowup(row.max_bits),
-            row.trace,
-            row.note
-        );
-    }
-    println!();
-    println!(
-        "measured per-experiment loads (engine-accounted, heaviest directed edge in any round):"
+        "== measured per-experiment loads vs the CONGEST budget ({budget} bits at n = {n}) =="
     );
     for (id, table, _) in results {
         let m = table.max_edge_bits();
         let verdict = if m == 0 {
             "no engine rounds".into()
         } else if m <= budget {
-            format!("within budget ({budget})")
+            "within budget".into()
         } else {
             format!(
-                "over budget ({budget}) -> x{} fragmentation under enforcement",
+                "over budget -> x{} fragmentation under enforcement",
                 m.div_ceil(budget)
             )
         };

@@ -9,8 +9,10 @@
 //! file is parsed through the strict `trace-v1` reader (an unknown
 //! record type or schema tag is a hard error — schema drift fails the
 //! build, not the reader) and self-checked against its own trailer,
-//! then rendered as a per-phase wall/rounds/bits table plus the span
-//! tree.
+//! then rendered as a per-phase table plus the span tree. A phase's
+//! `engine` column counts the rounds an engine ran (records with round
+//! meta); `rounds - engine` is what the phase charged by estimate.
+//! `max-edge` is the heaviest per-edge load among the phase's records.
 //!
 //! `--folded` additionally emits folded-stack lines (`path self-µs`,
 //! one per span path, `;`-separated frames) — the flamegraph-compatible
@@ -19,11 +21,13 @@
 //! `--check BENCH.json` cross-checks each trace against the
 //! `delta-bench-v1` summary: the trace named `{id}.jsonl` must report
 //! exactly the `simulated_rounds` and `max_edge_bits` the summary
-//! recorded for experiment `id`. Any mismatch — or any file that fails
-//! to parse or self-check — exits nonzero. This is the CI gate proving
-//! the trace stream and the bench meters never disagree.
+//! recorded for experiment `id`, and must book every bit to a named
+//! phase: a trace with a `local_model::FLUSH_PHASE` row fails. Any
+//! mismatch — or any file that fails to parse or self-check — exits
+//! nonzero. This is the CI gate proving the trace stream and the bench
+//! meters never disagree.
 
-use local_model::{SpanAgg, TraceSummary};
+use local_model::{SpanAgg, TraceSummary, FLUSH_PHASE};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -140,15 +144,17 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
     }
     let total_wall: u64 = s.phases.iter().map(|(_, a)| a.wall_ns).sum();
     println!(
-        "{:<32} {:>10} {:>16} {:>12} {:>7}",
-        "phase", "rounds", "bits", "wall-ms", "wall-%"
+        "{:<32} {:>10} {:>10} {:>16} {:>10} {:>12} {:>7}",
+        "phase", "rounds", "engine", "bits", "max-edge", "wall-ms", "wall-%"
     );
     for (name, agg) in &s.phases {
         println!(
-            "{:<32} {:>10} {:>16} {:>12.3} {:>6.1}%",
+            "{:<32} {:>10} {:>10} {:>16} {:>10} {:>12.3} {:>6.1}%",
             name,
             agg.rounds,
+            agg.engine_rounds,
             agg.bits,
+            agg.max_edge_bits,
             agg.wall_ns as f64 / 1e6,
             100.0 * agg.wall_ns as f64 / total_wall.max(1) as f64,
         );
@@ -179,6 +185,13 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
     println!();
 
     if let Some(bench) = bench {
+        if let Some((_, agg)) = s.phases.iter().find(|(p, _)| p == FLUSH_PHASE) {
+            return Err(format!(
+                "{}: {} bits in the {FLUSH_PHASE} row belong to no named phase",
+                file.display(),
+                agg.bits
+            ));
+        }
         let id = file
             .file_stem()
             .and_then(|s| s.to_str())

@@ -34,12 +34,12 @@
 //! | Phase | Derived topology | Execution |
 //! |---|---|---|
 //! | (1) DCC detection | `G` | engine ball floods ([`crate::gallai::find_dccs_all`]) |
-//! | (2) GDCC ruling | virtual minor (DCCs as nodes) | central Luby, charged `×(2r+1)` — set-nodes need leader simulation to compile |
+//! | (2) GDCC ruling | virtual minor (DCCs as nodes) | engine Luby on the materialized GDCC (rounds and bits measured), plus a charged remainder of `2r` rounds per round — set-nodes need leader simulation to compile |
 //! | (3) B layers | `G` | central BFS wave, charged |
 //! | (4) marking | `H = G[unremoved]` | **InducedOverlay** ([`crate::marking::marking_process`] with the `H` mask): selection, backoff flood, pick balls, placement — all measured host rounds, removed nodes silent |
 //! | (5) boundary/C layers | `H` | central BFS waves, charged |
 //! | (6) CDCC detection | `G[component]` | **InducedOverlay** ([`local_model::run_ball_phase`] with the component mask and the [`crate::gallai::find_dcc_in_ball`] rule) |
-//! | (6) CDCC ruling | virtual minor (free nodes + DCCs) | central Luby/netdecomp, charged `×(r_c+1)` |
+//! | (6) CDCC ruling | virtual minor (free nodes + DCCs) | engine Luby on the materialized CDCC, or central netdecomp (charged); either way plus a charged remainder of `r_c` rounds per round |
 //! | (6)–(9) layer coloring | `G[todo]` per layer | **InducedOverlay** ([`crate::layering::color_one_layer`] → [`crate::list_coloring::list_color_randomized`] with the todo mask) |
 
 use crate::gallai::color_component_respecting;
@@ -180,24 +180,19 @@ pub fn delta_color_rand(
     })?;
     let mut last_err = None;
     for attempt in 0..config.max_attempts.max(1) {
-        let mut attempt_ledger = RoundLedger::new();
         let seed = config
             .seed
             .wrapping_add(attempt as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15 | 1);
-        match run_once(g, &config, seed, &mut attempt_ledger) {
+        // A failed attempt stays charged: a real execution would detect
+        // failure and retry.
+        match run_once(g, &config, seed, ledger) {
             Ok((coloring, mut stats)) => {
                 crate::verify::check_delta_coloring(g, &coloring)?;
-                ledger.absorb(&attempt_ledger);
                 stats.attempts = attempt + 1;
                 return Ok((coloring, stats));
             }
-            Err(e) => {
-                // Charge the failed attempt too: a real execution would
-                // detect failure and retry.
-                ledger.absorb(&attempt_ledger);
-                last_err = Some(e);
-            }
+            Err(e) => last_err = Some(e),
         }
     }
     // Deterministic fallback (complete for nice graphs).
@@ -565,11 +560,11 @@ fn select_b0_dccs(
     }
     let gdcc = b.build();
     // (2, 1)-ruling set of GDCC via Luby MIS; one GDCC round costs
-    // O(r) rounds in G.
-    let mut sub = RoundLedger::new();
-    let mis = luby_mis(&gdcc, seed ^ 0xdcc, &mut sub, "phase2-ruling");
-    ledger.charge("phase2-ruling", sub.total() * (2 * r as u64 + 1));
-    ledger.absorb_bandwidth(&sub);
+    // 2r + 1 rounds in G: the measured engine round plus a charged
+    // remainder of 2r.
+    let before = ledger.total();
+    let mis = luby_mis(&gdcc, seed ^ 0xdcc, ledger, "phase2-ruling");
+    ledger.charge("phase2-ruling", (ledger.total() - before) * 2 * r as u64);
     let chosen: Vec<Vec<NodeId>> = members(&mis)
         .into_iter()
         .map(|i| dccs[i.index()].clone())
@@ -688,26 +683,22 @@ fn color_small_component(
         }
     }
     let cdcc = b.build();
+    // One CDCC round costs r_c + 1 rounds in G: the rounds below are
+    // charged as they run, and a remainder of r_c per round after them.
+    let before = ledger.total();
     let mis = match config.component_ruling {
-        ComponentRuling::Mis => {
-            let mut sub_ledger = RoundLedger::new();
-            let m = luby_mis(&cdcc, seed ^ 0xcdcc, &mut sub_ledger, "phase6-ruling");
-            ledger.charge("phase6-ruling", sub_ledger.total() * (r_c as u64 + 1));
-            ledger.absorb_bandwidth(&sub_ledger);
-            m
-        }
+        ComponentRuling::Mis => luby_mis(&cdcc, seed ^ 0xcdcc, ledger, "phase6-ruling"),
         ComponentRuling::NetDecomp => {
             // Lemma 24 (P3)/(P4) path: decompose the virtual graph, then
             // build a maximal independent set one cluster color class at
             // a time (clusters of one class are non-adjacent, so their
             // greedy choices commute; one class costs a cluster-radius
             // exchange).
-            let mut sub_ledger = RoundLedger::new();
             let decomp = crate::decomp::mpx_decomposition(
                 &cdcc,
                 0.3,
                 seed ^ 0xdeed,
-                &mut sub_ledger,
+                ledger,
                 "phase6-ruling",
             );
             let mut m = vec![false; cdcc.n()];
@@ -723,13 +714,12 @@ fn color_small_component(
                         }
                     }
                 }
-                sub_ledger.charge("phase6-ruling", decomp.max_radius() as u64 + 1);
+                ledger.charge("phase6-ruling", decomp.max_radius() as u64 + 1);
             }
-            ledger.charge("phase6-ruling", sub_ledger.total() * (r_c as u64 + 1));
-            ledger.absorb_bandwidth(&sub_ledger);
             m
         }
     };
+    ledger.charge("phase6-ruling", (ledger.total() - before) * r_c as u64);
     let chosen: Vec<&Vec<NodeId>> = members(&mis)
         .iter()
         .map(|&i| &node_sets[i.index()])

@@ -37,16 +37,17 @@
 //! materialized), the randomized driver's remainder-graph marking and
 //! per-component CDCC detection run on the `InducedOverlay`
 //! (non-members silent), and the layering technique colors its todo
-//! subgraphs the same way. The [`bandwidth`] module classifies each
-//! substrate against the `O(log n)` per-edge budget and records both
+//! subgraphs the same way. The table below classifies each module's
+//! wire formats against the `O(log n)` per-edge budget and says both
 //! how it executes under CONGEST enforcement (`congest-feasible`
 //! messages fit the budget natively; `congest-enforced` ones run
 //! fragmented onto it by [`local_model::congest`] while a
-//! [`local_model::enforce_congest`] guard is live; `local` marks
-//! internal materialization layers whose logical level is enforced
-//! instead) and how its numbers are obtained; the verdicts below are
-//! for the implemented wire formats (see each message type's docs for
-//! why; a headline driver inherits the verdict of its phases):
+//! [`local_model::enforce_congest`] guard is live) and how its numbers
+//! are obtained. The verdicts are for the implemented wire formats (see
+//! each message type's docs for why; a headline driver inherits the
+//! verdict of its phases); what a run really sent is in its trace,
+//! where `trace-summary` gives each phase's engine rounds and heaviest
+//! per-edge load:
 //!
 //! | Module | Contents | Paper reference | Bandwidth | CONGEST execution | Measurement |
 //! |---|---|---|---|---|---|
@@ -65,15 +66,16 @@
 //! | [`baseline`] | `(Δ+1)` baseline and a PS-style Δ-coloring baseline | \[PS92, PS95\] | — | — | mixed |
 //! | [`verify`] | end-to-end validity checking, full violation reports | — | — | — | — |
 //! | [`repair`] | detection + self-healing of damaged colorings | Theorem 5, Lemma 16 | LOCAL-only (ball probes) | congest-enforced | mixed: inherits the Brooks repair |
-//! | [`bandwidth`] | CONGEST-feasibility + execution registry of all of the above | cf. KMW | — | — | — |
 //!
 //! Phases that remain genuinely centralized (with charged round
 //! estimates): the layering/boundary BFS waves, MPX decomposition, the
-//! virtual minor graphs of phases (2)/(6) (GDCC/CDCC rulings — their
-//! nodes are *sets* of host nodes, so they are not induced subgraphs
-//! and need leader simulation to compile), and the Brooks repair's
-//! deep doubling probes and token walk. Charged phases are untouched
-//! by CONGEST enforcement (no wire traffic to fragment); everything
+//! leader simulation of the virtual minor graphs of phases (2)/(6)
+//! (their nodes are *sets* of host nodes, so they are not induced
+//! subgraphs: the GDCC/CDCC rulings run Luby on the engine over the
+//! materialized minor, and the extra host rounds each of its rounds
+//! would cost are charged), and the Brooks repair's deep doubling
+//! probes and token walk. Charged phases are untouched by CONGEST
+//! enforcement (no wire traffic to fragment); everything
 //! engine-backed runs through [`local_model::compile`], so a single
 //! `enforce_congest` guard around a headline driver yields a run whose
 //! ledger counts honest `O(log n)`-bit wire rounds with **zero**
@@ -96,7 +98,6 @@
 //! println!("colored in {} simulated LOCAL rounds ({} attempts)", ledger.total(), stats.attempts);
 //! ```
 
-pub mod bandwidth;
 pub mod baseline;
 pub mod brooks;
 pub mod decomp;

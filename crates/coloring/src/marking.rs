@@ -36,8 +36,8 @@ use local_model::{
 /// [`local_model::ReachMsg`] relays batch every selected id crossing an
 /// edge (`Θ(Δ^b)` of them, unbounded), and the pick step collects
 /// radius-2 [`local_model::BallView`]s — both measured on the wire by
-/// the engine; the bandwidth registry classifies the substrate by the
-/// flood, not by these bounded control messages.
+/// the engine, so a trace's heaviest per-edge load for the marking
+/// phase is the flood's, not these bounded control messages'.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MkMsg {
     /// Survivor → chosen neighbor: "I propose to mark you".
@@ -561,5 +561,17 @@ mod tests {
             out.t_nodes
         };
         assert_eq!(run(9), run(9));
+    }
+
+    #[test]
+    fn marking_control_messages_are_bounded() {
+        // The propose/claim/accept placement rounds individually fit
+        // CONGEST; the process is LOCAL-only because of the flood.
+        let p = WireParams {
+            n: 1 << 16,
+            max_degree: 4,
+            palette: 5,
+        };
+        assert!(MkMsg::max_bits(&p).unwrap() <= local_model::congest_budget(p.n));
     }
 }

@@ -16,9 +16,7 @@
 
 use delta_graphs::bfs;
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::{
-    gamma_bits, gamma_max_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s,
-};
+use local_model::wire::{gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s};
 use local_model::{run_reach_phase, BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
 
 /// Wire format of the ruling-set constructions. Both paths **execute
@@ -32,9 +30,7 @@ use local_model::{run_reach_phase, BitReader, BitWriter, RoundLedger, WireCodec,
 /// of the relays). Either way, a power-graph round relays up to
 /// `Δ^(α-2)` foreign messages over one edge — unbounded, hence
 /// `max_bits` is `None` and the substrate is **LOCAL-only** for
-/// non-constant `α` (the bandwidth registry carves out the
-/// CONGEST-feasible `α = 2` bit-halving case via
-/// [`RulingMsg::candidate_max_bits`]).
+/// non-constant `α`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RulingMsg {
     /// Bit-halving candidacy: "id `v` is a surviving candidate".
@@ -42,14 +38,6 @@ pub enum RulingMsg {
     /// Power-graph relay: candidate ids forwarded toward distance-`k`
     /// nodes (one entry per relayed message).
     Relay(Vec<u32>),
-}
-
-impl RulingMsg {
-    /// Bound for executions that only ever send
-    /// [`RulingMsg::Candidate`] — the `α = 2` bit-halving recursion.
-    pub fn candidate_max_bits(p: &WireParams) -> u64 {
-        1 + gamma_max_bits(p.n)
-    }
 }
 
 impl WireCodec for RulingMsg {

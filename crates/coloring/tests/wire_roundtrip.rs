@@ -135,23 +135,6 @@ proptest! {
         roundtrip(&gm);
         prop_assert!(GallaiMsg::max_bits(&p).is_none());
     }
-
-    #[test]
-    fn bounded_substrates_fit_the_congest_budget(n in 16u64..1 << 26, delta in 3u64..32) {
-        use delta_coloring::bandwidth::{classify, BandwidthClass};
-        let p = params(n, delta);
-        for row in classify(&p) {
-            if let Some(b) = row.max_bits {
-                prop_assert_eq!(
-                    row.class == BandwidthClass::Congest,
-                    b <= local_model::congest_budget(n),
-                    "{} misclassified", row.name
-                );
-            } else {
-                prop_assert_eq!(row.class, BandwidthClass::LocalOnly, "{}", row.name);
-            }
-        }
-    }
 }
 
 /// Checks a decoder's `u32` field: the stream `write(w, x)` decodes to
@@ -226,4 +209,47 @@ fn u32_fields_reject_values_of_two_to_the_32_and_above() {
         GallaiMsg::BallEdges(vec![(3, 5)]),
     );
     rejects_u32_overflow(|w, x| w.write_gamma(x), LayerMsg::Layer(5));
+}
+
+/// Whether every message of type `M` fits the CONGEST budget at `p`.
+fn fits_congest<M: WireCodec>(p: &WireParams) -> bool {
+    M::max_bits(p).is_some_and(|b| b <= local_model::congest_budget(p.n))
+}
+
+#[test]
+fn substrates_split_as_documented() {
+    use local_model::{BallMsg, CenterMsg, OverlayEnvelope, OverlayRelay, ReachMsg, RelayItem};
+    for (n, delta) in [(1 << 10, 4), (1 << 14, 4), (1 << 20, 8), (1 << 14, 16)] {
+        let p = params(n, delta);
+        // Color-class reduction consumes Linial's O(delta^2) coloring,
+        // so its palette is the Linial bound, not delta + 1.
+        let reduce_p =
+            p.with_palette(delta_coloring::linial::linial_color_bound(delta as usize) as u64);
+        // CONGEST-feasible formats (the overlay relay's per-item
+        // envelope is bounded; its batched relays are not).
+        for (name, fits) in [
+            ("LinialMsg", fits_congest::<LinialMsg>(&p)),
+            ("ReduceMsg", fits_congest::<ReduceMsg>(&reduce_p)),
+            ("MisMsg", fits_congest::<MisMsg>(&p)),
+            ("LcMsg", fits_congest::<LcMsg>(&p)),
+            ("LayerMsg", fits_congest::<LayerMsg>(&p)),
+            ("DecompMsg", fits_congest::<DecompMsg>(&p)),
+            ("RelayItem", fits_congest::<RelayItem<()>>(&p)),
+        ] {
+            assert!(fits, "{name} at n={n}, delta={delta}");
+        }
+        // Unbounded formats: the ball-collection relays and everything
+        // built on them.
+        for (name, fits) in [
+            ("BallMsg", fits_congest::<BallMsg<()>>(&p)),
+            ("ReachMsg", fits_congest::<ReachMsg<()>>(&p)),
+            ("OverlayRelay", fits_congest::<OverlayRelay<()>>(&p)),
+            ("OverlayEnvelope", fits_congest::<OverlayEnvelope<()>>(&p)),
+            ("RulingMsg", fits_congest::<RulingMsg>(&p)),
+            ("GallaiMsg", fits_congest::<GallaiMsg>(&p)),
+            ("CenterMsg", fits_congest::<CenterMsg>(&p)),
+        ] {
+            assert!(!fits, "{name} at n={n}, delta={delta}");
+        }
+    }
 }

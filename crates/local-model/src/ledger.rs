@@ -84,8 +84,10 @@ impl RoundLedger {
 
     /// Charges one round's bandwidth: total bits transmitted, the
     /// heaviest per-edge load, and any CONGEST-budget violations. The
-    /// engine calls this once per [`crate::Engine::step`]; manual
-    /// simulations may charge their own estimates.
+    /// engine calls this once per [`crate::Engine::step`], right before
+    /// that round's [`RoundLedger::charge`], so a trace books the bits
+    /// to the round's record; bits no `charge` follows reach the trace
+    /// only at finish, in the [`crate::FLUSH_PHASE`] row.
     pub fn charge_bandwidth(&mut self, bits: u64, max_edge_bits: u64, violations: u64) {
         self.bits_sent += bits;
         self.max_edge_bits = self.max_edge_bits.max(max_edge_bits);
@@ -209,32 +211,6 @@ impl RoundLedger {
     pub fn by_phase(&self) -> Vec<(String, u64)> {
         self.phase_totals.clone()
     }
-
-    /// Merges another ledger's entries into this one, including its
-    /// bandwidth section (bits add up; the per-edge maximum is the max).
-    pub fn absorb(&mut self, other: &RoundLedger) {
-        for (p, r) in &other.entries {
-            self.charge(p, *r);
-        }
-        self.absorb_bandwidth(other);
-    }
-
-    /// Merges only the bandwidth section of `other` — for callers that
-    /// fold a sub-ledger's rounds manually (e.g. with a power-graph
-    /// simulation factor) but must not lose its bit accounting.
-    pub fn absorb_bandwidth(&mut self, other: &RoundLedger) {
-        self.charge_bandwidth(
-            other.bits_sent,
-            other.max_edge_bits,
-            other.congest_violations,
-        );
-        self.charge_faults(
-            other.faults.dropped,
-            other.faults.duplicated,
-            other.faults.corrupted,
-            other.faults.crashed_rounds,
-        );
-    }
 }
 
 impl fmt::Display for RoundLedger {
@@ -301,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges() {
-        let mut a = RoundLedger::new();
-        a.charge("x", 1);
-        let mut b = RoundLedger::new();
-        b.charge("x", 2);
-        b.charge("y", 5);
-        a.absorb(&b);
-        assert_eq!(a.total(), 8);
-        assert_eq!(a.phase_total("x"), 3);
-    }
-
-    #[test]
     fn bandwidth_accumulates_and_absorbs() {
         let mut a = RoundLedger::new();
         a.charge_bandwidth(100, 10, 0);
@@ -320,18 +284,8 @@ mod tests {
         assert_eq!(a.bits_sent(), 150);
         assert_eq!(a.max_edge_bits(), 25);
         assert_eq!(a.congest_violations(), 2);
-        let mut b = RoundLedger::new();
-        b.charge_bandwidth(7, 40, 1);
-        a.absorb(&b);
-        assert_eq!(a.bits_sent(), 157);
-        assert_eq!(a.max_edge_bits(), 40);
-        assert_eq!(a.congest_violations(), 3);
-        let mut c = RoundLedger::new();
-        c.absorb_bandwidth(&a);
-        assert_eq!(c.bits_sent(), 157);
-        assert_eq!(c.total(), 0, "absorb_bandwidth leaves rounds alone");
         let s = a.to_string();
-        assert!(s.contains("157 bits sent"));
+        assert!(s.contains("150 bits sent"));
     }
 
     #[test]
@@ -343,9 +297,6 @@ mod tests {
         assert_eq!(a.faults().duplicated, 1);
         assert_eq!(a.faults().corrupted, 4);
         assert_eq!(a.faults().crashed_rounds, 2);
-        let mut b = RoundLedger::new();
-        b.absorb(&a);
-        assert_eq!(b.faults(), a.faults());
         let s = a.to_string();
         assert!(s.contains("4 dropped"));
         // Fault-free ledgers keep the historical rendering.

@@ -116,6 +116,6 @@ pub use shard::{BoundaryStats, ShardedEngine};
 pub use trace::{
     parse_trace_line, Histogram, JsonlSink, MetricsRegistry, PhaseSpan, ProgressSink, RoundMeta,
     RoundRecord, RunManifest, SpanAgg, SpanRecord, TraceLine, TraceSink, TraceSummary, TraceTotals,
-    Tracer, VirtualRecord, CONGEST_LEVEL, TRACE_SCHEMA,
+    Tracer, VirtualRecord, CONGEST_LEVEL, FLUSH_PHASE, TRACE_SCHEMA,
 };
 pub use wire::{congest_budget, BitReader, BitWriter, WireCodec, WireParams};

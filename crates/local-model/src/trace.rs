@@ -114,6 +114,12 @@ pub struct RoundRecord {
 /// round, with `host_rounds` carrying the measured wire-round dilation.
 pub const CONGEST_LEVEL: &str = "congest";
 
+/// Phase label of the zero-round record a trace's finish emits for bits
+/// charged after the last round charge on a thread. A trace that books
+/// every bit to a named phase has no record with this label, and
+/// `trace-summary --check` fails one that does.
+pub const FLUSH_PHASE: &str = "(bandwidth)";
+
 /// One overlay virtual round: level-tagged, with virtual-level bits.
 /// Informational only — the host relay rounds behind it already emitted
 /// their own [`RoundRecord`]s, so virtual records are excluded from the
@@ -192,8 +198,6 @@ pub struct RunManifest {
     pub quick: bool,
     /// `local-model` crate version that wrote the trace.
     pub crate_version: String,
-    /// Free-form extra parameters.
-    pub extra: Vec<(String, String)>,
 }
 
 impl RunManifest {
@@ -449,7 +453,7 @@ impl TraceState {
             ctx.pending_viol = 0;
             ctx.has_bandwidth = false;
             self.emit_record(RoundRecord {
-                phase: "(bandwidth)".to_string(),
+                phase: FLUSH_PHASE.to_string(),
                 rounds: 0,
                 bits,
                 max_edge_bits,
@@ -912,24 +916,6 @@ impl TraceSink for JsonlSink {
         self.push_u64_field("shards", m.shards);
         self.push_str_field("fault_plan", &m.fault_plan);
         self.push_u64_field("quick", m.quick as u64);
-        if !m.extra.is_empty() {
-            self.line.push_str(",\"extra\":{");
-            for (i, (k, v)) in m.extra.iter().enumerate() {
-                if i > 0 {
-                    self.line.push(',');
-                }
-                self.line.push('"');
-                let mut s = std::mem::take(&mut self.line);
-                json_escape(&mut s, k);
-                self.line = s;
-                self.line.push_str("\":\"");
-                let mut s = std::mem::take(&mut self.line);
-                json_escape(&mut s, v);
-                self.line = s;
-                self.line.push('"');
-            }
-            self.line.push('}');
-        }
         self.line.push('}');
         self.emit();
     }
@@ -1151,17 +1137,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
                     "trace schema mismatch: file says {schema:?}, reader speaks {TRACE_SCHEMA:?}"
                 ));
             }
-            let mut extra = Vec::new();
-            if let Some(start) = find_key(line, "extra") {
-                let rest = &line[start..];
-                if let Some(end) = rest.find('}') {
-                    let body = &rest[1..end];
-                    let mut it = body.split('"').skip(1).step_by(2);
-                    while let (Some(k), Some(v)) = (it.next(), it.next()) {
-                        extra.push((k.to_string(), v.to_string()));
-                    }
-                }
-            }
             Ok(TraceLine::Manifest(RunManifest {
                 label: need_str("label")?,
                 seed: need_u64("seed")?,
@@ -1172,7 +1147,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
                 fault_plan: need_str("fault_plan")?,
                 quick: need_u64("quick")? != 0,
                 crate_version: need_str("crate_version")?,
-                extra,
             }))
         }
         "round" => {
@@ -1248,8 +1222,14 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
 pub struct PhaseAgg {
     /// Rounds charged to the phase.
     pub rounds: u64,
+    /// Rounds of the phase's records that carry a [`RoundMeta`]: the
+    /// rounds an engine ran. `rounds - engine_rounds` is what the phase
+    /// charged by estimate (central simulations, dilation remainders).
+    pub engine_rounds: u64,
     /// Bits attributed to the phase's records.
     pub bits: u64,
+    /// Heaviest per-edge load among the phase's records.
+    pub max_edge_bits: u64,
     /// Wall time of the phase's engine rounds, nanoseconds.
     pub wall_ns: u64,
     /// Number of records.
@@ -1310,8 +1290,10 @@ impl TraceSummary {
                     let agg = &mut s.phases[i].1;
                     agg.rounds += r.rounds;
                     agg.bits += r.bits;
+                    agg.max_edge_bits = agg.max_edge_bits.max(r.max_edge_bits);
                     agg.records += 1;
                     if let Some(m) = &r.meta {
+                        agg.engine_rounds += r.rounds;
                         agg.wall_ns += m.wall_ns;
                     }
                 }

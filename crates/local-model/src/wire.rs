@@ -63,8 +63,9 @@ pub fn gamma_max_bits(count: u64) -> u64 {
     gamma_bits(count.saturating_sub(1))
 }
 
-/// The operational "O(log n)" per-edge-per-round budget used to
-/// classify substrates as CONGEST-feasible: `16·⌈log₂ n⌉` bits. The
+/// The operational "O(log n)" per-edge-per-round budget against which
+/// wire formats and measured per-edge loads count as CONGEST-feasible:
+/// `16·⌈log₂ n⌉` bits. The
 /// constant is generous enough for a constant number of gamma-coded
 /// identifiers/colors plus a poly(n)-domain random draw, and far below
 /// the Θ(Δ log n) a broadcast-everything LOCAL round may need.

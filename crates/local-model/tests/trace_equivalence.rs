@@ -252,9 +252,6 @@ fn jsonl_round_trips_through_the_reader() {
     manifest.nodes = g.n() as u64;
     manifest.edges = g.m() as u64;
     manifest.exec_mode = "sequential".to_string();
-    manifest
-        .extra
-        .push(("graph".into(), "random_regular".into()));
     tr.manifest(&manifest);
 
     let mut ledger = tr.ledger();

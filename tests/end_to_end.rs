@@ -2,11 +2,18 @@
 //! every generator family, with full verification.
 
 use delta_coloring::baseline;
-use delta_coloring::delta::{delta_color_det, delta_color_rand, DetConfig, RandConfig};
+use delta_coloring::delta::{
+    delta_color_det, delta_color_rand, ComponentRuling, DetConfig, RandConfig,
+};
+use delta_coloring::gallai;
 use delta_coloring::list_coloring::ListColorMethod;
 use delta_coloring::verify::{assert_nice, check_delta_coloring};
 use delta_graphs::{generators, Graph};
-use local_model::RoundLedger;
+use local_model::trace::PhaseAgg;
+use local_model::{
+    RoundLedger, RoundRecord, TraceLine, TraceSink, TraceSummary, Tracer, FLUSH_PHASE,
+};
+use std::sync::{Arc, Mutex};
 
 fn nice_families() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
@@ -158,4 +165,86 @@ fn disconnected_graphs_are_rejected_cleanly() {
         .disjoint_union(&generators::random_regular(100, 3, 2));
     let cfg = RandConfig::large_delta(&g, 0);
     assert!(delta_color_rand(&g, cfg, &mut RoundLedger::new()).is_err());
+}
+
+/// A trace sink that keeps every round record.
+#[derive(Clone, Default)]
+struct RoundRecords(Arc<Mutex<Vec<RoundRecord>>>);
+
+impl TraceSink for RoundRecords {
+    fn on_record(&mut self, record: &RoundRecord) {
+        self.0.lock().unwrap().push(record.clone());
+    }
+}
+
+/// Runs `delta_color_rand` on a traced ledger, checks that every bit
+/// rides on an engine round record of a named phase and that the trace
+/// adds up to the ledger, and returns the per-phase aggregates.
+fn traced_rand_run(g: &Graph, cfg: RandConfig) -> Vec<(String, PhaseAgg)> {
+    let records = RoundRecords::default();
+    let tr = Tracer::with_sinks(vec![Box::new(records.clone())]);
+    let mut ledger = tr.ledger();
+    let (coloring, _) = delta_color_rand(g, cfg, &mut ledger).unwrap();
+    check_delta_coloring(g, &coloring).unwrap();
+    tr.finish();
+    let records = records.0.lock().unwrap().clone();
+    for r in &records {
+        assert!(
+            r.bits == 0 || r.meta.is_some(),
+            "{} bits in {} without an engine round",
+            r.bits,
+            r.phase
+        );
+        assert_ne!(r.phase, FLUSH_PHASE, "{} bits belong to no phase", r.bits);
+    }
+    let t = tr.totals();
+    assert_eq!(t.rounds, ledger.total());
+    assert_eq!(t.bits, ledger.bits_sent());
+    assert_eq!(t.max_edge_bits, ledger.max_edge_bits());
+    assert_eq!(t.violations, ledger.congest_violations());
+    TraceSummary::from_lines(records.into_iter().map(TraceLine::Round)).phases
+}
+
+fn phase_agg(phases: &[(String, PhaseAgg)], name: &str) -> PhaseAgg {
+    phases
+        .iter()
+        .find(|(p, _)| p == name)
+        .map(|&(_, a)| a)
+        .unwrap_or_else(|| panic!("no {name} records"))
+}
+
+#[test]
+fn rand_driver_bits_ride_on_engine_records() {
+    // A 3-regular graph with a DCC within small_delta's detection
+    // radius, so phase (2) rules a non-empty DCC graph.
+    let dcc_graph = (1..=16)
+        .map(|seed| generators::random_regular(600, 3, seed))
+        .find(|g| {
+            let r = RandConfig::small_delta(g, 1).r_detect;
+            let cap = gallai::dcc_size_cap(g.max_degree());
+            gallai::find_dccs_all(g, r, 2 * r, cap, &mut RoundLedger::new(), "dcc")
+                .iter()
+                .any(Option::is_some)
+        })
+        .expect("a 3-regular graph with a DCC");
+    let cfg = RandConfig::small_delta(&dcc_graph, 1);
+    let r = cfg.r_detect as u64;
+    let ruling = phase_agg(&traced_rand_run(&dcc_graph, cfg), "phase2-ruling");
+    assert!(ruling.engine_rounds > 0);
+    assert_eq!(ruling.rounds, (2 * r + 1) * ruling.engine_rounds);
+
+    // No DCC removal, and happiness radius 1, so phase (6) colors a
+    // leftover component (at the default radius of 8, the one T-node
+    // this graph gets makes every node happy).
+    let g = generators::random_regular(500, 4, 13);
+    for component_ruling in [ComponentRuling::Mis, ComponentRuling::NetDecomp] {
+        let mut cfg = RandConfig::large_delta(&g, 3);
+        cfg.r_detect = 0;
+        cfg.r_happy = 1;
+        cfg.component_ruling = component_ruling;
+        let ruling = phase_agg(&traced_rand_run(&g, cfg), "phase6-ruling");
+        if component_ruling == ComponentRuling::Mis {
+            assert!(ruling.engine_rounds > 0);
+        }
+    }
 }
