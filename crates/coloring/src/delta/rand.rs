@@ -629,7 +629,7 @@ fn color_small_component(
         0,
         detect_r,
         |_| (),
-        |_, view| crate::gallai::find_dcc_in_ball(&view.to_ball(), 2 * detect_r, size_cap),
+        |_, view| crate::gallai::find_dcc_in_view(view, 2 * detect_r, size_cap),
         ledger,
         "phase6-cdcc",
     );
@@ -925,16 +925,22 @@ mod component_ruling_tests {
 
     #[test]
     fn netdecomp_component_ruling_colors_correctly() {
-        // Force the leftover-component path (no DCC removal) so phase 6
-        // actually runs, with the network-decomposition ruling engine.
+        // Force the leftover-component path (no DCC removal, happiness
+        // radius 1) so phase 6 actually runs, with the
+        // network-decomposition ruling engine.
         let g = generators::random_regular(500, 4, 13);
         let mut cfg = RandConfig::large_delta(&g, 3);
         cfg.r_detect = 0;
+        cfg.r_happy = 1;
         cfg.component_ruling = ComponentRuling::NetDecomp;
         let mut ledger = RoundLedger::new();
         let (c, stats) = delta_color_rand(&g, cfg, &mut ledger).unwrap();
         check_delta_coloring(&g, &c).unwrap();
         assert!(!stats.fell_back);
+        assert!(
+            stats.leftover_components >= 1,
+            "phase 6 colored no component"
+        );
     }
 
     #[test]

@@ -20,7 +20,9 @@ use delta_graphs::components::blocks;
 use delta_graphs::props::{is_clique_subset, is_odd_cycle};
 use delta_graphs::{Graph, NodeId};
 use local_model::wire::gamma_bits;
-use local_model::{run_ball_phase, BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
+use local_model::{
+    run_ball_phase, BallView, BitReader, BitWriter, RoundLedger, WireCodec, WireParams,
+};
 
 /// Wire format of DCC detection. The collective driver
 /// ([`find_dccs_all`]) **executes through the engine**: every node
@@ -149,10 +151,24 @@ pub fn find_dccs_all(
         0,
         r,
         |_| (),
-        |_, view| find_dcc_in_ball(&view.to_ball(), max_radius, max_size),
+        |_, view| find_dcc_in_view(view, max_radius, max_size),
         ledger,
         phase,
     )
+}
+
+/// [`find_dcc_in_ball`] on a collected view. A view is connected, so
+/// one with fewer edges than members is a tree: its blocks are single
+/// edges, which never qualify, and the ball is never built.
+pub(crate) fn find_dcc_in_view<M>(
+    view: &BallView<M>,
+    max_radius: usize,
+    max_size: usize,
+) -> Option<FoundDcc> {
+    if view.edges.len() < view.members.len() {
+        return None;
+    }
+    find_dcc_in_ball(&view.to_ball(), max_radius, max_size)
 }
 
 /// Ball-local DCC search (see [`find_dcc_for_node`]).
@@ -553,11 +569,13 @@ mod tests {
     #[test]
     fn collective_detection_matches_the_central_oracle() {
         use local_model::RoundLedger;
+        let mut kinds = Vec::new();
         for (g, r) in [
             (generators::torus(5, 5), 2),
             (generators::random_regular(120, 4, 9), 2),
             (generators::cycle(12), 1),
             (generators::random_gallai_tree(8, 4, 1), 3),
+            (generators::random_regular(2000, 3, 1), 2),
         ] {
             let mut ledger = RoundLedger::new();
             let all = find_dccs_all(&g, r, 2 * r, usize::MAX, &mut ledger, "dcc");
@@ -572,7 +590,20 @@ mod tests {
                     "node {v}"
                 );
             }
+            let trees = g.nodes().filter(|&v| {
+                let ball = bfs::ball(&g, v, r);
+                ball.graph.m() < ball.graph.n()
+            });
+            kinds.push((trees.count(), all.iter().flatten().count()));
         }
+        // The sparse graph takes both paths of the view rule: most of
+        // its radius-2 balls are trees, skipped without a ball, and a
+        // few nodes find a DCC.
+        let (trees, found) = kinds[4];
+        assert!(
+            trees > 0 && found > 0,
+            "{trees} tree balls, {found} DCC nodes"
+        );
     }
 
     #[test]

@@ -395,16 +395,18 @@ impl Graph {
         for (i, &g) in globals.iter().enumerate() {
             local_of[g.index()] = i as u32;
         }
-        let mut b = GraphBuilder::new(globals.len());
-        for (i, &g) in globals.iter().enumerate() {
-            for &w in self.neighbors(g) {
-                let lw = local_of[w.index()];
-                if lw != u32::MAX && (i as u32) < lw {
-                    b.add_edge(i as u32, lw);
-                }
-            }
+        // The local ids are a monotone map of the global ones, so each
+        // kept node's sorted host adjacency maps to a sorted local one,
+        // and symmetry carries over: CSR directly, no edge list.
+        let mut offsets = Vec::with_capacity(globals.len() + 1);
+        offsets.push(0u32);
+        let mut adj = Vec::new();
+        for &g in &globals {
+            let local = self.neighbors(g).iter().map(|w| local_of[w.index()]);
+            adj.extend(local.filter(|&l| l != u32::MAX).map(NodeId));
+            offsets.push(adj.len() as u32);
         }
-        (b.build(), globals)
+        (Graph::from_csr_parts(offsets, adj), globals)
     }
 
     /// Returns the disjoint union of `self` and `other`; nodes of `other`
@@ -604,6 +606,7 @@ mod tests {
         // Edges among {1,2,3}: (1,2), (2,3), (1,3) -> locally (0,1), (1,2), (0,2).
         assert_eq!(h.m(), 3);
         assert!(h.has_edge(NodeId(0), NodeId(2)));
+        assert_eq!(h, Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap());
     }
 
     #[test]

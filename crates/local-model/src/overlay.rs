@@ -8,7 +8,9 @@
 //! network: one round of `G^k` is `k` relay rounds of `G` (every
 //! message floods `k` hops), and one round of an induced subgraph
 //! `G[S]` is one host round in which non-members relay nothing and
-//! receive nothing. This module makes that compilation operational:
+//! receive nothing — so it runs on `G[S]` itself, built once per
+//! overlay, and costs work in `|S|`, not in the host's `n`. This module
+//! makes that compilation operational:
 //!
 //! * [`VirtualTopology`] — the abstraction: a membership predicate plus
 //!   a dilation `k` (host rounds per virtual round);
@@ -41,7 +43,9 @@
 //! * the [`crate::RoundLedger`] passed to [`OverlayEngine::step`] is
 //!   charged what the **host network** really pays: `k` rounds per
 //!   virtual round, and the measured per-edge bits of the relay
-//!   envelopes (source id + hop TTL + payload for floods) — this is
+//!   envelopes (source id + hop TTL + payload for floods; one
+//!   [`OverlayEnvelope`] per `G[S]` edge at dilation 1, which a
+//!   broadcast-only member relays as one engine broadcast) — this is
 //!   what the experiment tables report;
 //! * [`OverlayEngine::message_stats`] accounts the **virtual** level
 //!   (payload bits on virtual edges), which is the quantity comparable
@@ -145,7 +149,8 @@ impl VirtualTopology for PowerOverlay {
 }
 
 /// The induced subgraph `G[S]`: members given by a mask, dilation 1 —
-/// non-members send nothing and receive nothing.
+/// non-members send nothing and receive nothing. [`OverlayEngine::new`]
+/// builds `G[S]` once, and every virtual round relays on it.
 #[derive(Debug, Clone, Copy)]
 pub struct InducedOverlay<'a> {
     /// `members[v]` says whether host node `v` participates.
@@ -367,13 +372,13 @@ impl WireCodec for Ttl {
 pub struct OverlayEngine<'g, S, T: VirtualTopology> {
     host: &'g Graph,
     topo: T,
+    /// `G[S]` in rank space, built once for a masked topology; the
+    /// dilation-1 relay runs on it (on the host when unmasked).
+    sub: Option<Graph>,
     /// Sorted host ids of the members; rank `r` ↔ `members[r]`.
     members: Vec<NodeId>,
-    /// Host id → member rank (`u32::MAX` for non-members).
-    rank_of: Vec<u32>,
-    /// Virtual degree per rank (size of the `G^k`-through-members
-    /// neighborhood), precomputed with one batched frontier-reusing
-    /// sweep.
+    /// Virtual degree per rank: the degree in `G[S]` at dilation 1,
+    /// else the `G^k` degree from one batched frontier-reusing sweep.
     vdeg: Vec<u32>,
     states: Vec<S>,
     rngs: Vec<StdRng>,
@@ -382,8 +387,6 @@ pub struct OverlayEngine<'g, S, T: VirtualTopology> {
     virtual_rounds: u64,
     stats: MessageStats,
 }
-
-const NO_RANK: u32 = u32::MAX;
 
 impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// Creates an overlay engine over `host`. `init` receives the
@@ -398,11 +401,11 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             "an overlay of dilation >= 2 has every host node as a member"
         );
         let members: Vec<NodeId> = host.nodes().filter(|&v| topo.is_member(v)).collect();
-        let mut rank_of = vec![NO_RANK; host.n()];
-        for (r, &v) in members.iter().enumerate() {
-            rank_of[v.index()] = r as u32;
-        }
-        let vdeg = virtual_degrees(host, &topo, &members, &rank_of);
+        let sub = topo.member_mask().map(|_| host.induced(&members).0);
+        let vdeg = match &sub {
+            Some(sub) => sub.nodes().map(|r| sub.degree(r) as u32).collect(),
+            None => virtual_degrees(host, topo.dilation()),
+        };
         let states: Vec<S> = (0..members.len())
             .map(|r| init(NodeId::from_index(r)))
             .collect();
@@ -410,8 +413,8 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         OverlayEngine {
             host,
             topo,
+            sub,
             members,
-            rank_of,
             vdeg,
             states,
             rngs,
@@ -459,10 +462,8 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
 
     /// Virtual id of a host node, if it is a member.
     pub fn rank_of(&self, host: NodeId) -> Option<NodeId> {
-        match self.rank_of[host.index()] {
-            NO_RANK => None,
-            r => Some(NodeId(r)),
-        }
+        let rank = self.members.binary_search(&host).ok()?;
+        Some(NodeId::from_index(rank))
     }
 
     /// Immutable view of all per-rank states.
@@ -495,22 +496,26 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         self.stats
     }
 
-    /// The sorted virtual-id adjacency of one virtual node (member host
+    /// The sorted virtual-id adjacency of one virtual node (its `G[S]`
     /// neighbors at dilation 1, the nodes within distance `k` on
-    /// `G^k`). `O(n)` per call — a local inspection device for rare
-    /// fallback paths, not a hot-path API.
+    /// `G^k`). `O(n)` per call on `G^k` — a local inspection device for
+    /// rare fallback paths, not a hot-path API.
     pub fn virtual_neighbors(&self, rank: NodeId) -> Vec<NodeId> {
-        let v = self.to_host(rank);
-        let mut out: Vec<NodeId> = match self.topo.dilation() {
-            1 => self.host.neighbors(v).to_vec(),
-            k => bfs_tree(self.host, v, Some(k)).levels[1..].concat(),
-        };
-        out.sort_unstable();
-        out.iter()
-            .map(|&w| self.rank_of[w.index()])
-            .filter(|&r| r != NO_RANK)
-            .map(NodeId)
-            .collect()
+        match self.topo.dilation() {
+            1 => self.dilation1_graph().neighbors(rank).to_vec(),
+            // Every host node is a member of G^k: host ids are ranks.
+            k => {
+                let mut out = bfs_tree(self.host, rank, Some(k)).levels[1..].concat();
+                out.sort_unstable();
+                out
+            }
+        }
+    }
+
+    /// The dilation-1 virtual graph in rank space: `G[S]` when masked,
+    /// else the host itself (whose ids are the ranks).
+    fn dilation1_graph(&self) -> &Graph {
+        self.sub.as_ref().unwrap_or(self.host)
     }
 
     /// Executes one **virtual** round: the overlay's counterpart of
@@ -598,18 +603,11 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                      (per-neighbor routing on G^k needs routing tables)"
                 );
             }
-            let sender_host = self.members[r];
-            let host = self.host;
-            let members = &self.members;
-            let rank_of = &self.rank_of;
+            let g1 = self.dilation1_graph();
             let mut queued = 0u64;
             out.retain_directed(|(to, _)| {
                 queued += 1;
-                let valid = (to.index() < members.len())
-                    && host
-                        .neighbor_position(sender_host, members[to.index()])
-                        .is_some()
-                    && rank_of[members[to.index()].index()] != NO_RANK;
+                let valid = to.index() < g1.n() && g1.has_edge(NodeId::from_index(r), *to);
                 debug_assert!(
                     valid,
                     "virtual node {r} sent a directed message to non-neighbor {to}"
@@ -766,10 +764,13 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         self.virtual_rounds += 1;
     }
 
-    /// Dilation-1 compilation (induced subgraph): one host round in
-    /// which every member sends each member neighbor one
-    /// [`OverlayEnvelope`] — its broadcast plus the directed payloads
-    /// addressed there — and non-members stay silent.
+    /// Dilation-1 compilation: one round of a relay engine on `G[S]`
+    /// (built once, in rank space; the host when unmasked), so its cost
+    /// follows the members, not the host. A member with directed
+    /// messages sends each neighbor one [`OverlayEnvelope`] — its
+    /// broadcast plus the directed payloads addressed there; a
+    /// broadcast-only member relays one engine broadcast of its
+    /// envelope, which charges every edge the same bits.
     fn relay_dilation1<M>(
         &self,
         outboxes: &[Outbox<M>],
@@ -779,35 +780,32 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     where
         M: Clone + Send + Sync + WireCodec + 'static,
     {
-        let host = self.host;
-        let rank_of = &self.rank_of;
+        let g1 = self.dilation1_graph();
         let mut relay: Engine<'_, Vec<(NodeId, M)>> =
-            Engine::new_relay(host, |_| Vec::new()).with_mode(self.mode);
+            Engine::new_relay(g1, |_| Vec::new()).with_mode(self.mode);
         relay.step(
             ledger,
             phase,
             |ctx, _s, out: &mut Outbox<OverlayEnvelope<M>>| {
-                let r = rank_of[ctx.id.index()];
-                if r == NO_RANK {
-                    return;
-                }
-                let (bcast, directed) = outboxes[r as usize].parts();
-                if bcast.is_none() && directed.is_empty() {
-                    return;
-                }
+                let (bcast, directed) = outboxes[ctx.id.index()].parts();
                 // One deep clone of the broadcast per sender; per-edge
                 // envelopes share it through the Arc.
                 let bcast = bcast.map(|m| Arc::new(m.clone()));
-                for &w in host.neighbors(ctx.id) {
-                    let wr = rank_of[w.index()];
-                    if wr == NO_RANK {
-                        continue;
+                if directed.is_empty() {
+                    if bcast.is_some() {
+                        out.broadcast(OverlayEnvelope {
+                            bcast,
+                            directed: Vec::new(),
+                        });
                     }
+                    return;
+                }
+                for &w in g1.neighbors(ctx.id) {
                     let env = OverlayEnvelope {
                         bcast: bcast.clone(),
                         directed: directed
                             .iter()
-                            .filter(|(to, _)| to.0 == wr)
+                            .filter(|(to, _)| *to == w)
                             .map(|(_, m)| m.clone())
                             .collect(),
                     };
@@ -816,31 +814,18 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                     }
                 }
             },
-            |ctx, s, inbox| {
-                if rank_of[ctx.id.index()] == NO_RANK {
-                    debug_assert!(inbox.is_empty(), "non-members receive nothing");
-                    return;
-                }
+            |_, s, inbox| {
                 for (w, env) in inbox {
-                    let wr = NodeId(rank_of[w.index()]);
                     if let Some(b) = &env.bcast {
-                        s.push((wr, M::clone(b)));
+                        s.push((*w, M::clone(b)));
                     }
                     for m in &env.directed {
-                        s.push((wr, m.clone()));
+                        s.push((*w, m.clone()));
                     }
                 }
             },
         );
-        // Move each member's delivery buffer out (host order = rank
-        // order), no cloning.
-        relay
-            .into_states()
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| rank_of[*i] != NO_RANK)
-            .map(|(_, s)| s)
-            .collect()
+        relay.into_states()
     }
 
     /// Dilation-`k` compilation (power overlays): a `k`-round flood of
@@ -926,35 +911,16 @@ impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
     }
 }
 
-/// Precomputes every member's virtual degree: member host neighbors at
-/// dilation 1, else one batched frontier-reusing sweep
-/// ([`PowerNeighborhoods`]) — `O(Σ|ball|)` time, `O(n)` scratch,
-/// nothing materialized.
-fn virtual_degrees<T: VirtualTopology>(
-    host: &Graph,
-    topo: &T,
-    members: &[NodeId],
-    rank_of: &[u32],
-) -> Vec<u32> {
-    match topo.dilation() {
-        1 => members
-            .iter()
-            .map(|&v| {
-                host.neighbors(v)
-                    .iter()
-                    .filter(|w| rank_of[w.index()] != NO_RANK)
-                    .count() as u32
-            })
-            .collect(),
-        k => {
-            let mut sweep = PowerNeighborhoods::new(host, k);
-            let mut vdeg = Vec::with_capacity(host.n());
-            while let Some((_, nbrs)) = sweep.next() {
-                vdeg.push(nbrs.len() as u32);
-            }
-            vdeg
-        }
+/// Precomputes every node's `G^k` degree with one batched
+/// frontier-reusing sweep ([`PowerNeighborhoods`]) — `O(Σ|ball|)`
+/// time, `O(n)` scratch, nothing materialized.
+fn virtual_degrees(host: &Graph, k: usize) -> Vec<u32> {
+    let mut sweep = PowerNeighborhoods::new(host, k);
+    let mut vdeg = Vec::with_capacity(host.n());
+    while let Some((_, nbrs)) = sweep.next() {
+        vdeg.push(nbrs.len() as u32);
     }
+    vdeg
 }
 
 #[cfg(test)]
@@ -1019,6 +985,9 @@ mod tests {
         // nobody (its host neighbors 3, 5 are non-members).
         assert_eq!(engine.states()[1], vec![NodeId(0), NodeId(2)]);
         assert!(engine.states()[3].is_empty());
+        assert_eq!(engine.rank_of(NodeId(4)), Some(NodeId(3)));
+        assert_eq!(engine.rank_of(NodeId(3)), None);
+        assert_eq!(engine.virtual_neighbors(NodeId(1)), [NodeId(0), NodeId(2)]);
     }
 
     #[test]

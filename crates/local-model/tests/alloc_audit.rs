@@ -20,9 +20,10 @@
 //! The allocation counter is process-global, so the tests in this file
 //! serialize on [`AUDIT_LOCK`]; no other test lives in this binary.
 
-use delta_graphs::generators;
+use delta_graphs::{generators, Graph};
 use local_model::{
-    Engine, ExecMode, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, Tracer,
+    Engine, ExecMode, InducedOverlay, Outbox, OverlayEngine, PowerOverlay, RoundDriver,
+    RoundLedger, Tracer, VirtualTopology,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,14 +181,12 @@ fn warm_rounds_with_no_trace_sink_do_not_allocate() {
     assert_eq!(tracer.totals(), local_model::TraceTotals::default());
 }
 
-/// Runs `rounds` warm broadcast-only virtual rounds on `G^k` over a
-/// cycle host and returns the bytes allocated per virtual round.
-fn warm_overlay_bytes_per_round(n: usize, k: usize, rounds: u64) -> u64 {
-    let g = generators::cycle(n);
+/// Runs `rounds` warm broadcast-only virtual rounds of `topo` over the
+/// host `g` and returns the bytes allocated per virtual round.
+fn warm_overlay_bytes_per_round<T: VirtualTopology>(g: &Graph, topo: T, rounds: u64) -> u64 {
     let mut ledger = RoundLedger::new();
-    let mut driver = OverlayEngine::new(&g, PowerOverlay { k }, 11, |v| v.0 as u64);
-    let virtual_round = |driver: &mut OverlayEngine<'_, u64, PowerOverlay>,
-                         ledger: &mut RoundLedger| {
+    let mut driver = OverlayEngine::new(g, topo, 11, |v| v.0 as u64);
+    let virtual_round = |driver: &mut OverlayEngine<'_, u64, T>, ledger: &mut RoundLedger| {
         driver.round_step(
             ledger,
             "audit-overlay",
@@ -231,8 +230,9 @@ fn warm_overlay_bytes_per_round(n: usize, k: usize, rounds: u64) -> u64 {
 #[test]
 fn warm_overlay_dedup_allocates_o_frontier_not_o_history() {
     let _guard = AUDIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let per_round_k8 = warm_overlay_bytes_per_round(256, 8, 8);
-    let per_round_k16 = warm_overlay_bytes_per_round(256, 16, 8);
+    let g = generators::cycle(256);
+    let per_round_k8 = warm_overlay_bytes_per_round(&g, PowerOverlay { k: 8 }, 8);
+    let per_round_k16 = warm_overlay_bytes_per_round(&g, PowerOverlay { k: 16 }, 8);
     let ratio = per_round_k16 as f64 / per_round_k8 as f64;
     assert!(
         ratio < 2.6,
@@ -240,6 +240,28 @@ fn warm_overlay_dedup_allocates_o_frontier_not_o_history() {
          per-virtual-round allocation by {ratio:.2}x \
          ({per_round_k8} -> {per_round_k16} bytes): dedup is no longer \
          O(frontier)"
+    );
+}
+
+/// An induced overlay's relay runs on `G[S]`, never on the whole host,
+/// so a warm virtual round allocates in proportion to the members: the
+/// same 64 members (the first nodes of a cycle) on a 16x larger host
+/// must leave per-round allocation unchanged up to allocator jitter.
+#[test]
+fn warm_induced_overlay_allocates_o_members_not_o_host() {
+    let _guard = AUDIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let per_round = |n: usize| {
+        let g = generators::cycle(n);
+        let mask: Vec<bool> = (0..n).map(|v| v < 64).collect();
+        warm_overlay_bytes_per_round(&g, InducedOverlay { members: &mask }, 8)
+    };
+    let (small, large) = (per_round(1 << 10), per_round(1 << 14));
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio < 1.5,
+        "a 16x larger host scaled per-virtual-round allocation by \
+         {ratio:.2}x ({small} -> {large} bytes): the induced relay is \
+         no longer O(|S|)"
     );
 }
 

@@ -10,15 +10,17 @@
 //! mixed-traffic program, under **both** execution schedules, and
 //! additionally check the ledger is charged the true dilation
 //! (`k` host rounds per virtual round) with nonzero measured relay
-//! bits.
+//! bits — on `G[S]`, exactly the relay envelopes' charge by formula.
 
 use delta_graphs::power::power_graph;
-use delta_graphs::{Graph, NodeId};
+use delta_graphs::{generators, Graph, NodeId};
+use local_model::wire::gamma_bits;
 use local_model::{
     force_exec_mode, Engine, ExecMode, InducedOverlay, MessageStats, OverlayEngine, PowerOverlay,
-    RoundDriver, RoundLedger,
+    RoundDriver, RoundLedger, WireCodec,
 };
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..40).prop_flat_map(|n| {
@@ -58,6 +60,10 @@ fn init(v: NodeId) -> Probe {
     }
 }
 
+/// One node's sends in one round: its id, its broadcast's size in bits
+/// and each directed message's target and size.
+type Sent = (NodeId, u64, Vec<(NodeId, u64)>);
+
 /// A topology-agnostic mixed-traffic program: every round each node
 /// draws private randomness, broadcasts a value, and (when `directed`)
 /// sends a directed message to the smallest sender it heard last round
@@ -65,7 +71,8 @@ fn init(v: NodeId) -> Probe {
 /// which is exactly what lets the identical closure run on every
 /// driver. Exercises broadcasts, directed sends, RNG streams, inbox
 /// ordering, and sender ids at once. Returns final states and the
-/// driver's (virtual-level, for overlays) message stats.
+/// driver's (virtual-level, for overlays) message stats; with `sends`,
+/// every node's sends of every round are appended there.
 ///
 /// `directed` stays off for dilation ≥ 2 overlays (broadcast-only by
 /// design).
@@ -74,6 +81,7 @@ fn run_probe<DR: RoundDriver<Probe>>(
     rounds: usize,
     directed: bool,
     ledger: &mut RoundLedger,
+    sends: Option<&Mutex<Vec<Sent>>>,
 ) -> (Vec<Probe>, MessageStats) {
     for _ in 0..rounds {
         driver.round_step(
@@ -82,11 +90,17 @@ fn run_probe<DR: RoundDriver<Probe>>(
             |ctx, s: &mut Probe, out| {
                 let draw = ctx.random_below(1 << 20);
                 s.acc = s.acc.wrapping_mul(31).wrapping_add(draw);
-                out.broadcast((draw, ctx.id.0));
-                if directed {
-                    if let Some(t) = s.target {
-                        out.send_to(t, (s.acc & 0xffff, ctx.id.0));
-                    }
+                let bcast = (draw, ctx.id.0);
+                out.broadcast(bcast);
+                let to = s.target.filter(|_| directed);
+                let msg = (s.acc & 0xffff, ctx.id.0);
+                if let Some(t) = to {
+                    out.send_to(t, msg);
+                }
+                if let Some(sends) = sends {
+                    let sent = to.map(|t| (t, msg.encoded_bits()));
+                    let entry = (ctx.id, bcast.encoded_bits(), sent.into_iter().collect());
+                    sends.lock().expect("no send panicked").push(entry);
                 }
             },
             |ctx, s, inbox: &[(NodeId, (u64, u32))]| {
@@ -101,6 +115,26 @@ fn run_probe<DR: RoundDriver<Probe>>(
     }
     let stats = driver.round_stats();
     (driver.into_node_states(), stats)
+}
+
+/// The dilation-1 relay's ledger charge `(bits_sent, max_edge_bits)`
+/// by formula: in every round, each edge v→w of `sub` (all carry v's
+/// broadcast, as every probe node broadcasts) costs
+/// `1 + b(v) + gamma_bits(k) + Σd` bits, where `b(v)` is v's broadcast
+/// size and the `k` directed messages v→w total `Σd` bits — one
+/// `OverlayEnvelope` per edge.
+fn relay_charge(sub: &Graph, sends: &[Sent]) -> (u64, u64) {
+    let (mut bits, mut max) = (0, 0);
+    for (v, bcast, directed) in sends {
+        for &w in sub.neighbors(*v) {
+            let to_w = directed.iter().filter(|&&(t, _)| t == w).map(|&(_, d)| d);
+            let (k, sum) = to_w.fold((0, 0), |(k, sum), d| (k + 1, sum + d));
+            let load = 1 + bcast + gamma_bits(k) + sum;
+            bits += load;
+            max = max.max(load);
+        }
+    }
+    (bits, max)
 }
 
 /// One full transcript: states, stats, and ledger fingerprint.
@@ -144,14 +178,14 @@ proptest! {
         let overlay = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = OverlayEngine::new(&g, PowerOverlay { k }, seed, init);
-            let (states, stats) = run_probe(driver, 4, false, &mut ledger);
+            let (states, stats) = run_probe(driver, 4, false, &mut ledger, None);
             (states, stats, fingerprint(&ledger))
         });
         let gk = power_graph(&g, k);
         let materialized = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = Engine::new(&gk, seed, init);
-            let (states, stats) = run_probe(driver, 4, false, &mut ledger);
+            let (states, stats) = run_probe(driver, 4, false, &mut ledger, None);
             (states, stats, fingerprint(&ledger))
         });
         prop_assert_eq!(&overlay.0, &materialized.0, "states diverged from materialized G^k");
@@ -163,7 +197,9 @@ proptest! {
     }
 
     /// `InducedOverlay` ≡ a materialized `g.induced(members)` run —
-    /// including directed traffic and its inbox ordering.
+    /// including directed traffic and its inbox ordering — and its
+    /// ledger carries exactly the relay charge of the materialized
+    /// run's sends on `G[S]` ([`relay_charge`]).
     #[test]
     fn induced_overlay_matches_materialized_subgraph(
         gm in arb_graph_with_mask(),
@@ -173,19 +209,41 @@ proptest! {
         let overlay = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = OverlayEngine::new(&g, InducedOverlay { members: &mask }, seed, init);
-            let (states, stats) = run_probe(driver, 4, true, &mut ledger);
+            let (states, stats) = run_probe(driver, 4, true, &mut ledger, None);
             (states, stats, fingerprint(&ledger))
         });
         let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
         let (sub, _map) = g.induced(&members);
+        let sends = Mutex::new(Vec::new());
         let materialized = under_both_modes(|| {
+            sends.lock().expect("no send panicked").clear();
             let mut ledger = RoundLedger::new();
             let driver = Engine::new(&sub, seed, init);
-            let (states, stats) = run_probe(driver, 4, true, &mut ledger);
+            let (states, stats) = run_probe(driver, 4, true, &mut ledger, Some(&sends));
             (states, stats, fingerprint(&ledger))
         });
         prop_assert_eq!(&overlay.0, &materialized.0, "states diverged from materialized G[S]");
         prop_assert_eq!(overlay.1, materialized.1, "virtual stats diverged");
         prop_assert_eq!(overlay.2.0, materialized.2.0, "dilation-1: same round count");
+        let (bits, max_edge) = relay_charge(&sub, &sends.lock().expect("no send panicked"));
+        prop_assert_eq!(overlay.2.1, bits, "relay bits_sent off the formula");
+        prop_assert_eq!(overlay.2.2, max_edge, "relay max_edge_bits off the formula");
     }
+}
+
+/// No members: the virtual round still costs its one host round, and
+/// nothing is sent, so it charges no bits.
+#[test]
+fn induced_overlay_without_members_charges_one_silent_round() {
+    let g = generators::cycle(8);
+    let mask = vec![false; g.n()];
+    let (states, stats, charge) = under_both_modes(|| {
+        let mut ledger = RoundLedger::new();
+        let driver = OverlayEngine::new(&g, InducedOverlay { members: &mask }, 0, init);
+        let (states, stats) = run_probe(driver, 1, true, &mut ledger, None);
+        (states, stats, fingerprint(&ledger))
+    });
+    assert!(states.is_empty());
+    assert_eq!(stats, MessageStats::default());
+    assert_eq!(charge, (1, 0, 0, 0));
 }
