@@ -1,8 +1,9 @@
 //! Property tests for every protocol [`WireCodec`]: exact roundtrips
 //! (`decode(encode(m)) == m`, consuming every bit), size honesty
-//! (`encode` writes exactly `encoded_bits(m)` bits), and bound
-//! soundness (`encoded_bits(m) <= max_bits(p)` for every message the
-//! protocol can legally send at parameters `p`).
+//! (`encode` writes exactly `encoded_bits(m)` bits), bound soundness
+//! (`encoded_bits(m) <= max_bits(p)` for every message the protocol can
+//! legally send at parameters `p`), and a decode fuzz: arbitrary bits
+//! decode to `None` or a value, never a panic.
 
 use delta_coloring::decomp::DecompMsg;
 use delta_coloring::gallai::GallaiMsg;
@@ -15,8 +16,10 @@ use delta_coloring::palette::Color;
 use delta_coloring::reduce::ReduceMsg;
 use delta_coloring::ruling::RulingMsg;
 use local_model::wire::{decode_from_bytes, encode_to_bytes};
-use local_model::{BitWriter, WireCodec, WireParams};
+use local_model::{BitReader, BitWriter, WireCodec, WireParams};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn roundtrip<M: WireCodec + PartialEq + std::fmt::Debug>(m: &M) {
     let (bytes, bits) = encode_to_bytes(m);
@@ -134,6 +137,63 @@ proptest! {
         let gm = GallaiMsg::BallEdges(edges);
         roundtrip(&gm);
         prop_assert!(GallaiMsg::max_bits(&p).is_none());
+    }
+}
+
+/// Decodes `M` from `len_bits` of arbitrary bits: `None` or a value,
+/// never a panic, never past the end.
+fn decodes_or_rejects<M: WireCodec>(bytes: &[u8], len_bits: u64) {
+    let mut r = BitReader::new(bytes, len_bits);
+    if M::decode(&mut r).is_some() {
+        assert!(r.consumed() <= len_bits);
+    }
+}
+
+/// Every coloring message type over the same arbitrary bits.
+fn all_decode_or_reject(bytes: &[u8], len_bits: u64) {
+    decodes_or_rejects::<MisMsg>(bytes, len_bits);
+    decodes_or_rejects::<LinialMsg>(bytes, len_bits);
+    decodes_or_rejects::<ReduceMsg>(bytes, len_bits);
+    decodes_or_rejects::<LcMsg>(bytes, len_bits);
+    decodes_or_rejects::<Color>(bytes, len_bits);
+    decodes_or_rejects::<LayerMsg>(bytes, len_bits);
+    decodes_or_rejects::<DecompMsg>(bytes, len_bits);
+    decodes_or_rejects::<MkMsg>(bytes, len_bits);
+    decodes_or_rejects::<RulingMsg>(bytes, len_bits);
+    decodes_or_rejects::<GallaiMsg>(bytes, len_bits);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn coloring_decoders_never_panic(seed in 0u64..u64::MAX, len in 0usize..48) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Dense or zero-heavy random bytes, at every valid bit length.
+        let zero_heavy = rng.random_bool(0.5);
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| match zero_heavy && rng.random_bool(0.9) {
+                true => 0,
+                false => rng.random::<u64>() as u8,
+            })
+            .collect();
+        let bits = rng.random_range(0..=bytes.len() as u64 * 8);
+        all_decode_or_reject(&bytes, bits);
+        // Real messages with a flipped bit, cut short: corrupt input
+        // that reaches the decoders' later fields.
+        let samples = [
+            encode_to_bytes(&MisMsg::Draw { value: 1 << 40, tiebreak: 77 }),
+            encode_to_bytes(&DecompMsg::Offer { key: u64::MAX, center: 12 }),
+            encode_to_bytes(&RulingMsg::Relay(vec![3, 1 << 20, 0])),
+            encode_to_bytes(&GallaiMsg::BallEdges(vec![(1, 2), (2, 900)])),
+            encode_to_bytes(&LcMsg::Colored(Color(6))),
+        ];
+        for (mut bytes, bits) in samples {
+            let at = rng.random_range(0..bits);
+            bytes[(at / 8) as usize] ^= 1 << (at % 8);
+            let cut = rng.random_range(0..=bits);
+            all_decode_or_reject(&bytes, cut);
+        }
     }
 }
 

@@ -548,39 +548,20 @@ where
     P: Fn(NodeId) -> M + Sync,
     R: Fn(&mut NodeCtx<'_>, &BallView<M>) -> D + Sync,
 {
-    let certs = match members {
-        None => intern_sources(graph.n(), &|v| {
-            Some(Cert {
-                adj: graph.neighbors(v).iter().map(|w| w.0).collect(),
-                payload: payload_of(v),
-            })
-        }),
-        Some(mask) => {
-            let member_ids: Vec<NodeId> = graph.nodes().filter(|v| mask[v.index()]).collect();
-            let mut rank_of = vec![u32::MAX; graph.n()];
-            for (r, &v) in member_ids.iter().enumerate() {
-                rank_of[v.index()] = r as u32;
-            }
-            // Rank-space adjacency of G[members]: host neighbors
-            // filtered to members; host-sorted order maps to
-            // rank-sorted order.
-            intern_sources(member_ids.len(), &|r| {
-                Some(Cert {
-                    adj: graph
-                        .neighbors(member_ids[r.index()])
-                        .iter()
-                        .filter(|w| mask[w.index()])
-                        .map(|w| rank_of[w.index()])
-                        .collect(),
-                    payload: payload_of(r),
-                })
-            })
-        }
-    };
+    let induced = members.map(|mask| Induced::new(graph, mask));
+    // Certificates carry the adjacency of the graph the flood runs on:
+    // the host, or G[members] in rank space.
+    let space = induced.as_ref().map_or(graph, |i| &i.sub);
+    let certs = intern_sources(space.n(), &|v| {
+        Some(Cert {
+            adj: space.neighbors(v).iter().map(|w| w.0).collect(),
+            payload: payload_of(v),
+        })
+    });
     let table = Arc::clone(&certs);
     reach_flood(
         graph,
-        members,
+        induced,
         seed,
         radius,
         certs,
@@ -678,12 +659,13 @@ where
     ABS: Fn(&mut A, u32, u32, &M) + Sync,
     FIN: Fn(&mut NodeCtx<'_>, &A) -> D + Sync,
 {
-    let n = members.map_or(graph.n(), |m| m.iter().filter(|&&b| b).count());
+    let induced = members.map(|mask| Induced::new(graph, mask));
+    let n = induced.as_ref().map_or(graph.n(), |i| i.sub.n());
     let payloads = intern_sources(n, &source);
     let table = Arc::clone(&payloads);
     reach_flood(
         graph,
-        members,
+        induced,
         seed,
         radius,
         payloads,
@@ -710,15 +692,33 @@ fn intern_sources<M>(n: usize, source: &impl Fn(NodeId) -> Option<M>) -> Payload
     )
 }
 
+/// A masked flood's `G[members]`, built once and shared by the
+/// certificates and the relay.
+struct Induced<'m> {
+    mask: &'m [bool],
+    /// `G[members]` in member-rank space ([`Graph::induced`]).
+    sub: Graph,
+    /// Sorted host ids of the members: rank `r` is `members[r]`.
+    members: Vec<NodeId>,
+}
+
+impl<'m> Induced<'m> {
+    fn new(host: &Graph, mask: &'m [bool]) -> Self {
+        let members: Vec<NodeId> = host.nodes().filter(|v| mask[v.index()]).collect();
+        let (sub, members) = host.induced(&members);
+        Induced { mask, sub, members }
+    }
+}
+
 /// Runs the reach or ball flood of the interned `payloads` — in the
 /// flood's id space: host ids on the host [`Engine`], or member ranks
-/// through the [`InducedOverlay`] when `members` is given. At radius 0
+/// through the [`InducedOverlay`] when `induced` is given. At radius 0
 /// no round runs: each node absorbs only itself and finishes with the
 /// randomness a driver with this seed would give it.
 #[allow(clippy::too_many_arguments)]
 fn reach_flood<M, A, D, INIT, ABS, FIN>(
     graph: &Graph,
-    members: Option<&[bool]>,
+    induced: Option<Induced<'_>>,
     seed: u64,
     radius: usize,
     payloads: PayloadTable<M>,
@@ -737,21 +737,19 @@ where
     FIN: Fn(&mut NodeCtx<'_>, &mut A) -> D + Sync,
 {
     let state = |v: NodeId| ReachState::new(v, init(v), &payloads);
-    let is_member = |v: NodeId| members.is_none_or(|m| m[v.index()]);
     if radius == 0 {
-        let hosts: Vec<NodeId> = graph.nodes().filter(|&v| is_member(v)).collect();
-        let mut rngs = node_rngs(seed, hosts.len());
+        let space = induced.as_ref().map_or(graph, |i| &i.sub);
+        let mut rngs = node_rngs(seed, space.n());
         return rngs
             .iter_mut()
-            .zip(&hosts)
             .enumerate()
-            .map(|(i, (rng, &host))| {
-                let mut s: ReachState<A, D> = state(NodeId::from_index(i));
+            .map(|(i, rng)| {
+                let v = NodeId::from_index(i);
+                let mut s: ReachState<A, D> = state(v);
                 s.settle(0, &absorb);
-                let degree = graph.neighbors(host).iter().filter(|&&w| is_member(w));
                 let mut ctx = NodeCtx {
-                    id: NodeId::from_index(i),
-                    degree: degree.count(),
+                    id: v,
+                    degree: space.degree(v),
                     rng,
                 };
                 finish(&mut ctx, &mut s.acc)
@@ -759,7 +757,7 @@ where
             .collect();
     }
     let bits_of = payload_bits(&payloads);
-    match members {
+    match induced {
         None => reach_phase_core(
             crate::congest::compile(Engine::new(graph, seed, state)),
             radius,
@@ -771,10 +769,12 @@ where
             ledger,
             phase,
         ),
-        Some(members) => reach_phase_core(
-            crate::congest::compile(OverlayEngine::new(
+        Some(Induced { mask, sub, members }) => reach_phase_core(
+            crate::congest::compile(OverlayEngine::assemble(
                 graph,
-                InducedOverlay { members },
+                InducedOverlay { members: mask },
+                members,
+                Some(sub),
                 seed,
                 state,
             )),
@@ -1252,6 +1252,59 @@ mod tests {
         assert_ne!(a, run(8));
         let d = run_ball_phase(&g, None, 0, 1, |_| (), |_, v| v.len(), &mut ledger, "b");
         assert_eq!(d, vec![2, 3, 3, 3, 3, 2]);
+    }
+
+    #[test]
+    fn relay_batch_decoders_never_panic() {
+        use crate::overlay::Ttl;
+        use crate::wire::encode_to_bytes;
+        use rand::{Rng, SeedableRng};
+        /// `None` or a value from arbitrary bits, never a panic.
+        fn decodes_or_rejects<M: WireCodec>(bytes: &[u8], len_bits: u64) {
+            let mut r = BitReader::new(bytes, len_bits);
+            if M::decode(&mut r).is_some() {
+                assert!(r.consumed() <= len_bits);
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0ba7_c4ed);
+        let certs: PayloadTable<Cert<u8>> = Arc::new(
+            (0..6u32)
+                .map(|v| {
+                    Some(Arc::new(Cert {
+                        adj: vec![(v + 1) % 6, (v + 5) % 6],
+                        payload: 3,
+                    }))
+                })
+                .collect(),
+        );
+        let cert_bits = payload_bits(&certs);
+        let samples = [
+            encode_to_bytes(&ReachBatch::new(vec![0, 2, 5], (), &certs, &cert_bits)),
+            encode_to_bytes(&ReachBatch::new(vec![1, 4], Ttl(6), &certs, &cert_bits)),
+        ];
+        for _ in 0..4000 {
+            let zero_heavy = rng.random_bool(0.5);
+            let len = rng.random_range(0usize..48);
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match zero_heavy && rng.random_bool(0.9) {
+                    true => 0,
+                    false => rng.random::<u64>() as u8,
+                })
+                .collect();
+            let bits = rng.random_range(0..=bytes.len() as u64 * 8);
+            decodes_or_rejects::<ReachBatch<u32, ()>>(&bytes, bits);
+            decodes_or_rejects::<ReachBatch<Cert<u8>, ()>>(&bytes, bits);
+            decodes_or_rejects::<ReachBatch<Option<u16>, Ttl>>(&bytes, bits);
+            // Real relays with a flipped bit, cut short.
+            for (bytes, bits) in &samples {
+                let mut bytes = bytes.clone();
+                let at = rng.random_range(0..*bits);
+                bytes[(at / 8) as usize] ^= 1 << (at % 8);
+                let cut = rng.random_range(0..=*bits);
+                decodes_or_rejects::<ReachBatch<Cert<u8>, ()>>(&bytes, cut);
+                decodes_or_rejects::<ReachBatch<Cert<u8>, Ttl>>(&bytes, cut);
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //!   driver's broadcast), then one chunk per destination queue per
 //!   round — so no directed edge ever carries more than one chunk per
 //!   wire round, and the enforced budget is provably respected.
-//! * [`Reassembler`] — receive-side partial streams, keyed by (sender,
-//!   stream id); a message reaches the node program only on the wire
-//!   round its last chunk lands. Incomplete or gapped streams (chunk
-//!   faults) lose the whole message, mirroring message-level fault
-//!   semantics.
+//! * [`Reassembler`] — receive-side partial streams in a `Vec` sorted
+//!   by (sender, stream id); a message reaches the node program only on
+//!   the wire round its last chunk lands. A one-chunk stream keeps its
+//!   chunk — a refcount on the sender's encoded buffer — and is decoded
+//!   in place; only multi-chunk streams copy their payload bits into a
+//!   buffer of their own. Incomplete or gapped streams (chunk faults)
+//!   lose the whole message, mirroring message-level fault semantics.
 //!
 //! One logical round therefore dilates into
 //! `max_v (B_v + max_d Q_{v,d})` wire rounds — the broadcast chunk
@@ -77,7 +79,7 @@ use crate::trace::VirtualRecord;
 use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec, WireParams};
 use delta_graphs::NodeId;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -162,7 +164,8 @@ pub struct CongestChunk {
     last: bool,
     /// Payload slice length in bits.
     len: u64,
-    /// Bit offset of the payload slice within `data`.
+    /// Bit offset of the payload slice within `data`: 0 for a stream's
+    /// first chunk, which starts its message.
     off: u64,
     /// Shared buffer: the full encoded message on the sender side, the
     /// extracted payload (offset 0) after decode.
@@ -191,9 +194,19 @@ impl CongestChunk {
         self.len
     }
 
-    fn payload_bit(&self, i: u64) -> u8 {
-        let at = self.off + i;
-        (self.data[(at / 8) as usize] >> (at % 8)) & 1
+    /// The payload bits copied to offset 0 (zero-padded last byte).
+    fn payload_bytes(&self) -> Vec<u8> {
+        let mut w = BitWriter::with_capacity(self.len);
+        w.write_raw(&self.data, self.off, self.len);
+        w.finish().0
+    }
+
+    /// Decodes one `M` from the payload bits where they lie, in the
+    /// shared buffer: no copy. Only a stream's first chunk is decoded
+    /// this way, and its payload starts at bit 0 of its buffer.
+    fn decode_in_place<M: WireCodec>(&self) -> Option<M> {
+        debug_assert_eq!(self.off, 0, "a stream's first chunk starts its buffer");
+        M::decode(&mut BitReader::new(&self.data, self.len))
     }
 }
 
@@ -203,7 +216,7 @@ impl PartialEq for CongestChunk {
             && self.index == other.index
             && self.last == other.last
             && self.len == other.len
-            && (0..self.len).all(|i| self.payload_bit(i) == other.payload_bit(i))
+            && self.payload_bytes() == other.payload_bytes()
     }
 }
 
@@ -295,12 +308,14 @@ impl Fragmenter {
     /// already exhausts the budget — a sign the budget is far too small
     /// for the traffic (astronomical stream counts).
     pub fn fragment<M: WireCodec>(&self, stream: u64, msg: &M) -> Vec<CongestChunk> {
-        let mut w = BitWriter::new();
+        let size = msg.encoded_bits();
+        let mut w = BitWriter::with_capacity(size);
         msg.encode(&mut w);
         let (bytes, bits) = w.finish();
-        debug_assert_eq!(bits, msg.encoded_bits(), "codec size honesty");
+        debug_assert_eq!(bits, size, "codec size honesty");
         let data = Arc::new(bytes);
-        let mut chunks = Vec::new();
+        let first_cap = self.capacity(stream, 0).max(1);
+        let mut chunks = Vec::with_capacity(bits.div_ceil(first_cap).max(1) as usize);
         let mut off = 0u64;
         let mut index = 0u64;
         loop {
@@ -398,25 +413,39 @@ impl PipelineScheduler {
     }
 }
 
+/// What a stream has received so far.
+#[derive(Debug)]
+enum Received {
+    /// Only chunk 0: kept as delivered (a refcount on the sender's
+    /// buffer) and decoded in place if it is also the final chunk.
+    One(CongestChunk),
+    /// Several chunks: their payloads copied into one buffer.
+    Many(BitWriter),
+    /// A gap or a chunk after the final one was seen (chunk faults):
+    /// the whole message is lost.
+    Dead,
+}
+
 /// One partially reassembled stream.
 #[derive(Debug)]
 struct RecvStream {
+    from: u32,
+    stream: u64,
     next_index: u64,
     finished: bool,
-    /// A gap or post-final chunk was seen (chunk faults): the whole
-    /// message is lost.
-    dead: bool,
-    buf: BitWriter,
+    got: Received,
 }
 
-/// A receiver's partial streams, keyed by (sender, stream id). Chunks
-/// accumulate across wire rounds; [`Reassembler::take_round`] decodes
-/// every finished stream in (sender, stream) order — reproducing the
+/// A receiver's partial streams, kept sorted by (sender, stream id).
+/// Chunks accumulate across wire rounds; [`Reassembler::take_round`]
+/// decodes every finished stream in that order — reproducing the
 /// engine's sender-sorted, broadcast-first inbox invariant — and drops
-/// incomplete or gapped ones (a dropped chunk loses the message).
+/// incomplete or gapped ones (a dropped chunk loses the message). A
+/// one-chunk stream is decoded straight from the sender's shared
+/// buffer; only multi-chunk streams copy their payload.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    streams: HashMap<(u32, u64), RecvStream>,
+    streams: Vec<RecvStream>,
 }
 
 impl Reassembler {
@@ -425,23 +454,50 @@ impl Reassembler {
     /// the expected one is a duplicate (ignored); anything else
     /// off-schedule kills the stream.
     pub fn stash(&mut self, from: NodeId, chunk: &CongestChunk) {
-        let s = self
+        let key = (from.0, chunk.stream);
+        let s = match self
             .streams
-            .entry((from.0, chunk.stream))
-            .or_insert_with(|| RecvStream {
-                next_index: 0,
-                finished: false,
-                dead: false,
-                buf: BitWriter::new(),
-            });
-        if s.dead || chunk.index < s.next_index {
+            .binary_search_by_key(&key, |s| (s.from, s.stream))
+        {
+            Ok(i) => &mut self.streams[i],
+            Err(i) => {
+                // A stream's first sighting must be its chunk 0.
+                let first = chunk.index == 0;
+                let got = match first {
+                    true => Received::One(chunk.clone()),
+                    false => Received::Dead,
+                };
+                let stream = RecvStream {
+                    from: from.0,
+                    stream: chunk.stream,
+                    next_index: u64::from(first),
+                    finished: first && chunk.last,
+                    got,
+                };
+                self.streams.insert(i, stream);
+                return;
+            }
+        };
+        if matches!(s.got, Received::Dead) || chunk.index < s.next_index {
             return; // dead stream, or a re-delivered duplicate
         }
         if s.finished || chunk.index > s.next_index {
-            s.dead = true; // chunk after the final one, or a gap
+            s.got = Received::Dead; // chunk after the final one, or a gap
             return;
         }
-        s.buf.write_raw(&chunk.data, chunk.off, chunk.len);
+        s.got = match std::mem::replace(&mut s.got, Received::Dead) {
+            Received::One(first) => {
+                let mut buf = BitWriter::with_capacity(first.len + chunk.len);
+                buf.write_raw(&first.data, first.off, first.len);
+                buf.write_raw(&chunk.data, chunk.off, chunk.len);
+                Received::Many(buf)
+            }
+            Received::Many(mut buf) => {
+                buf.write_raw(&chunk.data, chunk.off, chunk.len);
+                Received::Many(buf)
+            }
+            Received::Dead => unreachable!("dead streams returned above"),
+        };
         s.next_index += 1;
         s.finished = chunk.last;
     }
@@ -463,17 +519,21 @@ impl Reassembler {
     /// decoded value of a bit-flipped stream may also simply differ,
     /// mirroring message-level corruption).
     pub fn take_round<M: WireCodec>(&mut self) -> Vec<(NodeId, M)> {
-        let mut done: Vec<((u32, u64), RecvStream)> = self.streams.drain().collect();
-        done.sort_unstable_by_key(|&((from, stream), _)| (from, stream));
-        let mut out = Vec::with_capacity(done.len());
-        for ((from, _), s) in done {
-            if s.dead || !s.finished {
+        let mut out = Vec::with_capacity(self.streams.len());
+        for s in self.streams.drain(..) {
+            if !s.finished {
                 continue;
             }
-            let (bytes, bits) = s.buf.finish();
-            let mut r = BitReader::new(&bytes, bits);
-            if let Some(m) = M::decode(&mut r) {
-                out.push((NodeId(from), m));
+            let m = match s.got {
+                Received::One(chunk) => chunk.decode_in_place(),
+                Received::Many(buf) => {
+                    let (bytes, bits) = buf.finish();
+                    M::decode(&mut BitReader::new(&bytes, bits))
+                }
+                Received::Dead => None,
+            };
+            if let Some(m) = m {
+                out.push((NodeId(s.from), m));
             }
         }
         out
@@ -906,6 +966,128 @@ mod tests {
             asm.stash(NodeId(0), c);
         }
         assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(0), msg)]);
+    }
+
+    #[test]
+    fn one_chunk_stream_decodes_in_place() {
+        let frag = Fragmenter::new(240);
+        let msg: Vec<u32> = vec![3, 1, 4, 1, 5];
+        let chunks = frag.fragment(0, &msg);
+        assert_eq!(chunks.len(), 1, "a short message is one chunk");
+        let mut asm = Reassembler::default();
+        asm.stash(NodeId(4), &chunks[0]);
+        match &asm.streams[0].got {
+            Received::One(kept) => assert!(
+                Arc::ptr_eq(&kept.data, &chunks[0].data),
+                "kept on the sender's buffer, not copied"
+            ),
+            other => panic!("one-chunk stream stored as {other:?}"),
+        }
+        assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(4), msg)]);
+        assert_eq!(asm.pending(), 0, "take_round clears");
+    }
+
+    #[test]
+    fn multi_chunk_stream_copies_its_payload() {
+        let frag = Fragmenter::new(40);
+        let msg: Vec<u32> = (0..60).map(|i| i * 31).collect();
+        let chunks = frag.fragment(2, &msg);
+        assert!(chunks.len() > 2);
+        let mut asm = Reassembler::default();
+        for (i, c) in chunks.iter().enumerate() {
+            asm.stash(NodeId(1), c);
+            let got = &asm.streams[0].got;
+            match i {
+                0 => assert!(matches!(got, Received::One(_)), "chunk 0 kept as is"),
+                _ => assert!(matches!(got, Received::Many(_)), "copied from chunk 1"),
+            }
+        }
+        assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(1), msg)]);
+    }
+
+    #[test]
+    fn shuffled_senders_come_out_in_sender_stream_order() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let frag = Fragmenter::new(48);
+        // Five senders, each with a broadcast and two directed streams
+        // of different lengths (1 to several chunks).
+        let mut streams: Vec<(NodeId, u64, Vec<u32>, Vec<CongestChunk>)> = Vec::new();
+        for from in [9u32, 2, 7, 0, 5] {
+            for stream in 0..3u64 {
+                let msg: Vec<u32> = (0..(from as u64 * 3 + stream * 7) as u32).collect();
+                let chunks = frag.fragment(stream, &msg);
+                streams.push((NodeId(from), stream, msg, chunks));
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut asm = Reassembler::default();
+        // Wire round t delivers chunk t of every stream, senders and
+        // streams in shuffled order.
+        let rounds = streams.iter().map(|s| s.3.len()).max().unwrap();
+        for t in 0..rounds {
+            let mut landing: Vec<(NodeId, &CongestChunk)> = streams
+                .iter()
+                .filter_map(|(from, _, _, chunks)| chunks.get(t).map(|c| (*from, c)))
+                .collect();
+            landing.shuffle(&mut rng);
+            for (from, c) in landing {
+                asm.stash(from, c);
+            }
+        }
+        assert_eq!(asm.pending(), streams.len());
+        streams.sort_by_key(|s| (s.0, s.1));
+        let want: Vec<(NodeId, Vec<u32>)> = streams.into_iter().map(|s| (s.0, s.2)).collect();
+        assert_eq!(asm.take_round::<Vec<u32>>(), want);
+    }
+
+    #[test]
+    fn duplicates_gaps_late_chunks_and_reset() {
+        let frag = Fragmenter::new(40);
+        let msg: Vec<u32> = (0..40).collect();
+        let chunks = frag.fragment(1, &msg);
+        assert!(chunks.len() >= 3);
+        let short = frag.fragment(0, &7u8);
+        assert_eq!(short.len(), 1);
+        // A duplicate of an earlier chunk is ignored.
+        let mut asm = Reassembler::default();
+        asm.stash(NodeId(3), &chunks[0]);
+        asm.stash(NodeId(3), &chunks[1]);
+        asm.stash(NodeId(3), &chunks[0]);
+        for c in &chunks[2..] {
+            asm.stash(NodeId(3), c);
+        }
+        assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(3), msg.clone())]);
+        // A stream first seen past chunk 0 is a gap: lost.
+        let mut asm = Reassembler::default();
+        for c in &chunks[1..] {
+            asm.stash(NodeId(3), c);
+        }
+        assert_eq!(asm.pending(), 1, "the gapped stream is tracked");
+        assert!(asm.take_round::<Vec<u32>>().is_empty());
+        // A chunk after the final one kills the stream, also a one-chunk
+        // stream; other senders' streams are unaffected.
+        let mut asm = Reassembler::default();
+        asm.stash(NodeId(1), &short[0]);
+        asm.stash(NodeId(8), &short[0]);
+        let mut late = short[0].clone();
+        late.index = 1;
+        asm.stash(NodeId(1), &late);
+        assert_eq!(asm.take_round::<u8>(), vec![(NodeId(8), 7)]);
+        // An unfinished stream is dropped at take_round.
+        let mut asm = Reassembler::default();
+        asm.stash(NodeId(3), &chunks[0]);
+        assert!(asm.take_round::<Vec<u32>>().is_empty());
+        // reset forgets partial streams, so a later round starts clean.
+        let mut asm = Reassembler::default();
+        asm.stash(NodeId(3), &chunks[0]);
+        asm.stash(NodeId(3), &chunks[1]);
+        asm.reset();
+        assert_eq!(asm.pending(), 0);
+        for c in &chunks {
+            asm.stash(NodeId(3), c);
+        }
+        assert_eq!(asm.take_round::<Vec<u32>>(), vec![(NodeId(3), msg)]);
     }
 
     #[test]

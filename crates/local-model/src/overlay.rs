@@ -395,13 +395,28 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// per-rank RNG streams line up with a materialized run seeded the
     /// same way.
     pub fn new(host: &'g Graph, topo: T, seed: u64, init: impl Fn(NodeId) -> S) -> Self {
+        let members: Vec<NodeId> = host.nodes().filter(|&v| topo.is_member(v)).collect();
+        let sub = topo.member_mask().map(|_| host.induced(&members).0);
+        Self::assemble(host, topo, members, sub, seed, init)
+    }
+
+    /// [`OverlayEngine::new`] from the sorted member host ids and, for
+    /// a masked topology, `G[S]` in rank space, both already built (as
+    /// [`Graph::induced`] returns them).
+    pub(crate) fn assemble(
+        host: &'g Graph,
+        topo: T,
+        members: Vec<NodeId>,
+        sub: Option<Graph>,
+        seed: u64,
+        init: impl Fn(NodeId) -> S,
+    ) -> Self {
         assert!(topo.dilation() >= 1, "dilation must be >= 1");
         assert!(
             topo.dilation() == 1 || topo.member_mask().is_none(),
             "an overlay of dilation >= 2 has every host node as a member"
         );
-        let members: Vec<NodeId> = host.nodes().filter(|&v| topo.is_member(v)).collect();
-        let sub = topo.member_mask().map(|_| host.induced(&members).0);
+        debug_assert_eq!(sub.is_some(), topo.member_mask().is_some());
         let vdeg = match &sub {
             Some(sub) => sub.nodes().map(|r| sub.degree(r) as u32).collect(),
             None => virtual_degrees(host, topo.dilation()),

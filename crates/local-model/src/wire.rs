@@ -18,6 +18,22 @@
 //! message sizes shrink with the values actually sent and no codec needs
 //! side-channel width information to decode. Fixed-domain fields
 //! (random 64-bit draws, fixed-point keys) use fixed widths.
+//!
+//! # Layout and kernel
+//!
+//! Bits are packed LSB-first: bit `i` of a stream is bit `i % 8` of
+//! byte `i / 8`, and the last byte is zero-padded. A field's bits follow
+//! the same order, so a `width`-bit value is its low bits in stream
+//! order, and a gamma code is `k - 1` zeros followed by `v + 1`'s `k`
+//! bits from the most significant down. [`BitWriter`] and [`BitReader`]
+//! move whole words over this layout: a write shifts the field into
+//! place, ORs it into the partial last byte and appends the rest in one
+//! copy; a read loads one little-endian word at the cursor and shifts
+//! it; gamma codes are found with `trailing_zeros` and turned around
+//! with `reverse_bits`; raw payload copies are byte copies when both
+//! sides are byte-aligned, 56-bit words otherwise. The per-bit codec
+//! this replaced is kept as the oracle of the `wire_roundtrip` tests,
+//! which pin byte-identical output and identical `None` cases.
 
 use delta_graphs::{Graph, NodeId};
 
@@ -77,9 +93,12 @@ pub fn congest_budget(n: u64) -> u64 {
 
 /// Bit-level output buffer for [`WireCodec::encode`].
 ///
-/// Bits are appended LSB-first into a byte buffer; [`BitWriter::bits`]
-/// reports the exact number written, which codecs' `encoded_bits` must
-/// match (enforced by the roundtrip test suites).
+/// Bits are appended LSB-first into a byte buffer whose last byte is
+/// zero-padded; [`BitWriter::bits`] reports the exact number written,
+/// which codecs' `encoded_bits` must match (enforced by the roundtrip
+/// test suites). Writes move whole words: a field is shifted into place,
+/// ORed into the partial last byte, and the rest of its bytes are
+/// appended in one copy.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -90,6 +109,15 @@ impl BitWriter {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty writer with room for `bits` bits: a caller that knows
+    /// the exact size ([`WireCodec::encoded_bits`]) never reallocates.
+    pub(crate) fn with_capacity(bits: u64) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8) as usize),
+            bits: 0,
+        }
     }
 
     /// Number of bits written so far.
@@ -108,30 +136,47 @@ impl BitWriter {
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in 0..width {
-            let bit = (value >> i) & 1;
-            let pos = (self.bits % 8) as u32;
-            if pos == 0 {
-                self.bytes.push(0);
-            }
-            *self.bytes.last_mut().expect("pushed above") |= (bit as u8) << pos;
-            self.bits += 1;
+        self.push(value, width);
+    }
+
+    /// [`BitWriter::write_bits`] for a `value` already known to fit.
+    #[inline]
+    fn push(&mut self, value: u64, width: u32) {
+        debug_assert!(width <= 64 && (width == 64 || value >> width == 0));
+        let pos = (self.bits % 8) as u32;
+        let word = (u128::from(value) << pos).to_le_bytes();
+        let end = (pos + width).div_ceil(8) as usize;
+        if pos == 0 {
+            self.bytes.extend_from_slice(&word[..end]);
+        } else {
+            *self.bytes.last_mut().expect("a partial byte is pending") |= word[0];
+            self.bytes.extend_from_slice(&word[1..end]);
         }
+        self.bits += u64::from(width);
     }
 
     /// Appends one bit.
     pub fn write_bool(&mut self, b: bool) {
-        self.write_bits(b as u64, 1);
+        self.push(u64::from(b), 1);
     }
 
     /// Appends the Elias gamma code of `v` (see [`gamma_bits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == u64::MAX`, which has no 64-bit gamma code.
     pub fn write_gamma(&mut self, v: u64) {
-        let w = v + 1;
-        let k = 64 - w.leading_zeros(); // bit length of v + 1
-        self.write_bits(0, k - 1); // k-1 zeros
-                                   // w's k bits, MSB first (the leading 1 terminates the zero run).
-        for i in (0..k).rev() {
-            self.write_bits((w >> i) & 1, 1);
+        let w = v.checked_add(1).expect("gamma codes values below u64::MAX");
+        // w = v + 1 has k bits; the code is k-1 zeros, then w's k bits
+        // MSB first (the leading 1 ends the zero run): LSB-first, that
+        // is w bit-reversed after the run.
+        let k = 64 - w.leading_zeros();
+        let reversed = w.reverse_bits() >> (64 - k);
+        if k <= 32 {
+            self.push(reversed << (k - 1), 2 * k - 1);
+        } else {
+            self.push(0, k - 1);
+            self.push(reversed, k);
         }
     }
 
@@ -139,7 +184,8 @@ impl BitWriter {
     /// bit offset `start_bit` (LSB-first addressing, matching the
     /// writer's own layout). The bulk path behind chunk fragmentation
     /// and reassembly ([`crate::congest`]): payload bits move between
-    /// buffers without a per-field re-encode.
+    /// buffers without a per-field re-encode — as one byte copy when
+    /// source and writer are both byte-aligned, else in 56-bit words.
     ///
     /// # Panics
     ///
@@ -149,17 +195,26 @@ impl BitWriter {
             start_bit + len_bits <= bytes.len() as u64 * 8,
             "raw copy of {len_bits} bits at offset {start_bit} overruns the source"
         );
-        let mut done = 0u64;
-        while done < len_bits {
-            let take = (len_bits - done).min(64) as u32;
-            let mut word = 0u64;
-            for i in 0..take {
-                let at = start_bit + done + u64::from(i);
-                let bit = (bytes[(at / 8) as usize] >> (at % 8)) & 1;
-                word |= u64::from(bit) << i;
+        // Exactly the bytes this copy ends at, reserved once.
+        self.bytes
+            .reserve((self.bits + len_bits).div_ceil(8) as usize - self.bytes.len());
+        if start_bit.is_multiple_of(8) && self.bits.is_multiple_of(8) {
+            let from = (start_bit / 8) as usize;
+            let whole = (len_bits / 8) as usize;
+            self.bytes.extend_from_slice(&bytes[from..from + whole]);
+            self.bits += 8 * whole as u64;
+            let tail = (len_bits % 8) as u32;
+            if tail > 0 {
+                self.push(low_bits(u64::from(bytes[from + whole]), tail), tail);
             }
-            self.write_bits(word, take);
-            done += u64::from(take);
+            return;
+        }
+        let end = start_bit + len_bits;
+        let mut at = start_bit;
+        while at < end {
+            let take = (end - at).min(56) as u32;
+            self.push(load_bits(bytes, at, take), take);
+            at += u64::from(take);
         }
     }
 
@@ -169,7 +224,45 @@ impl BitWriter {
     }
 }
 
+/// The low `width` (1..=64) bits of `v`.
+#[inline]
+fn low_bits(v: u64, width: u32) -> u64 {
+    v & (u64::MAX >> (64 - width))
+}
+
+/// The little-endian word starting at byte `i`, zero-filled past the
+/// end of `bytes`.
+#[inline]
+fn load_word(bytes: &[u8], i: usize) -> u64 {
+    match bytes.get(i..i + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let tail = bytes.get(i..).unwrap_or_default();
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// The `width` (0..=64) bits of `bytes` starting at bit `at`, which must
+/// lie inside `bytes`.
+#[inline]
+fn load_bits(bytes: &[u8], at: u64, width: u32) -> u64 {
+    if width == 0 {
+        return 0;
+    }
+    let i = (at / 8) as usize;
+    let shift = (at % 8) as u32;
+    let mut v = load_word(bytes, i) >> shift;
+    if shift + width > 64 {
+        v |= u64::from(bytes[i + 8]) << (64 - shift);
+    }
+    low_bits(v, width)
+}
+
 /// Bit-level cursor over an encoded buffer for [`WireCodec::decode`].
+/// Reads load one little-endian word at the cursor and shift it.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -199,19 +292,24 @@ impl<'a> BitReader<'a> {
         self.cursor == self.len_bits
     }
 
+    /// Valid bits not yet consumed.
+    fn left(&self) -> u64 {
+        self.len_bits - self.cursor
+    }
+
     /// Reads `width` bits (LSB-first); `None` past the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
     pub fn read_bits(&mut self, width: u32) -> Option<u64> {
-        if width as u64 > self.len_bits - self.cursor {
+        assert!(width <= 64, "width {width} exceeds u64");
+        if u64::from(width) > self.left() {
             return None;
         }
-        let mut out = 0u64;
-        for i in 0..width {
-            let at = self.cursor + i as u64;
-            let bit = (self.bytes[(at / 8) as usize] >> (at % 8)) & 1;
-            out |= (bit as u64) << i;
-        }
-        self.cursor += width as u64;
-        Some(out)
+        let v = load_bits(self.bytes, self.cursor, width);
+        self.cursor += u64::from(width);
+        Some(v)
     }
 
     /// Reads one bit.
@@ -223,36 +321,32 @@ impl<'a> BitReader<'a> {
     /// layout, zero-padded final byte); `None` past the end. Inverse of
     /// [`BitWriter::write_raw`] for chunk-payload extraction.
     pub fn read_raw(&mut self, len_bits: u64) -> Option<Vec<u8>> {
-        if len_bits > self.len_bits - self.cursor {
+        if len_bits > self.left() {
             return None;
         }
-        let mut w = BitWriter::new();
-        let mut done = 0u64;
-        while done < len_bits {
-            let take = (len_bits - done).min(64) as u32;
-            w.write_bits(self.read_bits(take)?, take);
-            done += u64::from(take);
-        }
-        let (bytes, bits) = w.finish();
-        debug_assert_eq!(bits, len_bits);
-        Some(bytes)
+        let mut w = BitWriter::with_capacity(len_bits);
+        w.write_raw(self.bytes, self.cursor, len_bits);
+        self.cursor += len_bits;
+        Some(w.bytes)
     }
 
-    /// Reads one Elias gamma code.
+    /// Reads one Elias gamma code: `None` past the end or on a run of
+    /// 64 zeros, which no value below `u64::MAX` produces.
     pub fn read_gamma(&mut self) -> Option<u64> {
-        let mut zeros = 0u32;
-        while self.read_bits(1)? == 0 {
-            zeros += 1;
-            if zeros >= 64 {
-                return None; // corrupt: no terminating 1 within range
-            }
+        let window = self.left().min(64) as u32;
+        let zeros = load_bits(self.bytes, self.cursor, window).trailing_zeros();
+        if zeros >= window || 2 * u64::from(zeros) + 1 > self.left() {
+            return None; // no terminating 1 in range, or a truncated tail
         }
-        // The 1 just consumed is w's MSB; read the remaining `zeros` bits.
-        let mut w = 1u64;
-        for _ in 0..zeros {
-            w = (w << 1) | self.read_bits(1)?;
-        }
-        Some(w - 1)
+        // The 1 ends the run and is w's MSB; the next `zeros` bits are
+        // the rest of w, MSB first.
+        let rest = load_bits(self.bytes, self.cursor + u64::from(zeros) + 1, zeros);
+        self.cursor += 2 * u64::from(zeros) + 1;
+        let low = match zeros {
+            0 => 0,
+            z => rest.reverse_bits() >> (64 - z),
+        };
+        Some(((1u64 << zeros) | low) - 1)
     }
 
     /// Reads one Elias gamma code that must fit a `u32` (ids, TTLs,

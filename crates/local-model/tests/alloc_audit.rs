@@ -22,8 +22,8 @@
 
 use delta_graphs::{generators, Graph};
 use local_model::{
-    Engine, ExecMode, InducedOverlay, Outbox, OverlayEngine, PowerOverlay, RoundDriver,
-    RoundLedger, Tracer, VirtualTopology,
+    run_ball_phase, Engine, ExecMode, InducedOverlay, Outbox, OverlayEngine, PowerOverlay,
+    RoundDriver, RoundLedger, Tracer, VirtualTopology,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,6 +262,48 @@ fn warm_induced_overlay_allocates_o_members_not_o_host() {
         "a 16x larger host scaled per-virtual-round allocation by \
          {ratio:.2}x ({small} -> {large} bytes): the induced relay is \
          no longer O(|S|)"
+    );
+}
+
+/// Bytes one masked radius-2 ball phase over the first 64 nodes of an
+/// `n`-cycle allocates, from certificates to decisions.
+fn masked_ball_phase_bytes(n: usize) -> u64 {
+    let g = generators::cycle(n);
+    let mask: Vec<bool> = (0..n).map(|v| v < 64).collect();
+    let mut ledger = RoundLedger::new();
+    let before = ALLOC_BYTES.load(Ordering::SeqCst);
+    let sizes = run_ball_phase(
+        &g,
+        Some(&mask),
+        5,
+        2,
+        |_| (),
+        |_, view| view.members.len(),
+        &mut ledger,
+        "audit",
+    );
+    let bytes = ALLOC_BYTES.load(Ordering::SeqCst) - before;
+    assert_eq!(sizes.len(), 64);
+    bytes
+}
+
+/// A masked ball phase builds `G[S]` once — the certificates read the
+/// graph the relay runs on — so the only host-sized allocation left is
+/// [`Graph::induced`]'s one `u32` per host node: 16x more host nodes
+/// add at most 4 bytes per added node.
+#[test]
+fn masked_ball_phase_builds_the_induced_graph_once() {
+    let _guard = AUDIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (
+        masked_ball_phase_bytes(1 << 10),
+        masked_ball_phase_bytes(1 << 14),
+    );
+    let per_added_node = (large - small) as f64 / ((1 << 14) - (1 << 10)) as f64;
+    println!("masked 64-member ball phase: {small} B on 2^10 hosts, {large} B on 2^14");
+    assert!(
+        per_added_node <= 4.5,
+        "{per_added_node:.2} bytes per added host node ({small} -> {large} bytes): \
+         the masked phase builds more than one host-sized map"
     );
 }
 
