@@ -46,6 +46,7 @@
 //! change — while wall-clock stays advisory. Drift exits nonzero, and
 //! check mode never refreshes the committed baseline file.
 
+use delta_coloring_bench::bench_json::{summary_json, Baseline};
 use delta_coloring_bench::experiments::{run, Scale, ALL};
 use delta_coloring_bench::Table;
 use local_model::{
@@ -53,7 +54,6 @@ use local_model::{
 };
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -408,123 +408,6 @@ fn print_bandwidth_table(quick: bool, results: &[(String, Table, f64)]) {
     println!();
 }
 
-/// The committed `BENCH_delta.json` baseline, as far as the diff table
-/// needs it: per-experiment wall-clock and max-bits-per-edge plus the
-/// run's totals.
-struct Baseline {
-    quick: Option<bool>,
-    total_wall_clock_s: Option<f64>,
-    /// `g7_ruling_peak_bytes` from the committed summary:
-    /// `(materialized, overlay)`.
-    g7_peaks: Option<(u64, u64)>,
-    /// The committed sweep's summed simulated LOCAL rounds — the
-    /// contention-free invariant `--check-baseline` enforces.
-    total_simulated_rounds: Option<u64>,
-    experiments: Vec<BaselineExp>,
-}
-
-/// One experiment line of the committed summary: wall-clock, the
-/// `max_edge_bits` invariant, and the named domain metrics (e.g. the
-/// fault sweep's recovery counters), which diff by name.
-struct BaselineExp {
-    id: String,
-    wall_clock_s: f64,
-    max_edge_bits: Option<u64>,
-    metrics: Vec<(String, u64)>,
-}
-
-impl Baseline {
-    /// Line-oriented extraction from the `delta-bench-v1` summary this
-    /// binary itself writes. Returns `None` when nothing recognizable
-    /// is found (foreign or corrupt file) rather than guessing.
-    fn parse(text: &str) -> Option<Baseline> {
-        fn str_field(line: &str, key: &str) -> Option<String> {
-            let rest = line.split_once(&format!("\"{key}\":"))?.1.trim();
-            let rest = rest.strip_prefix('"')?;
-            Some(rest.split_once('"')?.0.to_string())
-        }
-        fn f64_field(line: &str, key: &str) -> Option<f64> {
-            let rest = line.split_once(&format!("\"{key}\":"))?.1.trim();
-            rest.trim_end_matches([',', '}'])
-                .split([',', '}'])
-                .next()?
-                .trim()
-                .parse()
-                .ok()
-        }
-        /// The `"metrics": {...}` object on an experiment line, as
-        /// name/value pairs (empty when the line carries none).
-        fn metrics_object(line: &str) -> Vec<(String, u64)> {
-            let Some(rest) = line.split_once("\"metrics\":") else {
-                return Vec::new();
-            };
-            let Some(body) = rest
-                .1
-                .split_once('{')
-                .and_then(|(_, tail)| tail.split_once('}'))
-            else {
-                return Vec::new();
-            };
-            body.0
-                .split(',')
-                .filter_map(|pair| {
-                    let (name, value) = pair.split_once(':')?;
-                    Some((
-                        name.trim().trim_matches('"').to_string(),
-                        value.trim().parse().ok()?,
-                    ))
-                })
-                .collect()
-        }
-        let mut base = Baseline {
-            quick: None,
-            total_wall_clock_s: None,
-            g7_peaks: None,
-            total_simulated_rounds: None,
-            experiments: Vec::new(),
-        };
-        for line in text.lines() {
-            if base.g7_peaks.is_none() && line.contains("\"g7_ruling_peak_bytes\"") {
-                if let (Some(m), Some(o)) =
-                    (f64_field(line, "materialized"), f64_field(line, "overlay"))
-                {
-                    base.g7_peaks = Some((m as u64, o as u64));
-                }
-            }
-            if base.quick.is_none() {
-                if let Some(rest) = line.split_once("\"quick\":") {
-                    base.quick = Some(rest.1.trim().trim_end_matches(',').trim() == "true");
-                }
-            }
-            if base.total_wall_clock_s.is_none() && !line.contains("\"id\"") {
-                if let Some(v) = f64_field(line, "total_wall_clock_s") {
-                    base.total_wall_clock_s = Some(v);
-                }
-            }
-            if base.total_simulated_rounds.is_none() && !line.contains("\"id\"") {
-                if let Some(v) = f64_field(line, "total_simulated_rounds") {
-                    base.total_simulated_rounds = Some(v as u64);
-                }
-            }
-            if let (Some(id), Some(wall)) = (str_field(line, "id"), f64_field(line, "wall_clock_s"))
-            {
-                let bits = f64_field(line, "max_edge_bits").map(|b| b as u64);
-                base.experiments.push(BaselineExp {
-                    id,
-                    wall_clock_s: wall,
-                    max_edge_bits: bits,
-                    metrics: metrics_object(line),
-                });
-            }
-        }
-        if base.experiments.is_empty() && base.total_wall_clock_s.is_none() {
-            None
-        } else {
-            Some(base)
-        }
-    }
-}
-
 /// Prints the per-experiment wall-clock delta table against the
 /// committed baseline.
 fn print_baseline_diff(
@@ -666,59 +549,4 @@ fn print_baseline_diff(
         ),
     }
     println!();
-}
-
-/// Renders the `BENCH_delta.json` summary (schema `delta-bench-v1`).
-fn summary_json(
-    results: &[(String, Table, f64)],
-    quick: bool,
-    total_wall: f64,
-    g7_peaks: (u64, u64),
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"delta-bench-v1\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"timing\": \"concurrent\",");
-    let _ = writeln!(out, "  \"total_wall_clock_s\": {total_wall:.3},");
-    let _ = writeln!(
-        out,
-        "  \"g7_ruling_peak_bytes\": {{\"materialized\": {}, \"overlay\": {}}},",
-        g7_peaks.0, g7_peaks.1
-    );
-    let total_rounds: u64 = results.iter().map(|(_, t, _)| t.sim_rounds()).sum();
-    let _ = writeln!(out, "  \"total_simulated_rounds\": {total_rounds},");
-    let max_bits = results
-        .iter()
-        .map(|(_, t, _)| t.max_edge_bits())
-        .max()
-        .unwrap_or(0);
-    let _ = writeln!(out, "  \"max_edge_bits\": {max_bits},");
-    let _ = writeln!(out, "  \"experiments\": [");
-    for (i, (id, table, secs)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        // Named metrics (e.g. the fault sweep's recovery counters) are
-        // appended after the fixed fields so the line-oriented baseline
-        // parser keeps finding them by name.
-        let metrics = if table.metrics().is_empty() {
-            String::new()
-        } else {
-            let body = table
-                .metrics()
-                .iter()
-                .map(|(n, v)| format!("\"{n}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(", \"metrics\": {{{body}}}")
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"id\": \"{id}\", \"wall_clock_s\": {secs:.3}, \"simulated_rounds\": {}, \"max_edge_bits\": {}, \"rows\": {}{metrics}}}{comma}",
-            table.sim_rounds(),
-            table.max_edge_bits(),
-            table.len(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
 }

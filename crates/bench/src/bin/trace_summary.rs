@@ -27,6 +27,7 @@
 //! nonzero. This is the CI gate proving the trace stream and the bench
 //! meters never disagree.
 
+use delta_coloring_bench::bench_json::{Baseline, BaselineExp};
 use local_model::{SpanAgg, TraceSummary, FLUSH_PHASE};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -84,7 +85,7 @@ fn main() -> ExitCode {
 
     let bench = match &check {
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(parse_bench(&text)),
+            Ok(text) => Some(Baseline::parse(&text).map_or_else(Vec::new, |b| b.experiments)),
             Err(e) => {
                 eprintln!("cannot read {}: {e}", path.display());
                 return ExitCode::FAILURE;
@@ -121,7 +122,7 @@ fn main() -> ExitCode {
 
 /// Parses, self-checks, renders, and (optionally) cross-checks one
 /// trace file.
-fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), String> {
+fn report(file: &Path, folded: bool, bench: Option<&[BaselineExp]>) -> Result<(), String> {
     let s = TraceSummary::read_path(file)?;
     s.check_consistent()
         .map_err(|e| format!("{}: {e}", file.display()))?;
@@ -132,22 +133,23 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
         .map(|m| m.label.clone())
         .unwrap_or_else(|| file.display().to_string());
     println!("== trace {label} ({}) ==", file.display());
+    let t = &s.totals;
     println!(
         "totals: {} rounds, {} bits, max {} bits/edge/round, {} violations, {} records, {} virtual rounds",
-        s.rounds, s.bits, s.max_edge_bits, s.violations, s.records, s.virtual_rounds
+        t.rounds, t.bits, t.max_edge_bits, t.violations, t.records, s.virtual_rounds
     );
-    if s.faults != Default::default() {
+    if t.faults != Default::default() {
         println!(
             "faults: {} dropped, {} duplicated, {} corrupted, {} crashed node-rounds",
-            s.faults.dropped, s.faults.duplicated, s.faults.corrupted, s.faults.crashed_rounds
+            t.faults.dropped, t.faults.duplicated, t.faults.corrupted, t.faults.crashed_rounds
         );
     }
-    let total_wall: u64 = s.phases.iter().map(|(_, a)| a.wall_ns).sum();
+    let total_wall: u64 = s.phases().iter().map(|(_, a)| a.wall_ns).sum();
     println!(
         "{:<32} {:>10} {:>10} {:>16} {:>10} {:>12} {:>7}",
         "phase", "rounds", "engine", "bits", "max-edge", "wall-ms", "wall-%"
     );
-    for (name, agg) in &s.phases {
+    for (name, agg) in s.phases() {
         println!(
             "{:<32} {:>10} {:>10} {:>16} {:>10} {:>12.3} {:>6.1}%",
             name,
@@ -165,7 +167,7 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
             "{:<32} {:>6} {:>10} {:>16} {:>12}",
             "span", "count", "rounds", "bits", "wall-ms"
         );
-        for (path, agg) in &tree {
+        for (path, agg) in tree {
             println!(
                 "{:<32} {:>6} {:>10} {:>16} {:>12.3}",
                 path,
@@ -178,14 +180,14 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
     }
     if folded {
         println!("-- folded stacks ({label}; self-µs) --");
-        for line in folded_stacks(&tree) {
+        for line in folded_stacks(tree) {
             println!("{line}");
         }
     }
     println!();
 
     if let Some(bench) = bench {
-        if let Some((_, agg)) = s.phases.iter().find(|(p, _)| p == FLUSH_PHASE) {
+        if let Some((_, agg)) = s.phases().iter().find(|(p, _)| p == FLUSH_PHASE) {
             return Err(format!(
                 "{}: {} bits in the {FLUSH_PHASE} row belong to no named phase",
                 file.display(),
@@ -196,24 +198,23 @@ fn report(file: &Path, folded: bool, bench: Option<&[BenchExp]>) -> Result<(), S
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or_default();
-        let exp = bench
+        let (rounds, max_edge_bits) = bench
             .iter()
             .find(|b| b.id == id)
+            .and_then(|b| Some((b.simulated_rounds?, b.max_edge_bits?)))
             .ok_or_else(|| format!("{}: bench summary has no experiment '{id}'", file.display()))?;
-        if s.rounds != exp.simulated_rounds {
+        if t.rounds != rounds {
             return Err(format!(
-                "{}: trace rounds {} != bench simulated_rounds {} for '{id}'",
+                "{}: trace rounds {} != bench simulated_rounds {rounds} for '{id}'",
                 file.display(),
-                s.rounds,
-                exp.simulated_rounds
+                t.rounds,
             ));
         }
-        if s.max_edge_bits != exp.max_edge_bits {
+        if t.max_edge_bits != max_edge_bits {
             return Err(format!(
-                "{}: trace max_edge_bits {} != bench max_edge_bits {} for '{id}'",
+                "{}: trace max_edge_bits {} != bench max_edge_bits {max_edge_bits} for '{id}'",
                 file.display(),
-                s.max_edge_bits,
-                exp.max_edge_bits
+                t.max_edge_bits,
             ));
         }
     }
@@ -240,42 +241,6 @@ fn folded_stacks(tree: &[(String, SpanAgg)]) -> Vec<String> {
                 "{path} {}",
                 agg.wall_ns.saturating_sub(children_wall) / 1000
             )
-        })
-        .collect()
-}
-
-/// One experiment line of a `delta-bench-v1` summary, as far as the
-/// cross-check needs it.
-struct BenchExp {
-    id: String,
-    simulated_rounds: u64,
-    max_edge_bits: u64,
-}
-
-/// Line-oriented extraction of the per-experiment invariants from the
-/// summary the `experiments` binary writes.
-fn parse_bench(text: &str) -> Vec<BenchExp> {
-    fn u64_field(line: &str, key: &str) -> Option<u64> {
-        line.split_once(&format!("\"{key}\":"))?
-            .1
-            .trim()
-            .split([',', '}'])
-            .next()?
-            .trim()
-            .parse()
-            .ok()
-    }
-    fn str_field(line: &str, key: &str) -> Option<String> {
-        let rest = line.split_once(&format!("\"{key}\":"))?.1.trim();
-        Some(rest.strip_prefix('"')?.split_once('"')?.0.to_string())
-    }
-    text.lines()
-        .filter_map(|line| {
-            Some(BenchExp {
-                id: str_field(line, "id")?,
-                simulated_rounds: u64_field(line, "simulated_rounds")?,
-                max_edge_bits: u64_field(line, "max_edge_bits")?,
-            })
         })
         .collect()
 }

@@ -7,6 +7,7 @@
 //! experiment here returns structured rows and can print itself as an
 //! aligned text table and as CSV.
 
+pub mod bench_json;
 pub mod experiments;
 pub mod table;
 

@@ -52,7 +52,7 @@ impl WireCodec for GallaiMsg {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let len = r.read_gamma()?;
-        let mut edges = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut edges = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             let a = r.read_gamma_u32()?;
             let b = r.read_gamma_u32()?;

@@ -313,3 +313,56 @@ fn substrates_split_as_documented() {
         }
     }
 }
+
+/// Counts the bytes each thread allocates, so a test can bound what
+/// one decode reserves while the proptests run on their own threads.
+struct ThreadCountingAlloc;
+
+thread_local! {
+    static ALLOCATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: a thread being torn down may still free and allocate
+    // after its locals are gone.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+}
+
+// SAFETY: every operation is forwarded unchanged to `System`; the
+// counter is a const-initialized thread-local `Cell`, which neither
+// allocates nor reenters the allocator.
+unsafe impl std::alloc::GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `alloc` contract, passed on as is.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's `realloc` contract, passed on as is.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+#[test]
+fn corrupt_gallai_length_prefix_reserves_at_most_the_bits_left() {
+    // A gamma length of 2^20 edges and no edge after it (41 bits): a
+    // bit flip's view of a short relay.
+    let mut w = BitWriter::new();
+    w.write_gamma(1 << 20);
+    let (bytes, bits) = w.finish();
+    assert_eq!(bits, 41);
+    let before = ALLOCATED.with(std::cell::Cell::get);
+    assert!(decode_from_bytes::<GallaiMsg>(&bytes, bits).is_none());
+    let reserved = ALLOCATED.with(std::cell::Cell::get) - before;
+    assert!(reserved <= 1024, "GallaiMsg reserved {reserved} bytes");
+}

@@ -141,7 +141,7 @@ impl<M: WireCodec> WireCodec for BallMsg<M> {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let len = r.read_gamma()?;
-        let mut items = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut items = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             items.push(BallItem::decode(r)?);
         }
@@ -171,7 +171,7 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let len = r.read_gamma()?;
-        let mut items = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut items = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             let id = r.read_gamma_u32()?;
             items.push((id, M::decode(r)?));
@@ -339,7 +339,7 @@ impl<M: WireCodec, H: HopHeader> WireCodec for ReachBatch<M, H> {
         // The CONGEST reassembler decodes every relay; the payloads
         // stay parallel to the ids (`BatchPayloads::Decoded`).
         let len = r.read_gamma()?;
-        let cap = len.min(1 << 20) as usize;
+        let cap = r.capacity_hint(len);
         let (mut ids, mut decoded) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
         let mut hop: Option<H> = None;
         let mut wire_bits = gamma_bits(len);
@@ -937,8 +937,7 @@ where
         );
         if tracing {
             // (node, source) pairs first heard this round — the next
-            // round's forwarding frontier. Feeds the `flood_frontier`
-            // histogram in metrics sinks.
+            // round's forwarding frontier.
             ledger.trace_observe("flood_frontier", frontier.swap(0, Ordering::Relaxed));
         }
     }
@@ -1005,7 +1004,7 @@ impl WireCodec for CenterMsg {
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let probe_ttl = Option::<u32>::decode(r)?;
         let len = r.read_gamma()?;
-        let mut items = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut items = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             items.push(CenterItem::decode(r)?);
         }

@@ -831,7 +831,7 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
         self.logical_rounds += 1;
         self.wire_rounds += wire;
         if let Some(t0) = t0 {
-            ledger.trace_virtual(&VirtualRecord {
+            ledger.trace_virtual(VirtualRecord {
                 level: crate::trace::CONGEST_LEVEL.to_string(),
                 vround,
                 host_rounds: wire,

@@ -1,7 +1,7 @@
 //! Round accounting for LOCAL-model executions.
 
 use crate::faults::FaultCounters;
-use crate::trace::{PhaseSpan, RoundMeta, TraceHandle, VirtualRecord};
+use crate::trace::{PhaseSpan, RoundMeta, TraceHandle, TraceLine, VirtualRecord};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -26,10 +26,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoundLedger {
-    entries: Vec<(String, u64)>,
     /// Per-phase totals in first-seen order, with `phase_idx` mapping
-    /// phase name → index: `phase_total` / `by_phase` in O(1) / O(P)
-    /// instead of scanning `entries`.
+    /// phase name → index: `phase_total` / `by_phase` in O(1) / O(P).
     phase_totals: Vec<(String, u64)>,
     phase_idx: HashMap<String, usize>,
     total: u64,
@@ -62,24 +60,10 @@ impl RoundLedger {
             return;
         }
         self.total += rounds;
-        match self.phase_idx.get(phase) {
-            Some(&i) => self.phase_totals[i].1 += rounds,
-            None => {
-                self.phase_idx
-                    .insert(phase.to_string(), self.phase_totals.len());
-                self.phase_totals.push((phase.to_string(), rounds));
-            }
-        }
+        *ordered_slot(&mut self.phase_idx, &mut self.phase_totals, phase) += rounds;
         if let Some(t) = &self.trace {
             t.on_charge(phase, rounds);
         }
-        if let Some(last) = self.entries.last_mut() {
-            if last.0 == phase {
-                last.1 += rounds;
-                return;
-            }
-        }
-        self.entries.push((phase.to_string(), rounds));
     }
 
     /// Charges one round's bandwidth: total bits transmitted, the
@@ -108,12 +92,12 @@ impl RoundLedger {
         self.faults.crashed_rounds += crashed;
         if let Some(t) = &self.trace {
             if dropped | duplicated | corrupted | crashed != 0 {
-                t.on_faults(FaultCounters {
+                t.emit(TraceLine::Faults(FaultCounters {
                     dropped,
                     duplicated,
                     corrupted,
                     crashed_rounds: crashed,
-                });
+                }));
             }
         }
     }
@@ -135,16 +119,19 @@ impl RoundLedger {
     }
 
     /// Emits an overlay virtual-round record. No-op without a trace.
-    pub fn trace_virtual(&self, rec: &VirtualRecord) {
+    pub fn trace_virtual(&self, rec: VirtualRecord) {
         if let Some(t) = &self.trace {
-            t.on_virtual(rec);
+            t.emit(TraceLine::Virtual(rec));
         }
     }
 
     /// Records a named scalar observation. No-op without a trace.
     pub fn trace_observe(&self, name: &str, value: u64) {
         if let Some(t) = &self.trace {
-            t.on_observe(name, value);
+            t.emit(TraceLine::Observe {
+                name: name.to_string(),
+                value,
+            });
         }
     }
 
@@ -199,18 +186,31 @@ impl RoundLedger {
             .map_or(0, |&i| self.phase_totals[i].1)
     }
 
-    /// The (phase, rounds) entries in charge order; consecutive charges
-    /// to the same phase are merged.
-    pub fn entries(&self) -> &[(String, u64)] {
-        &self.entries
-    }
-
-    /// Collapses entries into per-phase totals, in first-seen order.
-    /// O(P): clones the keyed accumulator maintained by
-    /// [`RoundLedger::charge`] instead of rescanning `entries`.
+    /// Per-phase totals, in first-seen order. O(P): clones the keyed
+    /// accumulator maintained by [`RoundLedger::charge`].
     pub fn by_phase(&self) -> Vec<(String, u64)> {
         self.phase_totals.clone()
     }
+}
+
+/// The value for `key` in an insertion-ordered `(key, value)` list
+/// indexed by `idx`, appended as `T::default()` on first sight: the
+/// ledger's per-phase totals and a trace summary's phase and span
+/// aggregates.
+pub(crate) fn ordered_slot<'a, T: Default>(
+    idx: &mut HashMap<String, usize>,
+    vals: &'a mut Vec<(String, T)>,
+    key: &str,
+) -> &'a mut T {
+    let i = match idx.get(key) {
+        Some(&i) => i,
+        None => {
+            idx.insert(key.to_string(), vals.len());
+            vals.push((key.to_string(), T::default()));
+            vals.len() - 1
+        }
+    };
+    &mut vals[i].1
 }
 
 impl fmt::Display for RoundLedger {
@@ -255,8 +255,6 @@ mod tests {
         assert_eq!(l.phase_total("a"), 6);
         assert_eq!(l.phase_total("b"), 1);
         assert_eq!(l.phase_total("c"), 0);
-        // Consecutive same-phase charges merge into one entry.
-        assert_eq!(l.entries().len(), 3);
     }
 
     #[test]
@@ -264,7 +262,7 @@ mod tests {
         let mut l = RoundLedger::new();
         l.charge("x", 0);
         assert_eq!(l.total(), 0);
-        assert!(l.entries().is_empty());
+        assert!(l.by_phase().is_empty());
     }
 
     #[test]

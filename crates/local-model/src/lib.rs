@@ -56,11 +56,12 @@
 //!   (`tests/sharded_equivalence.rs`), with the blocks' own wire cost
 //!   metered by [`BoundaryStats`];
 //! * **round-trace observability** ([`trace`]) — a [`Tracer`] wires
-//!   [`TraceSink`]s (in-memory [`MetricsRegistry`], JSONL streaming
-//!   with a [`RunManifest`] header, periodic progress reporting) into
-//!   any [`RoundLedger`]: per-round records, level-tagged overlay
-//!   records, and RAII [`PhaseSpan`]s derived from the ledger's own
-//!   charge calls — zero-allocation when no sink is attached
+//!   [`TraceSink`]s (JSONL streaming with a [`RunManifest`] header,
+//!   periodic progress reporting) into any [`RoundLedger`]: per-round
+//!   records, level-tagged overlay records, and RAII [`PhaseSpan`]s
+//!   derived from the ledger's own charge calls, each one
+//!   [`TraceLine`] that the tracer folds with the reader's own
+//!   [`TraceSummary::add`] — zero-allocation when no tracer is attached
 //!   (`tests/alloc_audit.rs`) and total-exact against the ledger on
 //!   every substrate (`tests/trace_equivalence.rs`);
 //! * **true-CONGEST execution** ([`congest`]) — a [`CongestEngine`]
@@ -114,8 +115,8 @@ pub use overlay::{
 };
 pub use shard::{BoundaryStats, ShardedEngine};
 pub use trace::{
-    parse_trace_line, Histogram, JsonlSink, MetricsRegistry, PhaseSpan, ProgressSink, RoundMeta,
-    RoundRecord, RunManifest, SpanAgg, SpanRecord, TraceLine, TraceSink, TraceSummary, TraceTotals,
-    Tracer, VirtualRecord, CONGEST_LEVEL, FLUSH_PHASE, TRACE_SCHEMA,
+    parse_trace_line, JsonlSink, PhaseSpan, ProgressSink, RoundMeta, RoundRecord, RunManifest,
+    SpanAgg, SpanRecord, TraceLine, TraceSink, TraceSummary, TraceTotals, Tracer, VirtualRecord,
+    CONGEST_LEVEL, FLUSH_PHASE, TRACE_SCHEMA,
 };
 pub use wire::{congest_budget, BitReader, BitWriter, WireCodec, WireParams};

@@ -212,7 +212,7 @@ impl<M: WireCodec> WireCodec for OverlayEnvelope<M> {
             false => None,
         };
         let len = r.read_gamma()?;
-        let mut directed = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut directed = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             directed.push(M::decode(r)?);
         }
@@ -298,7 +298,7 @@ impl<M: WireCodec> WireCodec for OverlayRelay<M> {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let len = r.read_gamma()?;
-        let mut items = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut items = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             items.push(RelayItem::decode(r)?);
         }
@@ -767,7 +767,7 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             // Level-tagged virtual record: the k host relay rounds have
             // already emitted their own round records through the same
             // ledger, so this carries virtual-level stats only.
-            ledger.trace_virtual(&crate::trace::VirtualRecord {
+            ledger.trace_virtual(crate::trace::VirtualRecord {
                 level: self.topo.trace_label(),
                 vround: self.virtual_rounds,
                 host_rounds: k as u64,

@@ -13,6 +13,9 @@
 //!
 //! # Event model
 //!
+//! Every event is one [`TraceLine`], the value the JSONL reader parses
+//! back, and every sink receives it through [`TraceSink::on_line`]:
+//!
 //! * [`RoundRecord`] — one per ledger round charge. The engines
 //!   ([`crate::Engine`], [`crate::ShardedEngine`]) enrich the record
 //!   with a [`RoundMeta`]: round index, wall time, message-volume
@@ -30,8 +33,18 @@
 //!   open span on its thread, plus wall time. Child totals fold into
 //!   the parent at close, so parent spans are inclusive.
 //! * Observations ([`Tracer::observe`]) — named scalar samples
-//!   (flood-frontier sizes, queue depths) routed to gauges and
-//!   histograms.
+//!   (flood-frontier sizes, queue depths), streamed to the sinks as
+//!   they are; no total counts them.
+//! * Fault deltas, the [`RunManifest`] header, and the `finish` trailer
+//!   with the [`TraceTotals`].
+//!
+//! # One fold
+//!
+//! [`TraceSummary::add`] is the only aggregation of the stream. The
+//! tracer folds every event it emits with it — that summary answers
+//! [`Tracer::totals`] and [`Tracer::span_totals`] and supplies the
+//! trailer — and [`TraceSummary::from_lines`] runs the same fold over a
+//! parsed stream, so writer and reader agree on what a trace adds up to.
 //!
 //! # Zero cost when disabled
 //!
@@ -49,7 +62,7 @@
 //! (the `trace-summary` bin turns that into a CI failure).
 
 use crate::faults::FaultCounters;
-use crate::ledger::RoundLedger;
+use crate::ledger::{ordered_slot, RoundLedger};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -234,25 +247,14 @@ pub struct TraceTotals {
 // Sink trait
 // ---------------------------------------------------------------------------
 
-/// Receiver of trace events. All methods have no-op defaults, so a sink
-/// implements only what it consumes. Sinks are driven under the
-/// tracer's lock: implementations should be quick and must not call
-/// back into the tracer.
+/// Receiver of trace events. Sinks are driven under the tracer's lock:
+/// implementations should be quick and must not call back into the
+/// tracer.
 pub trait TraceSink: Send {
-    /// Run-level header (at most once, before any other event).
-    fn on_manifest(&mut self, _manifest: &RunManifest) {}
-    /// One ledger round charge (with engine enrichment when available).
-    fn on_record(&mut self, _record: &RoundRecord) {}
-    /// One overlay virtual round (level-tagged, informational).
-    fn on_virtual(&mut self, _record: &VirtualRecord) {}
-    /// One closed phase span.
-    fn on_span(&mut self, _span: &SpanRecord) {}
-    /// A named scalar observation.
-    fn on_observe(&mut self, _name: &str, _value: u64) {}
-    /// A fault-injection delta (one per faulty round).
-    fn on_faults(&mut self, _delta: &FaultCounters) {}
-    /// End of the trace; `totals` sums everything emitted. Flush here.
-    fn on_finish(&mut self, _totals: &TraceTotals) {}
+    /// One event, in stream order: the manifest (at most once, before
+    /// any other event), records, spans, observations and fault deltas,
+    /// then the `Finish` trailer with the totals — flush there.
+    fn on_line(&mut self, line: &TraceLine);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +271,21 @@ struct ThreadCtx {
     stack: Vec<Frame>,
 }
 
+impl ThreadCtx {
+    /// Closes the pending bandwidth and engine meta into one record.
+    fn take_record(&mut self, phase: &str, rounds: u64) -> RoundRecord {
+        self.has_bandwidth = false;
+        RoundRecord {
+            phase: phase.to_string(),
+            rounds,
+            bits: std::mem::take(&mut self.pending_bits),
+            max_edge_bits: std::mem::take(&mut self.pending_max),
+            violations: std::mem::take(&mut self.pending_viol),
+            meta: self.pending_meta.take(),
+        }
+    }
+}
+
 struct Frame {
     label: String,
     path: String,
@@ -280,9 +297,8 @@ struct Frame {
 pub(crate) struct TraceState {
     sinks: Vec<Box<dyn TraceSink>>,
     threads: HashMap<ThreadId, ThreadCtx>,
-    span_paths: HashMap<String, usize>,
-    span_agg: Vec<(String, SpanAgg)>,
-    totals: TraceTotals,
+    /// Everything emitted so far, folded as a reader would fold it.
+    summary: TraceSummary,
     finished: bool,
 }
 
@@ -291,15 +307,21 @@ impl TraceState {
         Self {
             sinks,
             threads: HashMap::new(),
-            span_paths: HashMap::new(),
-            span_agg: Vec::new(),
-            totals: TraceTotals::default(),
+            summary: TraceSummary::default(),
             finished: false,
         }
     }
 
     fn ctx(&mut self) -> &mut ThreadCtx {
         self.threads.entry(std::thread::current().id()).or_default()
+    }
+
+    /// Streams one event to every sink and folds it into the summary.
+    fn emit(&mut self, line: TraceLine) {
+        for s in &mut self.sinks {
+            s.on_line(&line);
+        }
+        self.summary.add(&line);
     }
 
     fn on_meta(&mut self, meta: RoundMeta) {
@@ -316,64 +338,12 @@ impl TraceState {
 
     fn on_charge(&mut self, phase: &str, rounds: u64) {
         let ctx = self.ctx();
-        let meta = ctx.pending_meta.take();
-        let (bits, max_edge_bits, violations) =
-            (ctx.pending_bits, ctx.pending_max, ctx.pending_viol);
-        ctx.pending_bits = 0;
-        ctx.pending_max = 0;
-        ctx.pending_viol = 0;
-        ctx.has_bandwidth = false;
+        let rec = ctx.take_record(phase, rounds);
         if let Some(top) = ctx.stack.last_mut() {
             top.rounds += rounds;
-            top.bits += bits;
+            top.bits += rec.bits;
         }
-        self.emit_record(RoundRecord {
-            phase: phase.to_string(),
-            rounds,
-            bits,
-            max_edge_bits,
-            violations,
-            meta,
-        });
-    }
-
-    fn emit_record(&mut self, rec: RoundRecord) {
-        self.totals.rounds += rec.rounds;
-        self.totals.bits += rec.bits;
-        self.totals.max_edge_bits = self.totals.max_edge_bits.max(rec.max_edge_bits);
-        self.totals.violations += rec.violations;
-        self.totals.records += 1;
-        for s in &mut self.sinks {
-            s.on_record(&rec);
-        }
-    }
-
-    fn on_faults(&mut self, delta: FaultCounters) {
-        self.totals.faults.dropped += delta.dropped;
-        self.totals.faults.duplicated += delta.duplicated;
-        self.totals.faults.corrupted += delta.corrupted;
-        self.totals.faults.crashed_rounds += delta.crashed_rounds;
-        for s in &mut self.sinks {
-            s.on_faults(&delta);
-        }
-    }
-
-    fn on_virtual(&mut self, rec: &VirtualRecord) {
-        for s in &mut self.sinks {
-            s.on_virtual(rec);
-        }
-    }
-
-    fn on_observe(&mut self, name: &str, value: u64) {
-        for s in &mut self.sinks {
-            s.on_observe(name, value);
-        }
-    }
-
-    fn on_manifest(&mut self, m: &RunManifest) {
-        for s in &mut self.sinks {
-            s.on_manifest(m);
-        }
+        self.emit(TraceLine::Round(rec));
     }
 
     fn push_span(&mut self, label: &str) {
@@ -402,31 +372,14 @@ impl TraceState {
             top.rounds += frame.rounds;
             top.bits += frame.bits;
         }
-        let span = SpanRecord {
+        self.emit(TraceLine::Span(SpanRecord {
             path: frame.path,
             label: frame.label,
             depth,
             rounds: frame.rounds,
             bits: frame.bits,
             wall_ns: frame.opened.elapsed().as_nanos() as u64,
-        };
-        let idx = match self.span_paths.get(&span.path) {
-            Some(&i) => i,
-            None => {
-                let i = self.span_agg.len();
-                self.span_paths.insert(span.path.clone(), i);
-                self.span_agg.push((span.path.clone(), SpanAgg::default()));
-                i
-            }
-        };
-        let agg = &mut self.span_agg[idx].1;
-        agg.count += 1;
-        agg.rounds += span.rounds;
-        agg.bits += span.bits;
-        agg.wall_ns += span.wall_ns;
-        for s in &mut self.sinks {
-            s.on_span(&span);
-        }
+        }));
     }
 
     fn finish(&mut self) {
@@ -437,34 +390,16 @@ impl TraceState {
         // Flush bandwidth charged after the last round charge (central
         // estimates with no paired `charge`): a zero-round record keeps
         // the bit totals exact.
-        let dangling: Vec<ThreadId> = self
+        let dangling: Vec<RoundRecord> = self
             .threads
-            .iter()
-            .filter(|(_, c)| c.has_bandwidth || c.pending_meta.is_some())
-            .map(|(id, _)| *id)
+            .values_mut()
+            .filter(|c| c.has_bandwidth || c.pending_meta.is_some())
+            .map(|c| c.take_record(FLUSH_PHASE, 0))
             .collect();
-        for id in dangling {
-            let ctx = self.threads.get_mut(&id).expect("listed above");
-            let meta = ctx.pending_meta.take();
-            let (bits, max_edge_bits, violations) =
-                (ctx.pending_bits, ctx.pending_max, ctx.pending_viol);
-            ctx.pending_bits = 0;
-            ctx.pending_max = 0;
-            ctx.pending_viol = 0;
-            ctx.has_bandwidth = false;
-            self.emit_record(RoundRecord {
-                phase: FLUSH_PHASE.to_string(),
-                rounds: 0,
-                bits,
-                max_edge_bits,
-                violations,
-                meta,
-            });
+        for rec in dangling {
+            self.emit(TraceLine::Round(rec));
         }
-        let totals = self.totals;
-        for s in &mut self.sinks {
-            s.on_finish(&totals);
-        }
+        self.emit(TraceLine::Finish(self.summary.totals));
     }
 }
 
@@ -500,20 +435,14 @@ impl TraceHandle {
         self.lock().on_bandwidth(bits, max_edge_bits, violations);
     }
 
-    pub(crate) fn on_faults(&self, delta: FaultCounters) {
-        self.lock().on_faults(delta);
-    }
-
     pub(crate) fn on_meta(&self, meta: RoundMeta) {
         self.lock().on_meta(meta);
     }
 
-    pub(crate) fn on_virtual(&self, rec: &VirtualRecord) {
-        self.lock().on_virtual(rec);
-    }
-
-    pub(crate) fn on_observe(&self, name: &str, value: u64) {
-        self.lock().on_observe(name, value);
+    /// Emits an event that needs no per-thread context (virtual
+    /// records, observations, fault deltas, the manifest).
+    pub(crate) fn emit(&self, line: TraceLine) {
+        self.lock().emit(line);
     }
 
     pub(crate) fn span(&self, label: &str) -> PhaseSpan {
@@ -571,9 +500,8 @@ impl Tracer {
     }
 
     /// An enabled tracer with no sinks: events are still folded into
-    /// the running totals and the span-aggregate tree (for
-    /// [`Tracer::totals`] / [`Tracer::span_totals`]), nothing is
-    /// streamed anywhere.
+    /// the trace's summary (for [`Tracer::totals`] /
+    /// [`Tracer::span_totals`]), nothing is streamed anywhere.
     pub fn collecting() -> Self {
         Self::with_sinks(Vec::new())
     }
@@ -605,7 +533,7 @@ impl Tracer {
     /// Emits the run manifest (call once, before the run).
     pub fn manifest(&self, m: &RunManifest) {
         if let Some(h) = &self.handle {
-            h.lock().on_manifest(m);
+            h.emit(TraceLine::Manifest(m.clone()));
         }
     }
 
@@ -620,222 +548,37 @@ impl Tracer {
     /// Records a named scalar observation.
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(h) = &self.handle {
-            h.on_observe(name, value);
+            h.emit(TraceLine::Observe {
+                name: name.to_string(),
+                value,
+            });
         }
     }
 
     /// Snapshot of the running totals.
     pub fn totals(&self) -> TraceTotals {
         match &self.handle {
-            Some(h) => h.lock().totals,
+            Some(h) => h.lock().summary.totals,
             None => TraceTotals::default(),
         }
     }
 
     /// Aggregated span tree: one entry per distinct span path, in
-    /// first-close order.
+    /// first-close order ([`TraceSummary::span_tree`] of the stream).
     pub fn span_totals(&self) -> Vec<(String, SpanAgg)> {
         match &self.handle {
-            Some(h) => h.lock().span_agg.clone(),
+            Some(h) => h.lock().summary.span_tree().to_vec(),
             None => Vec::new(),
         }
     }
 
-    /// Ends the trace: flushes dangling bandwidth, then delivers
-    /// `on_finish` to every sink. Idempotent; also runs automatically
-    /// when the last handle is dropped.
+    /// Ends the trace: flushes dangling bandwidth, then delivers the
+    /// `Finish` trailer to every sink. Idempotent; also runs
+    /// automatically when the last handle is dropped.
     pub fn finish(&self) {
         if let Some(h) = &self.handle {
             h.lock().finish();
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry sink
-// ---------------------------------------------------------------------------
-
-/// Number of buckets in a [`Histogram`]: bucket `i` counts values whose
-/// bit length is `i` (i.e. `v == 0` → bucket 0, `2^(i-1) <= v < 2^i` →
-/// bucket `i`), the last bucket saturating.
-pub const HIST_BUCKETS: usize = 21;
-
-/// A fixed-bucket power-of-two histogram with count/sum/max.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    /// `buckets[i]` counts observed values of bit length `i` (last
-    /// bucket saturates).
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Largest observed value.
-    pub max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one value.
-    pub fn observe(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Mean of the observed values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-#[derive(Default)]
-struct MetricsInner {
-    counters: IndexedU64,
-    gauges: IndexedU64,
-    hists: Vec<(String, Histogram)>,
-    hist_idx: HashMap<String, usize>,
-}
-
-/// Insertion-ordered name → u64 accumulator (the same index-map shape
-/// the ledger uses for per-phase totals).
-#[derive(Default)]
-struct IndexedU64 {
-    idx: HashMap<String, usize>,
-    vals: Vec<(String, u64)>,
-}
-
-impl IndexedU64 {
-    fn slot(&mut self, name: &str) -> &mut u64 {
-        let i = match self.idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.vals.len();
-                self.idx.insert(name.to_string(), i);
-                self.vals.push((name.to_string(), 0));
-                i
-            }
-        };
-        &mut self.vals[i].1
-    }
-
-    fn get(&self, name: &str) -> u64 {
-        self.idx.get(name).map_or(0, |&i| self.vals[i].1)
-    }
-}
-
-impl MetricsInner {
-    fn hist(&mut self, name: &str) -> &mut Histogram {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.hists.len();
-                self.hist_idx.insert(name.to_string(), i);
-                self.hists.push((name.to_string(), Histogram::default()));
-                i
-            }
-        };
-        &mut self.hists[i].1
-    }
-}
-
-/// In-memory metrics sink: counters (rounds, bits, deliveries, fault
-/// kinds, boundary traffic), gauges (max edge bits, last observations),
-/// and fixed-bucket histograms (per-round bits, deliveries, largest
-/// inbox, every named observation). Clone the registry before moving it
-/// into a [`Tracer`] to keep a read handle.
-#[derive(Clone, Default)]
-pub struct MetricsRegistry(Arc<Mutex<MetricsInner>>);
-
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsInner> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name)
-    }
-
-    /// Current value of a gauge (0 if never set).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.lock().gauges.get(name)
-    }
-
-    /// Snapshot of a histogram, if any value was observed under `name`.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.lock();
-        inner.hist_idx.get(name).map(|&i| inner.hists[i].1.clone())
-    }
-
-    /// All counters in first-touch order.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.lock().counters.vals.clone()
-    }
-}
-
-impl TraceSink for MetricsRegistry {
-    fn on_record(&mut self, r: &RoundRecord) {
-        let mut m = self.lock();
-        *m.counters.slot("rounds") += r.rounds;
-        *m.counters.slot("bits") += r.bits;
-        *m.counters.slot("violations") += r.violations;
-        *m.counters.slot("records") += 1;
-        let g = m.gauges.slot("max_edge_bits");
-        *g = (*g).max(r.max_edge_bits);
-        m.hist("round_bits").observe(r.bits);
-        if let Some(meta) = &r.meta {
-            *m.counters.slot("broadcasts") += meta.broadcasts;
-            *m.counters.slot("directed") += meta.directed;
-            *m.counters.slot("deliveries") += meta.deliveries;
-            m.hist("round_deliveries").observe(meta.deliveries);
-            m.hist("round_max_inbox").observe(meta.max_inbox);
-            for &(blocks, bits) in &meta.boundary {
-                *m.counters.slot("boundary_blocks") += blocks;
-                *m.counters.slot("boundary_bits") += bits;
-            }
-        }
-    }
-
-    fn on_virtual(&mut self, r: &VirtualRecord) {
-        let mut m = self.lock();
-        *m.counters.slot("virtual_rounds") += 1;
-        *m.counters.slot("virtual_bits") += r.bits;
-    }
-
-    fn on_faults(&mut self, d: &FaultCounters) {
-        let mut m = self.lock();
-        *m.counters.slot("faults_dropped") += d.dropped;
-        *m.counters.slot("faults_duplicated") += d.duplicated;
-        *m.counters.slot("faults_corrupted") += d.corrupted;
-        *m.counters.slot("faults_crashed_rounds") += d.crashed_rounds;
-    }
-
-    fn on_observe(&mut self, name: &str, value: u64) {
-        let mut m = self.lock();
-        *m.gauges.slot(name) = value;
-        m.hist(name).observe(value);
     }
 }
 
@@ -861,7 +604,7 @@ fn json_escape(out: &mut String, s: &str) {
 
 /// Streaming JSONL sink: one manifest header line, one line per event,
 /// a `finish` trailer with the totals. The writer is buffered
-/// internally; `on_finish` flushes.
+/// internally; the trailer flushes.
 pub struct JsonlSink {
     w: Box<dyn Write + Send>,
     line: String,
@@ -882,13 +625,6 @@ impl JsonlSink {
         Ok(Self::new(Box::new(std::io::BufWriter::new(f))))
     }
 
-    fn emit(&mut self) {
-        self.line.push('\n');
-        // A failed trace write must not abort the simulation; the
-        // reader's consistency check will flag the truncated file.
-        let _ = self.w.write_all(self.line.as_bytes());
-    }
-
     fn push_str_field(&mut self, key: &str, val: &str) {
         let _ = write!(self.line, ",\"{key}\":\"");
         let mut s = std::mem::take(&mut self.line);
@@ -903,114 +639,98 @@ impl JsonlSink {
 }
 
 impl TraceSink for JsonlSink {
-    fn on_manifest(&mut self, m: &RunManifest) {
+    fn on_line(&mut self, line: &TraceLine) {
         self.line.clear();
-        self.line.push_str("{\"type\":\"manifest\"");
-        self.push_str_field("schema", TRACE_SCHEMA);
-        self.push_str_field("label", &m.label);
-        self.push_str_field("crate_version", &m.crate_version);
-        self.push_u64_field("seed", m.seed);
-        self.push_u64_field("nodes", m.nodes);
-        self.push_u64_field("edges", m.edges);
-        self.push_str_field("exec_mode", &m.exec_mode);
-        self.push_u64_field("shards", m.shards);
-        self.push_str_field("fault_plan", &m.fault_plan);
-        self.push_u64_field("quick", m.quick as u64);
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_record(&mut self, r: &RoundRecord) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"round\"");
-        self.push_str_field("phase", &r.phase);
-        self.push_u64_field("rounds", r.rounds);
-        self.push_u64_field("bits", r.bits);
-        self.push_u64_field("max_edge_bits", r.max_edge_bits);
-        self.push_u64_field("violations", r.violations);
-        if let Some(m) = &r.meta {
-            self.push_u64_field("round", m.round);
-            self.push_u64_field("wall_ns", m.wall_ns);
-            self.push_u64_field("broadcasts", m.broadcasts);
-            self.push_u64_field("directed", m.directed);
-            self.push_u64_field("deliveries", m.deliveries);
-            self.push_u64_field("max_inbox", m.max_inbox);
-            if !m.boundary.is_empty() {
-                self.line.push_str(",\"boundary\":[");
-                for (i, (blocks, bits)) in m.boundary.iter().enumerate() {
-                    if i > 0 {
-                        self.line.push(',');
+        match line {
+            TraceLine::Manifest(m) => {
+                self.line.push_str("{\"type\":\"manifest\"");
+                self.push_str_field("schema", TRACE_SCHEMA);
+                self.push_str_field("label", &m.label);
+                self.push_str_field("crate_version", &m.crate_version);
+                self.push_u64_field("seed", m.seed);
+                self.push_u64_field("nodes", m.nodes);
+                self.push_u64_field("edges", m.edges);
+                self.push_str_field("exec_mode", &m.exec_mode);
+                self.push_u64_field("shards", m.shards);
+                self.push_str_field("fault_plan", &m.fault_plan);
+                self.push_u64_field("quick", m.quick as u64);
+            }
+            TraceLine::Round(r) => {
+                self.line.push_str("{\"type\":\"round\"");
+                self.push_str_field("phase", &r.phase);
+                self.push_u64_field("rounds", r.rounds);
+                self.push_u64_field("bits", r.bits);
+                self.push_u64_field("max_edge_bits", r.max_edge_bits);
+                self.push_u64_field("violations", r.violations);
+                if let Some(m) = &r.meta {
+                    self.push_u64_field("round", m.round);
+                    self.push_u64_field("wall_ns", m.wall_ns);
+                    self.push_u64_field("broadcasts", m.broadcasts);
+                    self.push_u64_field("directed", m.directed);
+                    self.push_u64_field("deliveries", m.deliveries);
+                    self.push_u64_field("max_inbox", m.max_inbox);
+                    if !m.boundary.is_empty() {
+                        self.line.push_str(",\"boundary\":[");
+                        for (i, (blocks, bits)) in m.boundary.iter().enumerate() {
+                            if i > 0 {
+                                self.line.push(',');
+                            }
+                            let _ = write!(self.line, "[{blocks},{bits}]");
+                        }
+                        self.line.push(']');
                     }
-                    let _ = write!(self.line, "[{blocks},{bits}]");
                 }
-                self.line.push(']');
+            }
+            TraceLine::Virtual(r) => {
+                self.line.push_str("{\"type\":\"vround\"");
+                self.push_str_field("level", &r.level);
+                self.push_u64_field("vround", r.vround);
+                self.push_u64_field("host_rounds", r.host_rounds);
+                self.push_u64_field("bits", r.bits);
+                self.push_u64_field("deliveries", r.deliveries);
+                self.push_u64_field("wall_ns", r.wall_ns);
+            }
+            TraceLine::Span(s) => {
+                self.line.push_str("{\"type\":\"span\"");
+                self.push_str_field("path", &s.path);
+                self.push_str_field("label", &s.label);
+                self.push_u64_field("depth", s.depth);
+                self.push_u64_field("rounds", s.rounds);
+                self.push_u64_field("bits", s.bits);
+                self.push_u64_field("wall_ns", s.wall_ns);
+            }
+            TraceLine::Observe { name, value } => {
+                self.line.push_str("{\"type\":\"observe\"");
+                self.push_str_field("name", name);
+                self.push_u64_field("value", *value);
+            }
+            TraceLine::Faults(d) => {
+                self.line.push_str("{\"type\":\"faults\"");
+                self.push_u64_field("dropped", d.dropped);
+                self.push_u64_field("duplicated", d.duplicated);
+                self.push_u64_field("corrupted", d.corrupted);
+                self.push_u64_field("crashed_rounds", d.crashed_rounds);
+            }
+            TraceLine::Finish(t) => {
+                self.line.push_str("{\"type\":\"finish\"");
+                self.push_u64_field("rounds", t.rounds);
+                self.push_u64_field("bits", t.bits);
+                self.push_u64_field("max_edge_bits", t.max_edge_bits);
+                self.push_u64_field("violations", t.violations);
+                self.push_u64_field("dropped", t.faults.dropped);
+                self.push_u64_field("duplicated", t.faults.duplicated);
+                self.push_u64_field("corrupted", t.faults.corrupted);
+                self.push_u64_field("crashed_rounds", t.faults.crashed_rounds);
+                self.push_u64_field("records", t.records);
             }
         }
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_virtual(&mut self, r: &VirtualRecord) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"vround\"");
-        self.push_str_field("level", &r.level);
-        self.push_u64_field("vround", r.vround);
-        self.push_u64_field("host_rounds", r.host_rounds);
-        self.push_u64_field("bits", r.bits);
-        self.push_u64_field("deliveries", r.deliveries);
-        self.push_u64_field("wall_ns", r.wall_ns);
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_span(&mut self, s: &SpanRecord) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"span\"");
-        self.push_str_field("path", &s.path);
-        self.push_str_field("label", &s.label);
-        self.push_u64_field("depth", s.depth);
-        self.push_u64_field("rounds", s.rounds);
-        self.push_u64_field("bits", s.bits);
-        self.push_u64_field("wall_ns", s.wall_ns);
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_observe(&mut self, name: &str, value: u64) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"observe\"");
-        self.push_str_field("name", name);
-        self.push_u64_field("value", value);
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_faults(&mut self, d: &FaultCounters) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"faults\"");
-        self.push_u64_field("dropped", d.dropped);
-        self.push_u64_field("duplicated", d.duplicated);
-        self.push_u64_field("corrupted", d.corrupted);
-        self.push_u64_field("crashed_rounds", d.crashed_rounds);
-        self.line.push('}');
-        self.emit();
-    }
-
-    fn on_finish(&mut self, t: &TraceTotals) {
-        self.line.clear();
-        self.line.push_str("{\"type\":\"finish\"");
-        self.push_u64_field("rounds", t.rounds);
-        self.push_u64_field("bits", t.bits);
-        self.push_u64_field("max_edge_bits", t.max_edge_bits);
-        self.push_u64_field("violations", t.violations);
-        self.push_u64_field("dropped", t.faults.dropped);
-        self.push_u64_field("duplicated", t.faults.duplicated);
-        self.push_u64_field("corrupted", t.faults.corrupted);
-        self.push_u64_field("crashed_rounds", t.faults.crashed_rounds);
-        self.push_u64_field("records", t.records);
-        self.line.push('}');
-        self.emit();
-        let _ = self.w.flush();
+        self.line.push_str("}\n");
+        // A failed trace write must not abort the simulation; the
+        // reader's consistency check will flag the truncated file.
+        let _ = self.w.write_all(self.line.as_bytes());
+        if matches!(line, TraceLine::Finish(_)) {
+            let _ = self.w.flush();
+        }
     }
 }
 
@@ -1237,149 +957,115 @@ pub struct PhaseAgg {
 }
 
 /// Aggregated view of one trace stream: totals, per-phase breakdown,
-/// raw spans, and the trailer (when present) for consistency checking.
+/// span tree, and the trailer (when present) for consistency checking.
+/// Built one event at a time by [`TraceSummary::add`], on the writer's
+/// side as events are emitted and on the reader's over a parsed stream.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
     /// The manifest header, if the stream carried one.
     pub manifest: Option<RunManifest>,
-    /// Summed rounds over round records.
-    pub rounds: u64,
-    /// Summed bits over round records.
-    pub bits: u64,
-    /// Max per-edge load over round records.
-    pub max_edge_bits: u64,
-    /// Summed CONGEST violations.
-    pub violations: u64,
-    /// Summed fault deltas.
-    pub faults: FaultCounters,
-    /// Number of round records.
-    pub records: u64,
+    /// Running totals over the round and fault records.
+    pub totals: TraceTotals,
     /// Number of virtual-round records.
     pub virtual_rounds: u64,
-    /// Per-phase aggregates in first-seen order.
-    pub phases: Vec<(String, PhaseAgg)>,
-    /// Every closed span, in close order.
-    pub spans: Vec<SpanRecord>,
     /// The `finish` trailer, if the stream carried one.
     pub trailer: Option<TraceTotals>,
+    phases: Vec<(String, PhaseAgg)>,
+    phase_idx: HashMap<String, usize>,
+    spans: Vec<(String, SpanAgg)>,
+    span_idx: HashMap<String, usize>,
 }
 
 impl TraceSummary {
-    /// Aggregates parsed lines. The first error aborts.
+    /// Folds one event into the summary.
+    pub fn add(&mut self, line: &TraceLine) {
+        match line {
+            TraceLine::Manifest(m) => self.manifest = Some(m.clone()),
+            TraceLine::Round(r) => {
+                let t = &mut self.totals;
+                t.rounds += r.rounds;
+                t.bits += r.bits;
+                t.max_edge_bits = t.max_edge_bits.max(r.max_edge_bits);
+                t.violations += r.violations;
+                t.records += 1;
+                let agg = ordered_slot(&mut self.phase_idx, &mut self.phases, &r.phase);
+                agg.rounds += r.rounds;
+                agg.bits += r.bits;
+                agg.max_edge_bits = agg.max_edge_bits.max(r.max_edge_bits);
+                agg.records += 1;
+                if let Some(m) = &r.meta {
+                    agg.engine_rounds += r.rounds;
+                    agg.wall_ns += m.wall_ns;
+                }
+            }
+            TraceLine::Virtual(_) => self.virtual_rounds += 1,
+            TraceLine::Span(sp) => {
+                let agg = ordered_slot(&mut self.span_idx, &mut self.spans, &sp.path);
+                agg.count += 1;
+                agg.rounds += sp.rounds;
+                agg.bits += sp.bits;
+                agg.wall_ns += sp.wall_ns;
+            }
+            TraceLine::Observe { .. } => {}
+            TraceLine::Faults(d) => {
+                let f = &mut self.totals.faults;
+                f.dropped += d.dropped;
+                f.duplicated += d.duplicated;
+                f.corrupted += d.corrupted;
+                f.crashed_rounds += d.crashed_rounds;
+            }
+            TraceLine::Finish(t) => self.trailer = Some(*t),
+        }
+    }
+
+    /// Folds a sequence of parsed lines.
     pub fn from_lines<I: IntoIterator<Item = TraceLine>>(lines: I) -> Self {
         let mut s = TraceSummary::default();
-        let mut phase_idx: HashMap<String, usize> = HashMap::new();
         for line in lines {
-            match line {
-                TraceLine::Manifest(m) => s.manifest = Some(m),
-                TraceLine::Round(r) => {
-                    s.rounds += r.rounds;
-                    s.bits += r.bits;
-                    s.max_edge_bits = s.max_edge_bits.max(r.max_edge_bits);
-                    s.violations += r.violations;
-                    s.records += 1;
-                    let i = match phase_idx.get(&r.phase) {
-                        Some(&i) => i,
-                        None => {
-                            let i = s.phases.len();
-                            phase_idx.insert(r.phase.clone(), i);
-                            s.phases.push((r.phase.clone(), PhaseAgg::default()));
-                            i
-                        }
-                    };
-                    let agg = &mut s.phases[i].1;
-                    agg.rounds += r.rounds;
-                    agg.bits += r.bits;
-                    agg.max_edge_bits = agg.max_edge_bits.max(r.max_edge_bits);
-                    agg.records += 1;
-                    if let Some(m) = &r.meta {
-                        agg.engine_rounds += r.rounds;
-                        agg.wall_ns += m.wall_ns;
-                    }
-                }
-                TraceLine::Virtual(_) => s.virtual_rounds += 1,
-                TraceLine::Span(sp) => s.spans.push(sp),
-                TraceLine::Observe { .. } => {}
-                TraceLine::Faults(d) => {
-                    s.faults.dropped += d.dropped;
-                    s.faults.duplicated += d.duplicated;
-                    s.faults.corrupted += d.corrupted;
-                    s.faults.crashed_rounds += d.crashed_rounds;
-                }
-                TraceLine::Finish(t) => s.trailer = Some(t),
-            }
+            s.add(&line);
         }
         s
     }
 
-    /// Reads and aggregates a JSONL trace file.
+    /// Reads and folds a JSONL trace file. The first unreadable or
+    /// unparsable line aborts.
     pub fn read_path(path: &std::path::Path) -> Result<Self, String> {
-        let f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut lines = Vec::new();
+        let in_file = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+        let f = std::fs::File::open(path).map_err(|e| in_file(&e))?;
+        let mut s = TraceSummary::default();
         for line in std::io::BufReader::new(f).lines() {
-            let line = line.map_err(|e| format!("{}: {e}", path.display()))?;
+            let line = line.map_err(|e| in_file(&e))?;
             if line.trim().is_empty() {
                 continue;
             }
-            lines.push(parse_trace_line(&line).map_err(|e| format!("{}: {e}", path.display()))?);
+            s.add(&parse_trace_line(&line).map_err(|e| in_file(&e))?);
         }
-        Ok(Self::from_lines(lines))
+        Ok(s)
     }
 
-    /// Aggregated span tree: one entry per distinct path, first-seen
-    /// order.
-    pub fn span_tree(&self) -> Vec<(String, SpanAgg)> {
-        let mut idx: HashMap<&str, usize> = HashMap::new();
-        let mut out: Vec<(String, SpanAgg)> = Vec::new();
-        for sp in &self.spans {
-            let i = match idx.get(sp.path.as_str()) {
-                Some(&i) => i,
-                None => {
-                    let i = out.len();
-                    idx.insert(sp.path.as_str(), i);
-                    out.push((sp.path.clone(), SpanAgg::default()));
-                    i
-                }
-            };
-            let agg = &mut out[i].1;
-            agg.count += 1;
-            agg.rounds += sp.rounds;
-            agg.bits += sp.bits;
-            agg.wall_ns += sp.wall_ns;
-        }
-        out
+    /// Per-phase aggregates in first-seen order.
+    pub fn phases(&self) -> &[(String, PhaseAgg)] {
+        &self.phases
+    }
+
+    /// Aggregated span tree: one entry per distinct path, in
+    /// first-close order.
+    pub fn span_tree(&self) -> &[(String, SpanAgg)] {
+        &self.spans
     }
 
     /// Checks the stream against its own trailer: summed records must
     /// reproduce the totals the writer recorded. Catches truncated
     /// files and any writer/reader disagreement.
     pub fn check_consistent(&self) -> Result<(), String> {
-        let Some(t) = &self.trailer else {
-            return Err("trace has no finish trailer (truncated?)".to_string());
-        };
-        let checks = [
-            ("rounds", self.rounds, t.rounds),
-            ("bits", self.bits, t.bits),
-            ("max_edge_bits", self.max_edge_bits, t.max_edge_bits),
-            ("violations", self.violations, t.violations),
-            ("records", self.records, t.records),
-            ("dropped", self.faults.dropped, t.faults.dropped),
-            ("duplicated", self.faults.duplicated, t.faults.duplicated),
-            ("corrupted", self.faults.corrupted, t.faults.corrupted),
-            (
-                "crashed_rounds",
-                self.faults.crashed_rounds,
-                t.faults.crashed_rounds,
-            ),
-        ];
-        for (name, summed, trailer) in checks {
-            if summed != trailer {
-                return Err(format!(
-                    "trace inconsistent: summed {name} = {summed}, trailer says {trailer}"
-                ));
-            }
+        match &self.trailer {
+            None => Err("trace has no finish trailer (truncated?)".to_string()),
+            Some(t) if *t == self.totals => Ok(()),
+            Some(t) => Err(format!(
+                "trace inconsistent: summed {:?}, trailer says {t:?}",
+                self.totals
+            )),
         }
-        Ok(())
     }
 }
 
@@ -1449,36 +1135,30 @@ impl ProgressSink {
 }
 
 impl TraceSink for ProgressSink {
-    fn on_manifest(&mut self, m: &RunManifest) {
-        if self.nodes == 0 {
-            self.nodes = m.nodes;
-        }
-    }
-
-    fn on_record(&mut self, r: &RoundRecord) {
-        self.rounds += r.rounds;
-        self.node_rounds += r.rounds * self.nodes;
-        self.maybe_print();
-    }
-
-    fn on_observe(&mut self, name: &str, value: u64) {
-        match name {
-            "progress_total_rounds" => self.total_hint = Some(value),
-            "progress_nodes" => self.nodes = value,
+    fn on_line(&mut self, line: &TraceLine) {
+        match line {
+            TraceLine::Manifest(m) if self.nodes == 0 => self.nodes = m.nodes,
+            TraceLine::Round(r) => {
+                self.rounds += r.rounds;
+                self.node_rounds += r.rounds * self.nodes;
+                self.maybe_print();
+            }
+            TraceLine::Observe { name, value } => match name.as_str() {
+                "progress_total_rounds" => self.total_hint = Some(*value),
+                "progress_nodes" => self.nodes = *value,
+                _ => {}
+            },
+            // Only narrate runs that were long enough to have printed.
+            TraceLine::Finish(t) if self.started.elapsed() >= self.every => {
+                let secs = self.started.elapsed().as_secs_f64().max(1e-9);
+                eprintln!(
+                    "[trace:{}] done: {} rounds in {secs:.1}s ({:.1} rounds/s)",
+                    self.label,
+                    t.rounds,
+                    t.rounds as f64 / secs,
+                );
+            }
             _ => {}
-        }
-    }
-
-    fn on_finish(&mut self, t: &TraceTotals) {
-        // Only narrate runs that were long enough to have printed.
-        if self.started.elapsed() >= self.every {
-            let secs = self.started.elapsed().as_secs_f64().max(1e-9);
-            eprintln!(
-                "[trace:{}] done: {} rounds in {secs:.1}s ({:.1} rounds/s)",
-                self.label,
-                t.rounds,
-                t.rounds as f64 / secs,
-            );
         }
     }
 }
@@ -1552,53 +1232,6 @@ mod tests {
         let outer = spans.iter().find(|(p, _)| p == "driver").unwrap();
         assert_eq!(outer.1.rounds, 7, "parent is inclusive");
         assert_eq!(outer.1.bits, 10);
-    }
-
-    #[test]
-    fn metrics_registry_accumulates() {
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
-        let mut l = tr.ledger();
-        l.trace_meta(RoundMeta {
-            round: 0,
-            wall_ns: 5,
-            broadcasts: 8,
-            directed: 2,
-            deliveries: 24,
-            max_inbox: 3,
-            boundary: vec![(2, 128), (1, 64)],
-        });
-        l.charge_bandwidth(96, 12, 0);
-        l.charge("luby", 1);
-        tr.observe("flood_frontier", 17);
-        assert_eq!(reg.counter("rounds"), 1);
-        assert_eq!(reg.counter("bits"), 96);
-        assert_eq!(reg.counter("deliveries"), 24);
-        assert_eq!(reg.counter("boundary_blocks"), 3);
-        assert_eq!(reg.counter("boundary_bits"), 192);
-        assert_eq!(reg.gauge("max_edge_bits"), 12);
-        assert_eq!(reg.gauge("flood_frontier"), 17);
-        let h = reg.histogram("round_bits").unwrap();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.sum, 96);
-        assert_eq!(h.max, 96);
-        assert_eq!(reg.histogram("flood_frontier").unwrap().count, 1);
-    }
-
-    #[test]
-    fn histogram_buckets_by_bit_length() {
-        let mut h = Histogram::default();
-        h.observe(0);
-        h.observe(1);
-        h.observe(2);
-        h.observe(3);
-        h.observe(1 << 30);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[2], 2);
-        assert_eq!(h.buckets[HIST_BUCKETS - 1], 1, "large values saturate");
-        assert_eq!(h.count, 5);
-        assert_eq!(h.max, 1 << 30);
     }
 
     #[test]

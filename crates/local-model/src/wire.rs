@@ -297,6 +297,14 @@ impl<'a> BitReader<'a> {
         self.len_bits - self.cursor
     }
 
+    /// How many of `len` items still to be decoded to reserve room for:
+    /// `len`, capped at the unread bits. The hint is exact for items of
+    /// at least one bit, and a corrupt length prefix cannot reserve more
+    /// items than the buffer could still hold.
+    pub fn capacity_hint(&self, len: u64) -> usize {
+        len.min(self.left()) as usize
+    }
+
     /// Reads `width` bits (LSB-first); `None` past the end.
     ///
     /// # Panics
@@ -519,9 +527,7 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     }
     fn decode(r: &mut BitReader<'_>) -> Option<Self> {
         let len = r.read_gamma()?;
-        // A truncated buffer cannot hold len more items of >= 0 bits
-        // each; per-item decode detects the underflow.
-        let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
+        let mut out = Vec::with_capacity(r.capacity_hint(len));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -567,10 +573,7 @@ pub fn write_gamma_u32s(w: &mut BitWriter, items: &[u32]) {
 /// Reads a sequence written by [`write_gamma_u32s`].
 pub fn read_gamma_u32s(r: &mut BitReader<'_>) -> Option<Vec<u32>> {
     let len = r.read_gamma()?;
-    // A truncated buffer cannot hold `len` more items; the per-item
-    // decode detects the underflow, the clamp only bounds the
-    // speculative pre-allocation on corrupt input.
-    let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
+    let mut out = Vec::with_capacity(r.capacity_hint(len));
     for _ in 0..len {
         out.push(r.read_gamma_u32()?);
     }
@@ -730,5 +733,86 @@ mod tests {
         assert_eq!(r.read_bits(64), Some(u64::MAX));
         assert!(r.is_exhausted());
         assert!(r.read_bits(1).is_none());
+    }
+
+    /// Counts the bytes each thread allocates, so a test can bound what
+    /// one call reserves while other tests run on their own threads.
+    struct ThreadCountingAlloc;
+
+    thread_local! {
+        static ALLOCATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn count(bytes: usize) {
+        // `try_with`: a thread being torn down may still free and
+        // allocate after its locals are gone.
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+    }
+
+    // SAFETY: every operation is forwarded unchanged to `System`; the
+    // counter is a const-initialized thread-local `Cell`, which neither
+    // allocates nor reenters the allocator.
+    unsafe impl std::alloc::GlobalAlloc for ThreadCountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's `alloc` contract, passed on as is.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            count(new_size);
+            // SAFETY: the caller's `realloc` contract, passed on as is.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+    /// `f()` and the bytes this thread allocated while running it.
+    fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCATED.with(std::cell::Cell::get);
+        let out = f();
+        (out, ALLOCATED.with(std::cell::Cell::get) - before)
+    }
+
+    #[test]
+    fn corrupt_length_prefixes_reserve_at_most_the_bits_left() {
+        use crate::ball::{BallMsg, CenterMsg, ReachBatch, ReachMsg};
+        use crate::overlay::{OverlayEnvelope, OverlayRelay};
+        /// Decodes a gamma length of 2^20 items with no item after it
+        /// (41 bits), behind a `false` flag bit when `flag`: a bit
+        /// flip's view of a short message.
+        fn rejects_cheaply<T>(name: &str, flag: bool, decode: fn(&mut BitReader<'_>) -> Option<T>) {
+            let mut w = BitWriter::new();
+            if flag {
+                w.write_bool(false);
+            }
+            w.write_gamma(1 << 20);
+            let (bytes, bits) = w.finish();
+            assert_eq!(bits, 41 + u64::from(flag));
+            let (rejected, reserved) =
+                allocated_by(|| decode(&mut BitReader::new(&bytes, bits)).is_none());
+            assert!(rejected, "{name} decoded a truncated sequence");
+            assert!(reserved <= 1024, "{name} reserved {reserved} bytes");
+        }
+        rejects_cheaply("Vec<Vec<u32>>", false, Vec::<Vec<u32>>::decode);
+        rejects_cheaply("read_gamma_u32s", false, read_gamma_u32s);
+        rejects_cheaply("OverlayEnvelope", true, OverlayEnvelope::<u32>::decode);
+        rejects_cheaply("OverlayRelay", false, OverlayRelay::<u32>::decode);
+        rejects_cheaply("BallMsg", false, BallMsg::<u32>::decode);
+        rejects_cheaply("ReachMsg", false, ReachMsg::<u32>::decode);
+        rejects_cheaply("ReachBatch", false, ReachBatch::<u32, ()>::decode);
+        rejects_cheaply("CenterMsg", true, CenterMsg::decode);
     }
 }

@@ -6,13 +6,14 @@
 //! engine, both overlay families (`G^k`, `G[S]`), the sharded engine at
 //! S ∈ {1, 2, 8}, and under fault injection, in both [`ExecMode`]s.
 //! The JSONL encoding must round-trip through the reader with the same
-//! totals and a consistent trailer.
+//! totals and a consistent trailer, and the reader's fold of it must
+//! equal what the tracer itself reports.
 
 use delta_graphs::{bfs, generators, Graph, NodeId, ShardPlan};
 use local_model::{
     force_exec_mode, run_reach_phase, Engine, ExecMode, FaultPlan, FaultyDriver, InducedOverlay,
-    JsonlSink, MetricsRegistry, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger,
-    RunManifest, TraceLine, TraceSummary, Tracer,
+    JsonlSink, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, RoundMeta,
+    RunManifest, TraceLine, TraceSink, TraceSummary, Tracer,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -48,6 +49,53 @@ fn assert_trace_matches(tr: &Tracer, ledger: &RoundLedger) {
     assert_eq!(t.faults, ledger.faults(), "faults");
 }
 
+/// A sink keeping every event it is handed; clone it before moving it
+/// into a [`Tracer`] to keep a read handle.
+#[derive(Clone, Default)]
+struct Lines(Arc<Mutex<Vec<TraceLine>>>);
+
+impl TraceSink for Lines {
+    fn on_line(&mut self, line: &TraceLine) {
+        self.0.lock().unwrap().push(line.clone());
+    }
+}
+
+impl Lines {
+    /// An enabled tracer streaming into this collector.
+    fn tracer(&self) -> Tracer {
+        Tracer::with_sinks(vec![Box::new(self.clone())])
+    }
+
+    /// The reader's fold of everything collected so far.
+    fn summary(&self) -> TraceSummary {
+        TraceSummary::from_lines(self.0.lock().unwrap().clone())
+    }
+
+    /// The engine enrichment of every round record.
+    fn metas(&self) -> Vec<RoundMeta> {
+        let lines = self.0.lock().unwrap();
+        lines
+            .iter()
+            .filter_map(|l| match l {
+                TraceLine::Round(r) => r.meta.clone(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every value observed under `name`, in stream order.
+    fn observed(&self, name: &str) -> Vec<u64> {
+        let lines = self.0.lock().unwrap();
+        lines
+            .iter()
+            .filter_map(|l| match l {
+                TraceLine::Observe { name: n, value } if n == name => Some(*value),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
 fn host() -> Graph {
     generators::random_regular(96, 4, 31)
 }
@@ -68,23 +116,31 @@ fn pairs_within(g: &Graph, r: u32, is_source: impl Fn(NodeId) -> bool) -> u64 {
 #[test]
 fn engine_trace_totals_match_ledger_in_both_modes() {
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let lines = Lines::default();
+        let tr = lines.tracer();
         let mut ledger = tr.ledger();
         let g = host();
         let mut engine = Engine::new(&g, 7, |v| v.0 as u64).with_mode(mode);
         drive(&mut engine, &mut ledger, 9);
         assert_trace_matches(&tr, &ledger);
-        // The registry saw the same stream.
-        assert_eq!(reg.counter("rounds"), ledger.total());
-        assert_eq!(reg.counter("bits"), ledger.bits_sent());
-        assert_eq!(reg.gauge("max_edge_bits"), ledger.max_edge_bits());
+        // The sink saw the same stream: one record per round.
+        let summary = lines.summary();
+        assert_eq!(summary.totals, tr.totals());
+        assert_eq!(summary.totals.records, 9);
         // Engine enrichment flowed through: per-round deliveries sum to
         // the engine's cumulative stats.
-        assert_eq!(reg.counter("deliveries"), engine.message_stats().deliveries);
-        assert_eq!(reg.counter("broadcasts"), engine.message_stats().broadcasts);
-        assert_eq!(reg.histogram("round_bits").unwrap().count, 9);
-        assert!(reg.histogram("round_max_inbox").unwrap().max >= 4);
+        let metas = lines.metas();
+        assert_eq!(metas.len(), 9);
+        let stats = engine.message_stats();
+        assert_eq!(
+            metas.iter().map(|m| m.deliveries).sum::<u64>(),
+            stats.deliveries
+        );
+        assert_eq!(
+            metas.iter().map(|m| m.broadcasts).sum::<u64>(),
+            stats.broadcasts
+        );
+        assert!(metas.iter().map(|m| m.max_inbox).max() >= Some(4));
     }
 }
 
@@ -95,31 +151,34 @@ fn overlay_trace_totals_match_ledger_in_both_modes() {
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
         // G^k: the k host relay rounds emit the round records; the
         // virtual rounds ride along level-tagged.
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let lines = Lines::default();
+        let tr = lines.tracer();
         let mut ledger = tr.ledger();
         let mut power =
             OverlayEngine::new(&g, PowerOverlay { k: 3 }, 5, |v| v.0 as u64).with_mode(mode);
         drive(&mut power, &mut ledger, 4);
         assert_trace_matches(&tr, &ledger);
         assert_eq!(ledger.total(), 12, "4 virtual rounds dilate to 12");
-        assert_eq!(reg.counter("virtual_rounds"), 4);
+        assert_eq!(lines.summary().virtual_rounds, 4);
         // One frontier observation per relay round; each virtual round
         // (every node broadcasts) reaches every pair at distance 1..=3.
-        let frontier = reg.histogram("flood_frontier").expect("relays observe");
-        assert_eq!(frontier.count, 12, "one observation per relay round");
-        assert_eq!(frontier.sum, 4 * pairs_within(&g, 3, |_| true));
+        let frontier = lines.observed("flood_frontier");
+        assert_eq!(frontier.len(), 12, "one observation per relay round");
+        assert_eq!(
+            frontier.iter().sum::<u64>(),
+            4 * pairs_within(&g, 3, |_| true)
+        );
 
         // G[S]: dilation 1, directed envelopes.
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let lines = Lines::default();
+        let tr = lines.tracer();
         let mut ledger = tr.ledger();
         let mut induced =
             OverlayEngine::new(&g, InducedOverlay { members: &members }, 5, |v| v.0 as u64)
                 .with_mode(mode);
         drive(&mut induced, &mut ledger, 5);
         assert_trace_matches(&tr, &ledger);
-        assert_eq!(reg.counter("virtual_rounds"), 5);
+        assert_eq!(lines.summary().virtual_rounds, 5);
     }
 }
 
@@ -129,8 +188,8 @@ fn reach_flood_observes_its_frontier_in_both_modes() {
     let is_source = |v: NodeId| v.0.is_multiple_of(5);
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
         let _guard = force_exec_mode(mode);
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let lines = Lines::default();
+        let tr = lines.tracer();
         let mut ledger = tr.ledger();
         let heard = run_reach_phase(
             &g,
@@ -145,15 +204,14 @@ fn reach_flood_observes_its_frontier_in_both_modes() {
             "reach",
         );
         assert_trace_matches(&tr, &ledger);
-        let frontier = reg
-            .histogram("flood_frontier")
-            .expect("the reach flood observes");
-        assert_eq!(frontier.count, 3, "one observation per relay round");
-        assert_eq!(frontier.sum, pairs_within(&g, 3, is_source));
+        let frontier = lines.observed("flood_frontier");
+        assert_eq!(frontier.len(), 3, "one observation per relay round");
+        let pairs: u64 = frontier.iter().sum();
+        assert_eq!(pairs, pairs_within(&g, 3, is_source));
         // The frontier pairs plus each source's own entry are exactly
         // what the nodes absorbed.
         let sources = g.nodes().filter(|&v| is_source(v)).count() as u64;
-        assert_eq!(heard.iter().sum::<u64>(), frontier.sum + sources);
+        assert_eq!(heard.iter().sum::<u64>(), pairs + sources);
     }
 }
 
@@ -162,8 +220,8 @@ fn sharded_trace_totals_match_ledger_for_s_1_2_8() {
     let g = host();
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
         for shards in [1usize, 2, 8] {
-            let reg = MetricsRegistry::new();
-            let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+            let lines = Lines::default();
+            let tr = lines.tracer();
             let mut ledger = tr.ledger();
             let plan = ShardPlan::contiguous(g.n(), shards);
             let mut engine = Engine::sharded(&g, plan, 7, |v| v.0 as u64).with_mode(mode);
@@ -171,10 +229,14 @@ fn sharded_trace_totals_match_ledger_for_s_1_2_8() {
             assert_trace_matches(&tr, &ledger);
             // Per-shard boundary enrichment sums to the engine's own
             // boundary meter.
+            let metas = lines.metas();
+            let boundary = metas.iter().flat_map(|m| m.boundary.iter());
+            let blocks: u64 = boundary.clone().map(|&(blocks, _)| blocks).sum();
+            let bits: u64 = boundary.map(|&(_, bits)| bits).sum();
             let b = engine.boundary_stats();
-            assert_eq!(reg.counter("boundary_blocks"), b.blocks, "S={shards}");
-            assert_eq!(reg.counter("boundary_bits"), b.block_bits, "S={shards}");
-            assert!(reg.histogram("round_max_inbox").unwrap().max >= 4);
+            assert_eq!(blocks, b.blocks, "S={shards}");
+            assert_eq!(bits, b.block_bits, "S={shards}");
+            assert!(metas.iter().map(|m| m.max_inbox).max() >= Some(4));
             if shards == 1 {
                 assert_eq!(b.blocks, 0, "S=1 has no cross-shard traffic");
             } else {
@@ -193,8 +255,8 @@ fn faulted_trace_totals_match_ledger_in_both_modes() {
         .with_corruption(70_000)
         .with_crash_window(5, 1, 4);
     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let reg = MetricsRegistry::new();
-        let tr = Tracer::with_sinks(vec![Box::new(reg.clone())]);
+        let lines = Lines::default();
+        let tr = lines.tracer();
         let mut ledger = tr.ledger();
         let engine = Engine::new(&g, 11, |v| v.0 as u64).with_mode(mode);
         let mut drv = FaultyDriver::new(engine, plan.clone());
@@ -205,10 +267,8 @@ fn faulted_trace_totals_match_ledger_in_both_modes() {
             f.dropped > 0 && f.duplicated > 0,
             "plan actually injected faults"
         );
-        assert_eq!(reg.counter("faults_dropped"), f.dropped);
-        assert_eq!(reg.counter("faults_duplicated"), f.duplicated);
-        assert_eq!(reg.counter("faults_corrupted"), f.corrupted);
-        assert_eq!(reg.counter("faults_crashed_rounds"), f.crashed_rounds);
+        // The streamed fault deltas sum to all four ledger counters.
+        assert_eq!(lines.summary().totals.faults, f);
     }
 }
 
@@ -287,10 +347,14 @@ fn jsonl_round_trips_through_the_reader() {
 
     let summary = TraceSummary::from_lines(lines);
     summary.check_consistent().expect("trailer matches stream");
-    assert_eq!(summary.rounds, ledger.total());
-    assert_eq!(summary.bits, ledger.bits_sent());
-    assert_eq!(summary.max_edge_bits, ledger.max_edge_bits());
-    assert_eq!(summary.faults, ledger.faults());
+    assert_eq!(summary.totals.rounds, ledger.total());
+    assert_eq!(summary.totals.bits, ledger.bits_sent());
+    assert_eq!(summary.totals.max_edge_bits, ledger.max_edge_bits());
+    assert_eq!(summary.totals.faults, ledger.faults());
+    // Writer and reader run one fold: the reader's summary of the JSONL
+    // is what the tracer itself reports.
+    assert_eq!(summary.totals, tr.totals());
+    assert_eq!(tr.span_totals(), summary.span_tree());
     let m = summary.manifest.as_ref().expect("manifest parsed");
     assert_eq!(m, &manifest);
     assert_eq!(summary.virtual_rounds, 2, "two G^2 virtual rounds");
@@ -300,6 +364,6 @@ fn jsonl_round_trips_through_the_reader() {
     let engine_span = tree.iter().find(|(p, _)| p == "engine").unwrap();
     assert_eq!(engine_span.1.rounds, 5);
     // Phase aggregation covers everything that was charged.
-    let phase_sum: u64 = summary.phases.iter().map(|(_, a)| a.rounds).sum();
+    let phase_sum: u64 = summary.phases().iter().map(|(_, a)| a.rounds).sum();
     assert_eq!(phase_sum, ledger.total());
 }

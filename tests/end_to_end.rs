@@ -172,8 +172,10 @@ fn disconnected_graphs_are_rejected_cleanly() {
 struct RoundRecords(Arc<Mutex<Vec<RoundRecord>>>);
 
 impl TraceSink for RoundRecords {
-    fn on_record(&mut self, record: &RoundRecord) {
-        self.0.lock().unwrap().push(record.clone());
+    fn on_line(&mut self, line: &TraceLine) {
+        if let TraceLine::Round(record) = line {
+            self.0.lock().unwrap().push(record.clone());
+        }
     }
 }
 
@@ -202,7 +204,9 @@ fn traced_rand_run(g: &Graph, cfg: RandConfig) -> Vec<(String, PhaseAgg)> {
     assert_eq!(t.bits, ledger.bits_sent());
     assert_eq!(t.max_edge_bits, ledger.max_edge_bits());
     assert_eq!(t.violations, ledger.congest_violations());
-    TraceSummary::from_lines(records.into_iter().map(TraceLine::Round)).phases
+    TraceSummary::from_lines(records.into_iter().map(TraceLine::Round))
+        .phases()
+        .to_vec()
 }
 
 fn phase_agg(phases: &[(String, PhaseAgg)], name: &str) -> PhaseAgg {
