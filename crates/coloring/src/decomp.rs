@@ -8,49 +8,11 @@
 //! "Substitutions for the paper's constructions".)
 
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::{gamma_bits, gamma_max_bits};
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
+use local_model::RoundLedger;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Wire format of the MPX decomposition ([`mpx_decomposition`] runs as
-/// a charged central simulation; this documents what a faithful
-/// distributed execution sends): per round each node forwards its best
-/// cluster offer — the shifted-distance key as a 32.32 fixed-point
-/// value plus the gamma-coded center id — `64 + O(log n)` bits, so the
-/// decomposition substrate is CONGEST-feasible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecompMsg {
-    /// "My best offer is center `center` at shifted distance `key`."
-    Offer {
-        /// Shifted distance `dist - δ_center`, as 32.32 fixed point.
-        key: u64,
-        /// The offering cluster's center id.
-        center: u32,
-    },
-}
-
-impl WireCodec for DecompMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        let DecompMsg::Offer { key, center } = self;
-        w.write_bits(*key, 64);
-        w.write_gamma(*center as u64);
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        let key = r.read_bits(64)?;
-        let center = r.read_gamma_u32()?;
-        Some(DecompMsg::Offer { key, center })
-    }
-    fn encoded_bits(&self) -> u64 {
-        let DecompMsg::Offer { center, .. } = self;
-        64 + gamma_bits(*center as u64)
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(64 + gamma_max_bits(p.n))
-    }
-}
 
 /// A clustering of the nodes with a proper coloring of the cluster
 /// contact graph.

@@ -20,9 +20,7 @@ use delta_graphs::components::blocks;
 use delta_graphs::props::{is_clique_subset, is_odd_cycle};
 use delta_graphs::{Graph, NodeId};
 use local_model::wire::gamma_bits;
-use local_model::{
-    run_ball_phase, BallView, BitReader, BitWriter, RoundLedger, WireCodec, WireParams,
-};
+use local_model::{run_ball_phase, BallView, BitReader, BitWriter, RoundLedger, WireCodec};
 
 /// Wire format of DCC detection. The collective driver
 /// ([`find_dccs_all`]) **executes through the engine**: every node
@@ -30,8 +28,9 @@ use local_model::{
 /// subsystem ([`local_model::BallMsg`] on the wire; this enum is the
 /// equivalent declared shape) and searches its assembled view locally,
 /// so rounds and per-edge bits are measured. Either way a relay can
-/// carry up to `Θ(Δ^r)` edges in one message, so `max_bits` is `None`:
-/// DCC detection is **LOCAL-only**. The single-node
+/// carry up to `Θ(Δ^r)` edges in one message, so DCC detection is
+/// **LOCAL-only**: on `O(log n)`-bit wires its rounds dilate. The
+/// single-node
 /// [`find_dcc_for_node`] remains the central reference oracle for
 /// tests and ad-hoc probes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +66,6 @@ impl WireCodec for GallaiMsg {
                 .iter()
                 .map(|&(a, b)| gamma_bits(a as u64) + gamma_bits(b as u64))
                 .sum::<u64>()
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
     }
 }
 

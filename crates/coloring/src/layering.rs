@@ -12,38 +12,8 @@ use crate::list_coloring::{list_color, ListColorMethod};
 use crate::palette::{Color, ColoringError, Lists, PartialColoring};
 use delta_graphs::bfs;
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::{gamma_bits, gamma_max_bits};
-use local_model::{BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
+use local_model::RoundLedger;
 use std::collections::VecDeque;
-
-/// Wire format of layer construction ([`layers_from_base`] runs as a
-/// charged central simulation; this documents what a faithful
-/// distributed execution sends): a multi-source BFS wave where each
-/// node announces its layer index once — one gamma-coded distance
-/// `< n`, i.e. `O(log n)` bits: the layering substrate is
-/// CONGEST-feasible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerMsg {
-    /// "I joined layer `i`" (BFS wavefront announcement).
-    Layer(u32),
-}
-
-impl WireCodec for LayerMsg {
-    fn encode(&self, w: &mut BitWriter) {
-        let LayerMsg::Layer(i) = self;
-        w.write_gamma(*i as u64);
-    }
-    fn decode(r: &mut BitReader<'_>) -> Option<Self> {
-        r.read_gamma_u32().map(LayerMsg::Layer)
-    }
-    fn encoded_bits(&self) -> u64 {
-        let LayerMsg::Layer(i) = self;
-        gamma_bits(*i as u64)
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(gamma_max_bits(p.n))
-    }
-}
 
 /// A layering of (a subset of) the nodes by distance to a base set.
 #[derive(Debug, Clone)]

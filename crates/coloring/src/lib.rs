@@ -18,10 +18,10 @@
 //! every substrate they stand on:
 //!
 //! Every message the engines carry implements
-//! [`local_model::WireCodec`] — a bit-exact wire format with a
-//! `max_bits(graph_params)` bound — and the engine charges each
-//! transmission's exact size, so every run reports its CONGEST-style
-//! bandwidth footprint alongside its round count. Since the
+//! [`local_model::WireCodec`] — a bit-exact wire format with its exact
+//! size — and the engine charges each transmission's size, so every
+//! run reports its CONGEST-style bandwidth footprint alongside its
+//! round count. Since the
 //! ball-collection subsystem ([`local_model::ball`]) landed, the
 //! neighborhood-inspection phases execute as real message-passing
 //! programs too: ruling sets flood candidate ids level by level
@@ -37,35 +37,41 @@
 //! materialized), the randomized driver's remainder-graph marking and
 //! per-component CDCC detection run on the `InducedOverlay`
 //! (non-members silent), and the layering technique colors its todo
-//! subgraphs the same way. The table below classifies each module's
-//! wire formats against the `O(log n)` per-edge budget and says both
-//! how it executes under CONGEST enforcement (`congest-feasible`
-//! messages fit the budget natively; `congest-enforced` ones run
-//! fragmented onto it by [`local_model::congest`] while a
-//! [`local_model::enforce_congest`] guard is live) and how its numbers
-//! are obtained. The verdicts are for the implemented wire formats (see
-//! each message type's docs for why; a headline driver inherits the
-//! verdict of its phases); what a run really sent is in its trace,
-//! where `trace-summary` gives each phase's engine rounds and heaviest
-//! per-edge load:
+//! subgraphs the same way. The table below classifies each module
+//! against the `O(log n)` per-edge budget and says both how it executes
+//! under CONGEST enforcement (`congest-feasible` messages fit the
+//! budget natively; `congest-enforced` ones run fragmented onto it by
+//! [`local_model::congest`] while a [`local_model::enforce_congest`]
+//! guard is live) and how its numbers are obtained. Verdicts marked
+//! [^split] are measured; the others follow from the message types'
+//! docs (a headline driver inherits the verdict of its phases). What a
+//! run really sent is in its trace, where `trace-summary` gives each
+//! phase's engine rounds and heaviest per-edge load:
 //!
 //! | Module | Contents | Paper reference | Bandwidth | CONGEST execution | Measurement |
 //! |---|---|---|---|---|---|
 //! | [`palette`] | colors, partial colorings, lists, validity checks | — | — | — | — |
-//! | [`linial`] | `O(Δ²)` coloring in `O(log* n)` rounds | \[Lin92\], used for symmetry breaking | CONGEST-feasible | congest-feasible | engine (measured) |
-//! | [`reduce`] | color-class reduction to `Δ+1` | — | CONGEST-feasible | congest-feasible | engine (measured) |
-//! | [`mis`] | Luby's MIS, on the host graph and on the `G^k` overlay | Lemma 20 substrate | CONGEST-feasible (host); LOCAL-only on overlays | congest-feasible | engine (measured) |
+//! | [`linial`] | `O(Δ²)` coloring in `O(log* n)` rounds | \[Lin92\], used for symmetry breaking | CONGEST-feasible[^split] | congest-feasible | engine (measured) |
+//! | [`reduce`] | color-class reduction to `Δ+1` | — | CONGEST-feasible[^split] | congest-feasible | engine (measured) |
+//! | [`mis`] | Luby's MIS, on the host graph and on the `G^k` overlay | Lemma 20 substrate | CONGEST-feasible (host)[^split]; LOCAL-only on overlays | congest-feasible | engine (measured) |
 //! | [`ruling`] | ruling sets and ruling forests | Lemma 20 | LOCAL-only (power-graph relays) | congest-enforced | engine (measured): bit-halving reach-floods + Luby on the `G^k` overlay |
-//! | [`list_coloring`] | `(deg+1)`-list coloring, randomized & deterministic | Theorems 18, 19 | CONGEST-feasible | congest-feasible | engine (measured); randomized also on the induced overlay |
-//! | [`gallai`] | degree-choosable components, Gallai trees, the degree-list solver | Definitions 6–9, Theorem 8 | LOCAL-only (ball relays) | congest-enforced | engine (measured) via [`gallai::find_dccs_all`]; masked runs through [`local_model::run_ball_phase`] on the induced overlay |
+//! | [`list_coloring`] | `(deg+1)`-list coloring, randomized & deterministic | Theorems 18, 19 | CONGEST-feasible[^split] | congest-feasible | engine (measured); randomized also on the induced overlay |
+//! | [`gallai`] | degree-choosable components, Gallai trees, the degree-list solver | Definitions 6–9, Theorem 8 | LOCAL-only (ball relays)[^split] | congest-enforced | engine (measured) via [`gallai::find_dccs_all`]; masked runs through [`local_model::run_ball_phase`] on the induced overlay |
 //! | [`brooks`] | sequential Brooks & the distributed Brooks repair | Theorem 5, Lemma 16 | LOCAL-only (ball probes) | congest-enforced | mixed: radius-2 probe engine-backed, deepening + walk central |
-//! | [`layering`] | the layering technique | Section 3 | CONGEST-feasible | congest-feasible | mixed: todo-subgraph coloring on the induced overlay, BFS waves central |
+//! | [`layering`] | the layering technique | Section 3 | CONGEST-feasible (engine rounds are list coloring) | congest-feasible | mixed: todo-subgraph coloring on the induced overlay, BFS waves central |
 //! | [`marking`] | the marking process and T-nodes | Section 2.2, phase (4) | LOCAL-only (backoff flood) | congest-enforced | engine (measured), on the induced overlay given a member mask ([`marking::marking_process`]) |
-//! | [`decomp`] | MPX network decomposition | \[PS92\]/\[AGLP89\] substitute | CONGEST-feasible | congest-feasible | central (charged) |
+//! | [`decomp`] | MPX network decomposition | \[PS92\]/\[AGLP89\] substitute | — (sends nothing) | — | central (charged) |
 //! | [`delta`] | the headline algorithms | Theorems 1, 3, 4 | LOCAL-only (inherit detection/repairs) | congest-enforced | mixed |
 //! | [`baseline`] | `(Δ+1)` baseline and a PS-style Δ-coloring baseline | \[PS92, PS95\] | — | — | mixed |
 //! | [`verify`] | end-to-end validity checking, full violation reports | — | — | — | — |
 //! | [`repair`] | detection + self-healing of damaged colorings | Theorem 5, Lemma 16 | LOCAL-only (ball probes) | congest-enforced | mixed: inherits the Brooks repair |
+//!
+//! [^split]: Asserted by `substrates_split_as_documented`
+//!     (`tests/wire_roundtrip.rs`), which runs each substrate with and
+//!     without an `enforce_congest(congest_budget(n))` guard: a
+//!     CONGEST-feasible one charges exactly its LOCAL rounds with no
+//!     violation and no edge over the budget, and radius-2 ball
+//!     collection (`run_ball_phase`, [`gallai::find_dccs_all`]) dilates.
 //!
 //! Phases that remain genuinely centralized (with charged round
 //! estimates): the layering/boundary BFS waves, MPX decomposition, the

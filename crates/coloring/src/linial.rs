@@ -15,9 +15,9 @@
 //! structure in Section 4.1).
 
 use delta_graphs::Graph;
-use local_model::wire::{gamma_bits, gamma_max_bits};
+use local_model::wire::gamma_bits;
 use local_model::{
-    compile, BitReader, BitWriter, Engine, Outbox, RoundDriver, RoundLedger, WireCodec, WireParams,
+    compile, BitReader, BitWriter, Engine, Outbox, RoundDriver, RoundLedger, WireCodec,
 };
 
 /// Wire format of Linial color reduction: one gamma-coded current
@@ -41,14 +41,6 @@ impl WireCodec for LinialMsg {
     fn encoded_bits(&self) -> u64 {
         let LinialMsg::Color(c) = self;
         gamma_bits(*c)
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        // Colors are < m at all times; m starts at n and moves to q²
-        // for the (monotonically shrinking) field q, so the largest
-        // color domain over the whole run is max(n, q₀²) for the first
-        // field q₀ = choose_field(n, Δ).
-        let q0 = choose_field(p.n.max(2), p.max_degree.max(1));
-        Some(gamma_max_bits(p.n.max(q0 * q0)))
     }
 }
 

@@ -20,10 +20,9 @@
 
 use crate::palette::{Color, ColoringError, Lists, PartialColoring};
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::gamma_max_bits;
 use local_model::{
     BitReader, BitWriter, Engine, InducedOverlay, Outbox, OverlayEngine, RoundDriver, RoundLedger,
-    WireCodec, WireParams,
+    WireCodec,
 };
 
 /// Which list-coloring engine to use.
@@ -115,9 +114,6 @@ impl WireCodec for LcMsg {
     fn encoded_bits(&self) -> u64 {
         let (LcMsg::Propose(c) | LcMsg::Colored(c)) = self;
         1 + c.encoded_bits()
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(1 + gamma_max_bits(p.palette))
     }
 }
 

@@ -23,10 +23,10 @@
 
 use crate::palette::{Color, PartialColoring};
 use delta_graphs::{bfs, Graph, NodeId};
-use local_model::wire::{gamma_bits, gamma_max_bits};
+use local_model::wire::gamma_bits;
 use local_model::{
     run_ball_phase, run_reach_phase, BitReader, BitWriter, Engine, InducedOverlay, Outbox,
-    OverlayEngine, RoundDriver, RoundLedger, WireCodec, WireParams,
+    OverlayEngine, RoundDriver, RoundLedger, WireCodec,
 };
 
 /// Wire format of the marking process's **mark-placement** rounds
@@ -74,9 +74,6 @@ impl WireCodec for MkMsg {
             MkMsg::Propose | MkMsg::Accept => 2,
             MkMsg::Claim(id) => 2 + gamma_bits(*id as u64),
         }
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(2 + gamma_max_bits(p.n))
     }
 }
 
@@ -561,17 +558,5 @@ mod tests {
             out.t_nodes
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn marking_control_messages_are_bounded() {
-        // The propose/claim/accept placement rounds individually fit
-        // CONGEST; the process is LOCAL-only because of the flood.
-        let p = WireParams {
-            n: 1 << 16,
-            max_degree: 4,
-            palette: 5,
-        };
-        assert!(MkMsg::max_bits(&p).unwrap() <= local_model::congest_budget(p.n));
     }
 }

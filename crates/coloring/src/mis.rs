@@ -8,10 +8,10 @@
 //! round, nothing materialized).
 
 use delta_graphs::{Graph, NodeId};
-use local_model::wire::{gamma_bits, gamma_max_bits};
+use local_model::wire::gamma_bits;
 use local_model::{
     BitReader, BitWriter, Engine, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger,
-    WireCodec, WireParams,
+    WireCodec,
 };
 
 /// Node status during and after MIS computation.
@@ -74,9 +74,6 @@ impl WireCodec for MisMsg {
             }
             MisMsg::Joined => 1,
         }
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(1 + gamma_max_bits(draw_domain(p.n)) + gamma_max_bits(p.n))
     }
 }
 

@@ -38,8 +38,7 @@ impl From<u32> for Color {
     }
 }
 
-/// Colors travel gamma-coded: `O(log palette)` bits on the wire, bound
-/// by the palette size of [`local_model::WireParams`].
+/// Colors travel gamma-coded: `O(log palette)` bits on the wire.
 impl local_model::WireCodec for Color {
     fn encode(&self, w: &mut local_model::BitWriter) {
         w.write_gamma(self.0 as u64);
@@ -49,9 +48,6 @@ impl local_model::WireCodec for Color {
     }
     fn encoded_bits(&self) -> u64 {
         local_model::wire::gamma_bits(self.0 as u64)
-    }
-    fn max_bits(p: &local_model::WireParams) -> Option<u64> {
-        Some(local_model::wire::gamma_max_bits(p.palette))
     }
 }
 
@@ -98,11 +94,6 @@ impl PartialColoring {
         PartialColoring {
             colors: vec![None; n],
         }
-    }
-
-    /// Builds from explicit per-node colors.
-    pub fn from_vec(colors: Vec<Option<Color>>) -> Self {
-        PartialColoring { colors }
     }
 
     /// Builds a total coloring from a color index per node.
@@ -163,11 +154,6 @@ impl PartialColoring {
             .enumerate()
             .filter(|(_, c)| c.is_none())
             .map(|(i, _)| NodeId::from_index(i))
-    }
-
-    /// The largest color index in use, if any node is colored.
-    pub fn max_color(&self) -> Option<Color> {
-        self.colors.iter().flatten().max().copied()
     }
 
     /// Colors used by the *colored* neighbors of `v`.

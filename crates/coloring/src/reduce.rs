@@ -10,15 +10,14 @@
 
 use crate::palette::PartialColoring;
 use delta_graphs::Graph;
-use local_model::wire::{gamma_bits, gamma_max_bits};
+use local_model::wire::gamma_bits;
 use local_model::{
-    compile, BitReader, BitWriter, Engine, Outbox, RoundDriver, RoundLedger, WireCodec, WireParams,
+    compile, BitReader, BitWriter, Engine, Outbox, RoundDriver, RoundLedger, WireCodec,
 };
 
 /// Wire format of color-class reduction: each node gamma-codes its
-/// current color, which is bounded by the input color count (the
-/// `palette` wire parameter — `O(Δ²)` when fed from Linial), so the
-/// substrate is CONGEST-feasible.
+/// current color, which is bounded by the input color count (`O(Δ²)`
+/// when fed from Linial), so the substrate is CONGEST-feasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceMsg {
     /// "My current color is `c`."
@@ -36,9 +35,6 @@ impl WireCodec for ReduceMsg {
     fn encoded_bits(&self) -> u64 {
         let ReduceMsg::Color(c) = self;
         gamma_bits(*c as u64)
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(gamma_max_bits(p.palette))
     }
 }
 

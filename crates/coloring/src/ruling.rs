@@ -17,7 +17,7 @@
 use delta_graphs::bfs;
 use delta_graphs::{Graph, NodeId};
 use local_model::wire::{gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s};
-use local_model::{run_reach_phase, BitReader, BitWriter, RoundLedger, WireCodec, WireParams};
+use local_model::{run_reach_phase, BitReader, BitWriter, RoundLedger, WireCodec};
 
 /// Wire format of the ruling-set constructions. Both paths **execute
 /// through the engine**: the deterministic bit-halving runs one
@@ -28,9 +28,8 @@ use local_model::{run_reach_phase, BitReader, BitWriter, RoundLedger, WireCodec,
 /// with no power graph materialized. Rounds and per-edge bits are
 /// measured, not estimated ([`RulingMsg::Relay`] is the declared shape
 /// of the relays). Either way, a power-graph round relays up to
-/// `Δ^(α-2)` foreign messages over one edge — unbounded, hence
-/// `max_bits` is `None` and the substrate is **LOCAL-only** for
-/// non-constant `α`.
+/// `Δ^(α-2)` foreign messages over one edge, so the substrate is
+/// **LOCAL-only** for non-constant `α`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RulingMsg {
     /// Bit-halving candidacy: "id `v` is a surviving candidate".
@@ -64,9 +63,6 @@ impl WireCodec for RulingMsg {
             RulingMsg::Candidate(id) => 1 + gamma_bits(*id as u64),
             RulingMsg::Relay(ids) => 1 + gamma_u32s_bits(ids),
         }
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
     }
 }
 

@@ -83,8 +83,7 @@ use crate::engine::{node_rngs, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::overlay::{InducedOverlay, OverlayEngine};
 use crate::wire::{
-    gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s, BitReader, BitWriter,
-    WireCodec, WireParams,
+    gamma_bits, gamma_u32s_bits, read_gamma_u32s, write_gamma_u32s, BitReader, BitWriter, WireCodec,
 };
 use delta_graphs::bfs::Ball;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
@@ -119,16 +118,13 @@ impl<M: WireCodec> WireCodec for BallItem<M> {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.id as u64) + gamma_u32s_bits(&self.adj) + self.payload.encoded_bits()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None // carries a whole adjacency list
-    }
 }
 
 /// Ball-collection relay: the items the sender first learned last
-/// round. Unbounded (`max_bits` is `None`): a single relay can carry
-/// `Θ(Δ^r)` certificates, which is exactly why ball-collection phases
-/// are LOCAL-only. The flood itself sends the interned equivalent (a
-/// batch of certificate ids), which encodes exactly like this type.
+/// round. A single relay can carry `Θ(Δ^r)` certificates, which is
+/// exactly why ball-collection phases dilate on `O(log n)`-bit wires.
+/// The flood itself sends the interned equivalent (a batch of
+/// certificate ids), which encodes exactly like this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallMsg<M>(pub Vec<BallItem<M>>);
 
@@ -150,14 +146,11 @@ impl<M: WireCodec> WireCodec for BallMsg<M> {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.0.len() as u64) + self.0.iter().map(WireCodec::encoded_bits).sum::<u64>()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// Reach-flood relay: `(source id, payload)` pairs first learned last
-/// round. Unbounded (`max_bits` is `None`): one relay batches every
-/// source crossing the edge this round.
+/// round. One relay batches every source crossing the edge this round,
+/// so its size has no `O(log n)` bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachMsg<M>(pub Vec<(u32, M)>);
 
@@ -186,9 +179,6 @@ impl<M: WireCodec> WireCodec for ReachMsg<M> {
                 .map(|(id, m)| gamma_bits(*id as u64) + m.encoded_bits())
                 .sum::<u64>()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// A ball-flood source payload: a node's sorted adjacency list (in the
@@ -213,9 +203,6 @@ impl<M: WireCodec> WireCodec for Cert<M> {
     }
     fn encoded_bits(&self) -> u64 {
         gamma_u32s_bits(&self.adj) + self.payload.encoded_bits()
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
     }
 }
 
@@ -365,9 +352,6 @@ impl<M: WireCodec, H: HopHeader> WireCodec for ReachBatch<M, H> {
     fn encoded_bits(&self) -> u64 {
         self.0.wire_bits
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// The radius-`r` neighborhood a node assembled from the flood: the
@@ -415,11 +399,6 @@ impl<M> BallView<M> {
     /// The payload of a member, if present.
     pub fn payload_of(&self, id: NodeId) -> Option<&M> {
         self.position(id).map(|i| &self.payloads[i])
-    }
-
-    /// The distance of a member from the center, if present.
-    pub fn dist_of(&self, id: NodeId) -> Option<u32> {
-        self.position(id).map(|i| self.dist[i])
     }
 
     /// Materializes the view as a [`Ball`] (local induced [`Graph`] plus
@@ -950,7 +929,8 @@ where
 
 /// One step of the single-center collection: an optional probe relay
 /// (TTL of the wave front) plus the certificates first learned last
-/// round. Unbounded (`max_bits` is `None`) like every ball relay.
+/// round. Like every ball relay, one message can carry many
+/// certificates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CenterMsg {
     /// Probe relay: the remaining TTL for receivers.
@@ -988,9 +968,6 @@ impl WireCodec for CenterItem {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.id as u64) + gamma_bits(self.dist as u64) + gamma_u32s_bits(&self.adj)
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 impl WireCodec for CenterMsg {
@@ -1014,9 +991,6 @@ impl WireCodec for CenterMsg {
         self.probe_ttl.encoded_bits()
             + gamma_bits(self.items.len() as u64)
             + self.items.iter().map(WireCodec::encoded_bits).sum::<u64>()
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
     }
 }
 

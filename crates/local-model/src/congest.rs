@@ -44,12 +44,21 @@
 //!
 //! `CongestEngine` composes with every driver: [`crate::Engine`] (the
 //! budget binds per host edge), [`crate::OverlayEngine`] (per *virtual*
-//! edge — CONGEST on the overlay topology; the host relay envelopes
-//! remain the overlay's materialization mechanism and keep their own
-//! measured accounting), [`crate::ShardedEngine`], and
+//! edge — CONGEST on the overlay topology), [`crate::ShardedEngine`], and
 //! [`crate::FaultyDriver`] *inside* the wrapper — drops, duplicates,
 //! and corruption then strike individual chunks, and a single lost
 //! chunk loses the whole reassembled message.
+//!
+//! On an overlay the budget binds the host edges only where a virtual
+//! edge is one. At dilation 1 (`G[S]`) it is: the relay round runs
+//! under the overlay's policy, so a host edge that a chunk plus its
+//! [`crate::OverlayEnvelope`] (2 more bits around a broadcast chunk, 4
+//! around a directed one) pushes over the budget counts as a violation.
+//! The `k` host relay rounds of a `G^k` overlay stay unbudgeted: their
+//! bits are measured on the ledger but held to no budget. On
+//! `random_regular(1024, 4, 9)` a `G^2` Luby relay carries 465 bits on
+//! a 160-bit budget and counts no violation
+//! (`congest_engine_is_bit_identical_on_power_overlays` pins the zero).
 //!
 //! # Enforcement scope
 //!
@@ -76,7 +85,7 @@
 use crate::engine::{BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::trace::VirtualRecord;
-use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec, WireParams};
+use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec};
 use delta_graphs::NodeId;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -154,9 +163,8 @@ pub fn compile<S: Send, D: RoundDriver<S>>(inner: D) -> CongestEngine<D> {
 /// gamma(payload bit length) + the raw payload bits. The payload is a
 /// borrowed slice (`off..off+len` bits) of a shared buffer holding the
 /// full encoded message, so fragmenting is one encode plus refcount
-/// bumps. `max_bits` is `None`: the bound is the *run-time* budget the
-/// [`Fragmenter`] was built with (every produced chunk satisfies
-/// `encoded_bits() <= budget`), not a type-level constant.
+/// bumps. Its size bound is the *run-time* budget the [`Fragmenter`] was
+/// built with: every produced chunk satisfies `encoded_bits() <= budget`.
 #[derive(Debug, Clone)]
 pub struct CongestChunk {
     stream: u64,
@@ -249,10 +257,6 @@ impl WireCodec for CongestChunk {
 
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.stream) + gamma_bits(self.index) + 1 + gamma_bits(self.len) + self.len
-    }
-
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None // bounded by the run-time budget, not the graph parameters
     }
 }
 

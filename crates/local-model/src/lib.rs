@@ -79,12 +79,13 @@
 //! Every algorithm in the `delta-coloring` crate charges the rounds a
 //! real LOCAL execution would take to a [`RoundLedger`], broken down by
 //! phase, which is what the experiments report. Every message the
-//! engine carries implements [`WireCodec`] — a bit-exact wire format with a
-//! `max_bits` bound — and the engine charges each transmission's exact
+//! engine carries implements [`WireCodec`] — a bit-exact wire format
+//! with its exact size — and the engine charges each transmission's
 //! wire size during routing, extending [`MessageStats`] and the ledger
 //! with CONGEST-style bandwidth accounting (bits sent, heaviest
 //! per-edge-per-round load, and budget violations under
-//! [`BandwidthPolicy::Congest`]).
+//! [`BandwidthPolicy::Congest`]). Whether a substrate fits `O(log n)`
+//! bits is read off those measured loads, never declared per type.
 
 pub mod ball;
 pub mod congest;
@@ -119,4 +120,4 @@ pub use trace::{
     SpanAgg, SpanRecord, TraceLine, TraceSink, TraceSummary, TraceTotals, Tracer, VirtualRecord,
     CONGEST_LEVEL, FLUSH_PHASE, TRACE_SCHEMA,
 };
-pub use wire::{congest_budget, BitReader, BitWriter, WireCodec, WireParams};
+pub use wire::{congest_budget, BitReader, BitWriter, WireCodec};

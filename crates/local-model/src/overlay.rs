@@ -19,9 +19,9 @@
 //! * [`OverlayEngine`] — the executor. Its [`OverlayEngine::step`] is
 //!   the overlay counterpart of [`Engine::step`]: one **virtual**
 //!   round, executed as `k` real host-engine rounds whose relay traffic
-//!   is wire-encoded through the [`WireCodec`]-bounded envelopes below
-//!   and charged to the ledger at its true dilated round and per-edge
-//!   bit cost.
+//!   is wire-encoded through the [`WireCodec`] envelopes below and
+//!   charged to the ledger at its true dilated round and per-edge bit
+//!   cost.
 //!
 //! # The compacted id space
 //!
@@ -90,7 +90,7 @@
 use crate::ball::{payload_bits, reach_phase_core, PayloadTable, ReachState};
 use crate::engine::{node_rngs, resolve_parallel, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
-use crate::wire::{gamma_bits, gamma_max_bits, BitReader, BitWriter, WireCodec, WireParams};
+use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec};
 use crate::{BandwidthPolicy, ExecMode, MessageStats};
 use delta_graphs::bfs::bfs_tree;
 use delta_graphs::power::PowerNeighborhoods;
@@ -171,9 +171,10 @@ impl VirtualTopology for InducedOverlay<'_> {
 
 /// Dilation-1 relay envelope: what one member puts on one host edge in
 /// one round — its virtual broadcast (if any) plus the directed
-/// payloads addressed to that edge's head. Unbounded (`max_bits` is
-/// `None`): the directed list mirrors the virtual program's own
-/// outbox, which the LOCAL model does not bound.
+/// payloads addressed to that edge's head. The directed list mirrors the
+/// virtual program's own outbox, which the LOCAL model does not bound;
+/// around one payload the envelope adds 2 bits (a broadcast) or 4 bits
+/// (a directed message), and the host edge is charged all of them.
 ///
 /// The broadcast payload is behind an [`Arc`]: one sender's broadcast
 /// rides `deg` envelopes (plus their delivery clones), and ball-phase
@@ -227,15 +228,12 @@ impl<M: WireCodec> WireCodec for OverlayEnvelope<M> {
                 .map(WireCodec::encoded_bits)
                 .sum::<u64>()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// One relayed flood entry of the dilation-`k` compilation: the
-/// origin's (virtual) id, the remaining hop TTL, and the payload.
-/// The per-item wire cost is honestly bounded whenever the payload is
-/// (`max_bits` composes); the *relay* that batches items is not.
+/// origin's (virtual) id, the remaining hop TTL, and the payload: two
+/// gamma codes plus the payload's bits. The *relay* that batches items
+/// has no such per-message size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayItem<M> {
     /// Virtual id of the broadcasting origin.
@@ -262,19 +260,13 @@ impl<M: WireCodec> WireCodec for RelayItem<M> {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.origin as u64) + gamma_bits(self.ttl as u64) + self.payload.encoded_bits()
     }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        // origin < n; TTL < n — the flood clamps the injected TTL to
-        // n - 1 (no node is farther than that), so the bound holds even
-        // for dilations larger than the graph.
-        Some(gamma_max_bits(p.n) + gamma_max_bits(p.n) + M::max_bits(p)?)
-    }
 }
 
 /// Dilation-`k` relay: the [`RelayItem`]s a node first heard last round
-/// and forwards this round. Unbounded (`max_bits` is `None`): one relay
-/// batches every origin crossing the edge this round — `Θ(Δ^(k-1))` of
-/// them in the worst case, which is exactly why power-graph substrates
-/// are LOCAL-only.
+/// and forwards this round. One relay batches every origin crossing the
+/// edge this round — `Θ(Δ^(k-1))` of them in the worst case, which is
+/// exactly why power-graph relays are not budgeted on host edges (see
+/// [`crate::congest`]).
 ///
 /// The item batch is behind an [`Arc`]: the engine clones every
 /// broadcast once per incident edge, and on dense floods the batch can
@@ -310,9 +302,6 @@ impl<M: WireCodec> WireCodec for OverlayRelay<M> {
         gamma_bits(self.items.len() as u64)
             + self.items.iter().map(WireCodec::encoded_bits).sum::<u64>()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// The hop header of a `G^k` relay: the hops every forwarded item may
@@ -330,9 +319,6 @@ impl WireCodec for Ttl {
     }
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.0 as u64)
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(gamma_max_bits(p.n)) // clamped below n, see RelayItem
     }
 }
 
@@ -447,9 +433,11 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         self
     }
 
-    /// Sets the bandwidth policy for the **virtual-level** accounting
-    /// (builder style). Host-level relay accounting on the ledger
-    /// always runs under the host engine's default policy.
+    /// Sets the bandwidth policy (builder style). It always governs the
+    /// **virtual-level** accounting. At dilation 1 a virtual edge is a
+    /// host edge, so the relay round's ledger accounting runs under it
+    /// too, envelope bits included; the `G^k` relay rounds of a power
+    /// overlay stay unbudgeted on host edges.
     pub fn with_bandwidth(mut self, policy: BandwidthPolicy) -> Self {
         self.policy = policy;
         self
@@ -468,11 +456,6 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// Sorted host ids of the members; index = virtual id (rank).
     pub fn members(&self) -> &[NodeId] {
         &self.members
-    }
-
-    /// Host id of a virtual node.
-    pub fn to_host(&self, rank: NodeId) -> NodeId {
-        self.members[rank.index()]
     }
 
     /// Virtual id of a host node, if it is a member.
@@ -785,7 +768,9 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// messages sends each neighbor one [`OverlayEnvelope`] — its
     /// broadcast plus the directed payloads addressed there; a
     /// broadcast-only member relays one engine broadcast of its
-    /// envelope, which charges every edge the same bits.
+    /// envelope, which charges every edge the same bits. A virtual edge
+    /// is a host edge here, so the relay runs under the overlay's policy:
+    /// an envelope over the budget is a violation on the ledger.
     fn relay_dilation1<M>(
         &self,
         outboxes: &[Outbox<M>],
@@ -796,8 +781,9 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         M: Clone + Send + Sync + WireCodec + 'static,
     {
         let g1 = self.dilation1_graph();
-        let mut relay: Engine<'_, Vec<(NodeId, M)>> =
-            Engine::new_relay(g1, |_| Vec::new()).with_mode(self.mode);
+        let mut relay: Engine<'_, Vec<(NodeId, M)>> = Engine::new_relay(g1, |_| Vec::new())
+            .with_mode(self.mode)
+            .with_bandwidth(self.policy);
         relay.step(
             ledger,
             phase,
@@ -859,10 +845,10 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     where
         M: Clone + Send + Sync + WireCodec + 'static,
     {
-        // Clamped at n - 1: no node is farther, and it keeps the wire
-        // TTL inside RelayItem::max_bits even for dilations larger than
-        // the graph. An item forwarded at round t was first heard at
-        // round t - 1 (sources at "round 0").
+        // Clamped at n - 1: no node is farther, so a dilation larger
+        // than the graph charges no TTL bits it cannot use. An item
+        // forwarded at round t was first heard at round t - 1 (sources
+        // at "round 0").
         let clamp = (k - 1).min(self.host.n().saturating_sub(1)) as u32;
         let relay = Engine::new_relay(self.host, |v| ReachState::new(v, Vec::new(), payloads))
             .with_mode(self.mode);
@@ -911,8 +897,8 @@ impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
         self.states()
     }
 
-    /// Replaces the **virtual-level** policy (host relay accounting is
-    /// unaffected, as with [`OverlayEngine::with_bandwidth`]).
+    /// Replaces the policy, with the scope of
+    /// [`OverlayEngine::with_bandwidth`].
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
         self.policy = policy;
     }
@@ -1082,21 +1068,16 @@ mod tests {
         rt(OverlayRelay::<()> {
             items: std::sync::Arc::new(Vec::new()),
         });
-        // The per-item envelope bound is honest and composes with the
-        // payload bound.
-        let p = WireParams {
-            n: 1 << 12,
-            max_degree: 4,
-            palette: 5,
-        };
-        let bound = RelayItem::<NodeId>::max_bits(&p).unwrap();
+        // One item costs its origin and TTL gamma codes plus the payload.
         let item = RelayItem {
             origin: (1 << 12) - 1,
             ttl: 11,
             payload: NodeId((1 << 12) - 1),
         };
-        assert!(item.encoded_bits() <= bound);
-        assert!(OverlayRelay::<NodeId>::max_bits(&p).is_none());
+        assert_eq!(
+            item.encoded_bits(),
+            2 * gamma_bits((1 << 12) - 1) + gamma_bits(11)
+        );
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! bits per round. To tell which of our protocol substrates are already
 //! CONGEST-feasible, every message type the engine carries implements
 //! [`WireCodec`]: a bit-exact encoding ([`WireCodec::encode`] /
-//! [`WireCodec::decode`]), its exact size ([`WireCodec::encoded_bits`],
-//! cheap and allocation-free — the engine charges it on the routing hot
-//! path without ever serializing), and a static per-message upper bound
-//! [`WireCodec::max_bits`] in terms of the graph parameters
-//! ([`WireParams`]); `None` means the message family is unbounded
-//! (ball/flood payloads), i.e. LOCAL-only.
+//! [`WireCodec::decode`]) and its exact size
+//! ([`WireCodec::encoded_bits`], cheap and allocation-free — the engine
+//! charges it on the routing hot path without ever serializing). Whether
+//! a substrate fits is measured, not declared: the ledger keeps the
+//! heaviest per-edge load the engine charged (`max_edge_bits`), and
+//! [`crate::congest`] runs a program on budgeted wires.
 //!
 //! Unbounded-domain integers (identifiers, colors, lengths) use the
 //! self-delimiting **Elias gamma** code — `2⌊log₂(v+1)⌋ + 1` bits — so
@@ -35,35 +35,7 @@
 //! this replaced is kept as the oracle of the `wire_roundtrip` tests,
 //! which pin byte-identical output and identical `None` cases.
 
-use delta_graphs::{Graph, NodeId};
-
-/// Graph parameters a [`WireCodec::max_bits`] bound may depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireParams {
-    /// Number of nodes (identifiers are `< n`).
-    pub n: u64,
-    /// Maximum degree Δ.
-    pub max_degree: u64,
-    /// Number of colors in play (palette size / current color count).
-    pub palette: u64,
-}
-
-impl WireParams {
-    /// Parameters of `g` with the default Δ+1 palette.
-    pub fn of(g: &Graph) -> Self {
-        WireParams {
-            n: g.n() as u64,
-            max_degree: g.max_degree() as u64,
-            palette: g.max_degree() as u64 + 1,
-        }
-    }
-
-    /// Replaces the palette size (builder style).
-    pub fn with_palette(mut self, palette: u64) -> Self {
-        self.palette = palette;
-        self
-    }
-}
+use delta_graphs::NodeId;
 
 /// Number of bits of the Elias gamma code of `v`.
 #[inline]
@@ -72,15 +44,8 @@ pub fn gamma_bits(v: u64) -> u64 {
     2 * (64 - (v + 1).leading_zeros() as u64) - 1
 }
 
-/// Upper bound on [`gamma_bits`] over all values `< count` (at least 1,
-/// so the bound is meaningful even for singleton domains).
-#[inline]
-pub fn gamma_max_bits(count: u64) -> u64 {
-    gamma_bits(count.saturating_sub(1))
-}
-
 /// The operational "O(log n)" per-edge-per-round budget against which
-/// wire formats and measured per-edge loads count as CONGEST-feasible:
+/// measured per-edge loads count as CONGEST-feasible:
 /// `16·⌈log₂ n⌉` bits. The
 /// constant is generous enough for a constant number of gamma-coded
 /// identifiers/colors plus a poly(n)-domain random draw, and far below
@@ -370,10 +335,7 @@ impl<'a> BitReader<'a> {
 ///
 /// * roundtrip — `decode(encode(m)) == Some(m)` consuming exactly
 ///   `encoded_bits(m)` bits;
-/// * size honesty — `encode` writes exactly `encoded_bits(m)` bits;
-/// * bound soundness — for every message the protocol can legally send
-///   on a graph with parameters `p`, `encoded_bits(m) <= max_bits(p)`
-///   whenever `max_bits(p)` is `Some`.
+/// * size honesty — `encode` writes exactly `encoded_bits(m)` bits.
 ///
 /// `encoded_bits` must be cheap and **allocation-free**: the engine
 /// calls it for every queued message during the routing pass (the wire
@@ -387,10 +349,6 @@ pub trait WireCodec: Sized {
 
     /// Exact number of bits [`WireCodec::encode`] writes for `self`.
     fn encoded_bits(&self) -> u64;
-
-    /// Static per-message bound for a graph with parameters `p`, or
-    /// `None` when the message family is unbounded (LOCAL-only).
-    fn max_bits(p: &WireParams) -> Option<u64>;
 }
 
 impl WireCodec for () {
@@ -400,9 +358,6 @@ impl WireCodec for () {
     }
     fn encoded_bits(&self) -> u64 {
         0
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        Some(0)
     }
 }
 
@@ -415,9 +370,6 @@ impl WireCodec for bool {
     }
     fn encoded_bits(&self) -> u64 {
         1
-    }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        Some(1)
     }
 }
 
@@ -432,9 +384,6 @@ macro_rules! impl_fixed_width {
             }
             fn encoded_bits(&self) -> u64 {
                 $w
-            }
-            fn max_bits(_p: &WireParams) -> Option<u64> {
-                Some($w)
             }
         }
     )*};
@@ -454,9 +403,6 @@ impl WireCodec for NodeId {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.0 as u64)
     }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(gamma_max_bits(p.n))
-    }
 }
 
 impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
@@ -469,9 +415,6 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
     }
     fn encoded_bits(&self) -> u64 {
         self.0.encoded_bits() + self.1.encoded_bits()
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(A::max_bits(p)? + B::max_bits(p)?)
     }
 }
 
@@ -486,9 +429,6 @@ impl<A: WireCodec, B: WireCodec, C: WireCodec> WireCodec for (A, B, C) {
     }
     fn encoded_bits(&self) -> u64 {
         self.0.encoded_bits() + self.1.encoded_bits() + self.2.encoded_bits()
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(A::max_bits(p)? + B::max_bits(p)? + C::max_bits(p)?)
     }
 }
 
@@ -511,13 +451,9 @@ impl<T: WireCodec> WireCodec for Option<T> {
     fn encoded_bits(&self) -> u64 {
         1 + self.as_ref().map_or(0, WireCodec::encoded_bits)
     }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        Some(1 + T::max_bits(p)?)
-    }
 }
 
-/// Length-prefixed sequence: unbounded, hence LOCAL-only
-/// (`max_bits` is `None`).
+/// Length-prefixed sequence: a gamma-coded length, then the items.
 impl<T: WireCodec> WireCodec for Vec<T> {
     fn encode(&self, w: &mut BitWriter) {
         w.write_gamma(self.len() as u64);
@@ -536,9 +472,6 @@ impl<T: WireCodec> WireCodec for Vec<T> {
     fn encoded_bits(&self) -> u64 {
         gamma_bits(self.len() as u64) + self.iter().map(WireCodec::encoded_bits).sum::<u64>()
     }
-    fn max_bits(_p: &WireParams) -> Option<u64> {
-        None
-    }
 }
 
 /// An `Arc`'d payload is transparent on the wire: sharing is a local
@@ -554,9 +487,6 @@ impl<T: WireCodec> WireCodec for std::sync::Arc<T> {
     }
     fn encoded_bits(&self) -> u64 {
         (**self).encoded_bits()
-    }
-    fn max_bits(p: &WireParams) -> Option<u64> {
-        T::max_bits(p)
     }
 }
 
@@ -658,21 +588,6 @@ mod tests {
         assert!(decode_from_bytes::<u64>(&[], 0).is_none());
         // All-zero bits: gamma never terminates.
         assert!(decode_from_bytes::<NodeId>(&[0u8; 16], 128).is_none());
-    }
-
-    #[test]
-    fn bounds_are_sound_for_ids() {
-        let p = WireParams {
-            n: 1 << 14,
-            max_degree: 4,
-            palette: 5,
-        };
-        let bound = NodeId::max_bits(&p).unwrap();
-        for id in [0u32, 1, (1 << 14) - 1] {
-            assert!(NodeId(id).encoded_bits() <= bound);
-        }
-        assert!(Vec::<NodeId>::max_bits(&p).is_none());
-        assert_eq!(<()>::max_bits(&p), Some(0));
     }
 
     #[test]

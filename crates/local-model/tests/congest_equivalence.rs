@@ -16,9 +16,10 @@
 use delta_graphs::{generators, Graph, NodeId};
 use local_model::wire::gamma_bits;
 use local_model::{
-    force_exec_mode, BitReader, BitWriter, CongestChunk, CongestEngine, Engine, ExecMode,
-    FaultPlan, FaultyDriver, Fragmenter, Outbox, OverlayEngine, PowerOverlay, Reassembler,
-    RoundDriver, RoundLedger, ShardedEngine, WireCodec, MIN_CONGEST_BITS,
+    congest_budget, enforce_congest, force_exec_mode, run_ball_phase, BitReader, BitWriter,
+    CongestChunk, CongestEngine, Engine, ExecMode, FaultPlan, FaultyDriver, Fragmenter, Outbox,
+    OverlayEngine, PowerOverlay, Reassembler, RoundDriver, RoundLedger, ShardedEngine, WireCodec,
+    MIN_CONGEST_BITS,
 };
 use proptest::prelude::*;
 
@@ -287,6 +288,40 @@ fn a_dropped_chunk_loses_the_whole_message() {
         partial_seen |= dropped > 0 && dropped < chunk_count;
     }
     assert!(partial_seen, "no seed produced a partial chunk drop");
+}
+
+/// At dilation 1 a virtual edge is a host edge, so a masked overlay's
+/// relay envelopes are budgeted like any host traffic: an envelope adds
+/// 2 bits around a broadcast chunk and 4 around a directed one, and an
+/// edge it pushes over the budget must count as a violation, not only
+/// as `max_edge_bits`.
+#[test]
+fn masked_relays_count_their_congest_excess() {
+    let g = generators::random_regular(4096, 4, 5);
+    let members: Vec<bool> = g.nodes().map(|v| v.0 % 7 != 0).collect();
+    let budget = congest_budget(4096);
+    let mut ledger = RoundLedger::new();
+    {
+        let _guard = enforce_congest(budget);
+        let sizes = run_ball_phase(
+            &g,
+            Some(&members),
+            0,
+            2,
+            |_| (),
+            |_, view| view.members.len(),
+            &mut ledger,
+            "masked-ball",
+        );
+        assert_eq!(sizes.len(), members.iter().filter(|&&m| m).count());
+    }
+    assert_eq!(
+        ledger.max_edge_bits() > budget,
+        ledger.congest_violations() > 0,
+        "heaviest edge {} bits on a {budget}-bit budget, {} violations",
+        ledger.max_edge_bits(),
+        ledger.congest_violations()
+    );
 }
 
 /// Duplicated chunks are harmless: the reassembler ignores replays of
