@@ -74,7 +74,7 @@ fn bench_congest_rounds(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         run_rounds(&mut engine, &g, &mut ledger);
-                        black_box(engine.wire_rounds())
+                        black_box(ledger.total())
                     })
                 },
             );

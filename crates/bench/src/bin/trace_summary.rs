@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Each `PATH` is a `.jsonl` trace file or a directory of them. Every
-//! file is parsed through the strict `trace-v1` reader (an unknown
+//! file is parsed through the strict `trace-v2` reader (an unknown
 //! record type or schema tag is a hard error — schema drift fails the
 //! build, not the reader) and self-checked against its own trailer,
 //! then rendered as a per-phase table plus the span tree. A phase's

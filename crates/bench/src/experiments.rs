@@ -26,7 +26,6 @@ use local_model::{
     RoundDriver, RoundLedger, ShardedEngine, Tracer,
 };
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Experiment scale: `quick` shrinks sizes for smoke runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,9 +111,10 @@ pub fn t1(scale: Scale, tr: &Tracer) -> Table {
         .iter()
         .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
         .collect();
-    // Each (delta, n) cell is independent: sweep them on worker threads.
+    // Cells run in order, so the trace's lines come out in a fixed
+    // order; each cell's engine rounds still run under `Auto`.
     let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_par_iter()
+        .into_iter()
         .map(|(delta, n)| {
             let mut rounds = Vec::new();
             let mut attempts = 0u64;
@@ -218,7 +218,7 @@ pub fn t3(scale: Scale, tr: &Tracer) -> Table {
         .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
         .collect();
     let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_par_iter()
+        .into_iter()
         .map(|(delta, n)| {
             let g = generators::random_regular(n, delta, 7 + delta as u64);
             let mut ledger = tr.ledger();
@@ -489,7 +489,7 @@ pub fn f1(scale: Scale, tr: &Tracer) -> Table {
         .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
         .collect();
     let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_par_iter()
+        .into_iter()
         .map(|(delta, n)| {
             let g = generators::random_regular(n, delta, 13 + delta as u64);
             // Greedy Δ-coloring in a pseudo-random order; every dead end
@@ -979,7 +979,7 @@ fn fault_sweep_cell<D: RoundDriver<u32>>(
     let mut drv = FaultyDriver::new(make_driver(), plan.clone());
     let mut ledger = tr.ledger();
     let states = maintain_colors(&mut drv, palette as u32, &mut ledger);
-    let c = drv.fault_counters();
+    let c = ledger.faults();
     let injected = c.dropped + c.duplicated + c.corrupted + c.crashed_rounds;
     let mut coloring = PartialColoring::new(graph.n());
     for (i, &s) in states.iter().enumerate() {

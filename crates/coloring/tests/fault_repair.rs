@@ -102,7 +102,7 @@ fn faulty_maintenance_round_is_detected_and_healed() {
             },
         );
     }
-    assert!(drv.fault_counters().dropped > 0, "plan injected nothing");
+    assert!(ledger.faults().dropped > 0, "plan injected nothing");
     let mut after = PartialColoring::new(g.n());
     for (i, &s) in drv.node_states().iter().enumerate() {
         after.set(NodeId::from_index(i), Color(s));

@@ -78,11 +78,14 @@
 //! node's own RNG stream; relay wire rounds never touch node state or
 //! randomness; reassembled inboxes are sorted by (sender, stream id),
 //! reproducing the engine's sender-sorted, broadcast-first inbox
-//! invariant. Final states, per-node RNG positions, and logical
-//! [`MessageStats`] are therefore seed-bit-identical to the
-//! unfragmented LOCAL run (`tests/congest_equivalence.rs`).
+//! invariant. Final states, inboxes and per-node RNG positions are
+//! therefore seed-bit-identical to the unfragmented LOCAL run
+//! (`tests/congest_equivalence.rs`). What the run cost is on the ledger
+//! alone: the wire rounds and the chunk bits, with one
+//! [`CONGEST_LEVEL`](crate::trace::CONGEST_LEVEL) trace record per
+//! logical round carrying its dilation.
 
-use crate::engine::{BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
+use crate::engine::{BandwidthPolicy, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::trace::VirtualRecord;
 use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec};
@@ -554,25 +557,6 @@ struct Lane {
     asm: Reassembler,
 }
 
-/// Per-logical-round shared accumulators for the logical (unfragmented)
-/// traffic stats, mirroring the engine's bandwidth sweep sender-side.
-#[derive(Debug, Default)]
-struct RoundAcc {
-    broadcasts: AtomicU64,
-    directed: AtomicU64,
-    deliveries: AtomicU64,
-    bits: AtomicU64,
-    max_edge: AtomicU64,
-    fragments: AtomicU64,
-    reassembled: AtomicU64,
-}
-
-impl RoundAcc {
-    fn max_edge_up_to(&self, v: u64) {
-        self.max_edge.fetch_max(v, Ordering::SeqCst);
-    }
-}
-
 /// A [`RoundDriver`] adapter that executes every logical round as a
 /// budget-honest sequence of chunked wire rounds on the inner driver
 /// (see the module docs). Transparent instances delegate verbatim and
@@ -587,25 +571,23 @@ pub struct CongestEngine<D> {
     /// at pop. Zero during a recv phase means the backlog emptied and
     /// this wire round is the logical round's delivery round.
     outstanding: AtomicU64,
-    logical_rounds: u64,
-    wire_rounds: u64,
+    /// Index of the next enforced logical round, numbering the trace
+    /// records.
+    vround: u64,
     force_drained: u64,
-    stats: MessageStats,
 }
 
 impl<D> CongestEngine<D> {
     /// A pass-through wrapper: every call delegates to `inner`
-    /// untouched (bit-identical rounds, stats, and ledger charges).
+    /// untouched (bit-identical rounds and ledger charges).
     pub fn transparent(inner: D) -> Self {
         CongestEngine {
             inner,
             frag: None,
             lanes: Vec::new(),
             outstanding: AtomicU64::new(0),
-            logical_rounds: 0,
-            wire_rounds: 0,
+            vround: 0,
             force_drained: 0,
-            stats: MessageStats::default(),
         }
     }
 
@@ -617,24 +599,6 @@ impl<D> CongestEngine<D> {
     /// The enforced budget, if enforcing.
     pub fn budget(&self) -> Option<u64> {
         self.frag.map(|f| f.budget())
-    }
-
-    /// Logical rounds executed (what the algorithm counts).
-    pub fn logical_rounds(&self) -> u64 {
-        self.logical_rounds
-    }
-
-    /// Honest wire rounds executed (what the ledger was charged).
-    pub fn wire_rounds(&self) -> u64 {
-        self.wire_rounds
-    }
-
-    /// Measured round blow-up factor in permille:
-    /// `1000 * wire_rounds / logical_rounds` (1000 = no dilation).
-    pub fn blowup_permille(&self) -> u64 {
-        (self.wire_rounds * 1000)
-            .checked_div(self.logical_rounds)
-            .unwrap_or(1000)
     }
 
     /// Chunks discarded by the stalled-backlog backstop (nonzero only
@@ -667,56 +631,20 @@ fn lock_lane(lane: &Mutex<Lane>) -> std::sync::MutexGuard<'_, Lane> {
     lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Stages one node's logical outbox: accounts the logical (whole
-/// message) traffic exactly as the engine's bandwidth sweep would, then
-/// fragments every message into the lane's scheduler.
-fn stage_outbox<M: WireCodec>(
-    lane: &mut Lane,
-    frag: &Fragmenter,
-    out: &Outbox<M>,
-    degree: usize,
-    acc: &RoundAcc,
-) -> u64 {
+/// Fragments one node's logical outbox into the lane's scheduler: the
+/// broadcast as stream 0, the `i`-th directed message as stream
+/// `1 + i`. Returns the number of chunks staged.
+fn stage_outbox<M: WireCodec>(lane: &mut Lane, frag: &Fragmenter, out: &Outbox<M>) -> u64 {
     let (bcast, directed) = out.parts();
-    let degree = degree as u64;
     let mut staged = 0u64;
-    let mut bits = 0u64;
-    let mut deliveries = 0u64;
-    let bcast_bits = bcast.map_or(0, WireCodec::encoded_bits);
     if let Some(m) = bcast {
-        acc.broadcasts.fetch_add(1, Ordering::SeqCst);
-        bits += bcast_bits * degree;
-        deliveries += degree;
         staged += lane.sched.enqueue_broadcast(frag.fragment(0, m));
     }
-    // Per-destination directed loads, in first-send order (few dests:
-    // linear scans match the scheduler's own queue lookup).
-    let mut dir_loads: Vec<(NodeId, u64)> = Vec::new();
     for (i, (dest, m)) in directed.iter().enumerate() {
-        let mbits = m.encoded_bits();
-        acc.directed.fetch_add(1, Ordering::SeqCst);
-        bits += mbits;
-        deliveries += 1;
-        match dir_loads.iter_mut().find(|(d, _)| d == dest) {
-            Some((_, l)) => *l += mbits,
-            None => dir_loads.push((*dest, mbits)),
-        }
         staged += lane
             .sched
             .enqueue_directed(*dest, frag.fragment(1 + i as u64, m));
     }
-    // The engine's per-edge sweep: directed edges carry their directed
-    // load plus the broadcast; the remaining (broadcast-only) edges
-    // carry just the broadcast.
-    for &(_, dir) in &dir_loads {
-        acc.max_edge_up_to(dir + bcast_bits);
-    }
-    if bcast.is_some() && degree > dir_loads.len() as u64 {
-        acc.max_edge_up_to(bcast_bits);
-    }
-    acc.bits.fetch_add(bits, Ordering::SeqCst);
-    acc.deliveries.fetch_add(deliveries, Ordering::SeqCst);
-    acc.fragments.fetch_add(staged, Ordering::SeqCst);
     staged
 }
 
@@ -737,8 +665,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
         RECV: Fn(&mut NodeCtx<'_>, &mut S, &[(NodeId, M)]) + Sync,
     {
         let Some(frag) = self.frag else {
-            self.logical_rounds += 1;
-            self.wire_rounds += 1;
             self.inner.round_step(ledger, phase, send, recv);
             return;
         };
@@ -746,14 +672,14 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
         if self.lanes.len() != n {
             self.lanes = (0..n).map(|_| Mutex::new(Lane::default())).collect();
         }
-        let acc = RoundAcc::default();
+        // Chunks staged this logical round, for the trace.
+        let fragments = AtomicU64::new(0);
         let t0 = ledger.tracing().then(Instant::now);
         let lanes = &self.lanes;
         let outstanding = &self.outstanding;
         // Shared recv-phase logic for every wire round: stash this
         // round's chunks; if the global backlog is empty, every chunk
         // of the logical round has landed — decode and deliver.
-        let acc_ref = &acc;
         let recv_ref = &recv;
         let deliver =
             move |ctx: &mut NodeCtx<'_>, state: &mut S, inbox: &[(NodeId, CongestChunk)]| {
@@ -764,16 +690,14 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
                 if outstanding.load(Ordering::SeqCst) == 0 {
                     let logical: Vec<(NodeId, M)> = lane.asm.take_round();
                     drop(lane);
-                    acc_ref
-                        .reassembled
-                        .fetch_add(logical.len() as u64, Ordering::SeqCst);
                     recv_ref(ctx, state, &logical);
                 }
             };
         // Wire round 1: run the program's send once (same RNG stream
-        // position as the plain run), account the logical traffic,
-        // fragment, and emit each lane's first chunks.
+        // position as the plain run), fragment, and emit each lane's
+        // first chunks.
         let send_ref = &send;
+        let fragments_ref = &fragments;
         self.inner.round_step::<CongestChunk, _, _>(
             ledger,
             phase,
@@ -784,7 +708,8 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
                 // A crashed receiver may have missed a delivery round;
                 // its stale partial streams must not mix into this one.
                 lane.asm.reset();
-                let staged = stage_outbox(&mut lane, &frag, &logical, ctx.degree, acc_ref);
+                let staged = stage_outbox(&mut lane, &frag, &logical);
+                fragments_ref.fetch_add(staged, Ordering::SeqCst);
                 outstanding.fetch_add(staged, Ordering::SeqCst);
                 let popped = lane.sched.pop_round(out);
                 outstanding.fetch_sub(popped, Ordering::SeqCst);
@@ -824,26 +749,16 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
             stalled = if now < prev { 0 } else { stalled + 1 };
             prev = now;
         }
-        // Fold the logical accounting into the cumulative stats (the
-        // inner driver accumulated only chunk-level traffic).
-        self.stats.broadcasts += acc.broadcasts.into_inner();
-        self.stats.directed += acc.directed.into_inner();
-        self.stats.deliveries += acc.deliveries.into_inner();
-        self.stats.bits_sent += acc.bits.into_inner();
-        self.stats.max_edge_bits = self.stats.max_edge_bits.max(acc.max_edge.into_inner());
-        let vround = self.logical_rounds;
-        self.logical_rounds += 1;
-        self.wire_rounds += wire;
+        let vround = self.vround;
+        self.vround += 1;
         if let Some(t0) = t0 {
             ledger.trace_virtual(VirtualRecord {
                 level: crate::trace::CONGEST_LEVEL.to_string(),
                 vround,
                 host_rounds: wire,
-                bits: self.stats.bits_sent,
-                deliveries: acc.reassembled.load(Ordering::SeqCst),
                 wall_ns: t0.elapsed().as_nanos() as u64,
             });
-            ledger.trace_observe("congest.fragments", acc.fragments.load(Ordering::SeqCst));
+            ledger.trace_observe("congest.fragments", fragments.into_inner());
             ledger.trace_observe("congest.wire_rounds", wire);
         }
     }
@@ -854,24 +769,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
 
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
         self.inner.set_bandwidth_policy(policy);
-    }
-
-    /// Enforced: the **logical** (whole-message) counters — comparable
-    /// bit-for-bit with an unfragmented run — with the inner driver's
-    /// fault counters carried through. Transparent: the inner driver's
-    /// stats verbatim.
-    fn round_stats(&self) -> MessageStats {
-        let inner = self.inner.round_stats();
-        if self.frag.is_none() {
-            return inner;
-        }
-        MessageStats {
-            dropped: inner.dropped,
-            duplicated: inner.duplicated,
-            corrupted: inner.corrupted,
-            crashed_rounds: inner.crashed_rounds,
-            ..self.stats
-        }
     }
 
     fn into_node_states(self) -> Vec<S> {
@@ -1116,7 +1013,7 @@ mod tests {
         mut drv: D,
         ledger: &mut RoundLedger,
         rounds: usize,
-    ) -> (Vec<Vec<u32>>, MessageStats) {
+    ) -> Vec<Vec<u32>> {
         for _ in 0..rounds {
             drv.round_step(
                 ledger,
@@ -1134,16 +1031,14 @@ mod tests {
                 },
             );
         }
-        let stats = drv.round_stats();
-        (drv.into_node_states(), stats)
+        drv.into_node_states()
     }
 
     #[test]
     fn enforced_run_matches_local_run_and_dilates() {
         let g = generators::cycle(16);
         let mut plain_ledger = RoundLedger::new();
-        let (plain_states, plain_stats) =
-            flood_sets(Engine::new(&g, 7, |v| vec![v.0]), &mut plain_ledger, 4);
+        let plain_states = flood_sets(Engine::new(&g, 7, |v| vec![v.0]), &mut plain_ledger, 4);
         let budget = 48;
         let mut cong_ledger = RoundLedger::new();
         let mut drv = CongestEngine::enforced(Engine::new(&g, 7, |v| vec![v.0]), budget);
@@ -1164,17 +1059,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(drv.round_stats(), plain_stats, "logical stats identical");
-        assert_eq!(drv.logical_rounds(), 4);
         assert!(
-            drv.wire_rounds() > 4,
+            cong_ledger.total() > plain_ledger.total(),
             "oversized payloads must dilate ({} wire rounds)",
-            drv.wire_rounds()
-        );
-        assert_eq!(
-            cong_ledger.total(),
-            drv.wire_rounds(),
-            "ledger charged per wire round"
+            cong_ledger.total()
         );
         assert_eq!(cong_ledger.congest_violations(), 0, "chunks fit the budget");
         assert!(cong_ledger.max_edge_bits() <= budget, "no edge over budget");
@@ -1187,15 +1075,14 @@ mod tests {
     fn transparent_wrapper_is_bit_identical() {
         let g = generators::complete(6);
         let mut a_ledger = RoundLedger::new();
-        let (a_states, a_stats) = flood_sets(Engine::new(&g, 3, |v| vec![v.0]), &mut a_ledger, 3);
+        let a_states = flood_sets(Engine::new(&g, 3, |v| vec![v.0]), &mut a_ledger, 3);
         let mut b_ledger = RoundLedger::new();
-        let (b_states, b_stats) = flood_sets(
+        let b_states = flood_sets(
             CongestEngine::transparent(Engine::new(&g, 3, |v| vec![v.0])),
             &mut b_ledger,
             3,
         );
         assert_eq!(a_states, b_states);
-        assert_eq!(a_stats, b_stats);
         assert_eq!(a_ledger.total(), b_ledger.total());
         assert_eq!(a_ledger.bits_sent(), b_ledger.bits_sent());
     }

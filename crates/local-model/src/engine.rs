@@ -365,17 +365,6 @@ pub struct MessageStats {
     /// (edge, round) pairs whose load exceeded the
     /// [`BandwidthPolicy::Congest`] budget (always 0 under `Local`).
     pub congest_violations: u64,
-    /// Deliveries removed by fault injection. The engine itself never
-    /// drops a delivery; a [`crate::FaultyDriver`] fills these four
-    /// counters when a [`crate::FaultPlan`] is active.
-    pub dropped: u64,
-    /// Spurious extra deliveries injected by fault injection.
-    pub duplicated: u64,
-    /// Payloads corrupted (bit-flipped codec roundtrip) by fault
-    /// injection.
-    pub corrupted: u64,
-    /// (node, round) pairs spent crashed under fault injection.
-    pub crashed_rounds: u64,
 }
 
 /// Directed traffic from one part to another (or to itself): staged
@@ -1009,15 +998,11 @@ pub trait RoundDriver<S: Send> {
     fn node_states(&self) -> &[S];
 
     /// Replaces the policy the driver's accounting runs under (for an
-    /// overlay: its virtual-level policy; accounting only — delivery is
-    /// never truncated). [`crate::congest::CongestEngine`] uses it to
-    /// switch the driver it wraps onto the CONGEST regime.
+    /// overlay: the policy of its dilation-1 relay rounds; accounting
+    /// only — delivery is never truncated).
+    /// [`crate::congest::CongestEngine`] uses it to switch the driver it
+    /// wraps onto the CONGEST regime.
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy);
-
-    /// The driver's message counters at its own level of abstraction:
-    /// host-level for [`Engine`], virtual-level (comparable with a
-    /// materialized run) for an overlay.
-    fn round_stats(&self) -> MessageStats;
 
     /// Consumes the driver, returning the final states.
     fn into_node_states(self) -> Vec<S>
@@ -1050,10 +1035,6 @@ impl<S: Send> RoundDriver<S> for Engine<'_, S> {
 
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
         self.policy = policy;
-    }
-
-    fn round_stats(&self) -> MessageStats {
-        self.message_stats()
     }
 
     fn into_node_states(self) -> Vec<S> {

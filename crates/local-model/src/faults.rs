@@ -52,15 +52,16 @@
 //! already bit-identical across [`crate::ExecMode`]s and chunk counts
 //! (the engine's chunk-ordered routing argument), so the same plan
 //! produces the same faults, the same post-fault inboxes, the same
-//! counters, and the same [`FaultEvent`] transcript on the sequential
-//! and parallel schedules. The transcript is canonically sorted within
-//! each round, so concurrent recv execution cannot reorder it.
+//! ledger fault totals, and the same [`FaultEvent`] transcript on the
+//! sequential and parallel schedules. The transcript is canonically
+//! sorted within each round, so concurrent recv execution cannot
+//! reorder it.
 //!
 //! An all-zero plan ([`FaultPlan::none`]) short-circuits to the inner
-//! driver untouched: transcripts, stats, and the ledger are
-//! bit-identical to an unwrapped run.
+//! driver untouched: the ledger is bit-identical to an unwrapped run
+//! and the transcript stays empty.
 
-use crate::engine::{BandwidthPolicy, MessageStats, NodeCtx, Outbox, RoundDriver};
+use crate::engine::{BandwidthPolicy, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::wire::{BitReader, BitWriter, WireCodec};
 use delta_graphs::NodeId;
@@ -277,8 +278,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Running totals of injected faults (also folded into
-/// [`MessageStats`] and the [`RoundLedger`]).
+/// Totals of injected faults. A [`FaultyDriver`] charges every round's
+/// faults to the ledger ([`RoundLedger::charge_faults`]), which keeps
+/// the running totals ([`RoundLedger::faults`]); a trace carries them
+/// as per-round deltas and in its trailer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Deliveries removed from inboxes.
@@ -335,15 +338,15 @@ fn corrupt_roundtrip<M: WireCodec>(m: &M, salt: u64) -> Option<M> {
 /// );
 /// // Every delivery was dropped: no state changed, all 16 are counted.
 /// assert!(drv.node_states().iter().enumerate().all(|(i, &s)| s == i as u32));
-/// assert_eq!(drv.fault_counters().dropped, 16);
 /// assert_eq!(ledger.faults().dropped, 16);
 /// ```
 #[derive(Debug)]
 pub struct FaultyDriver<D> {
     inner: D,
     plan: FaultPlan,
+    /// Index of the next round, the `round` coordinate of every fault
+    /// decision.
     round: u64,
-    counters: FaultCounters,
     events: Vec<FaultEvent>,
 }
 
@@ -354,7 +357,6 @@ impl<D> FaultyDriver<D> {
             inner,
             plan,
             round: 0,
-            counters: FaultCounters::default(),
             events: Vec::new(),
         }
     }
@@ -362,16 +364,6 @@ impl<D> FaultyDriver<D> {
     /// The plan being applied.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Rounds executed through the wrapper so far.
-    pub fn rounds_run(&self) -> u64 {
-        self.round
-    }
-
-    /// Totals of every fault injected so far.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.counters
     }
 
     /// The full fault transcript: every injected fault, canonically
@@ -416,10 +408,10 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {
             return;
         }
         let plan = &self.plan;
-        // Per-round tallies, merged into the plain counters after the
-        // inner round returns. Atomics because the closures run
-        // concurrently across nodes in parallel mode; the totals are
-        // order-independent sums of per-coordinate pure decisions.
+        // Per-round tallies, charged to the ledger after the inner round
+        // returns. Atomics because the closures run concurrently across
+        // nodes in parallel mode; the totals are order-independent sums
+        // of per-coordinate pure decisions.
         let dropped = AtomicU64::new(0);
         let duplicated = AtomicU64::new(0);
         let corrupted = AtomicU64::new(0);
@@ -526,21 +518,11 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {
                 recv(ctx, state, &edited);
             },
         );
-        let delta = FaultCounters {
-            dropped: dropped.into_inner(),
-            duplicated: duplicated.into_inner(),
-            corrupted: corrupted.into_inner(),
-            crashed_rounds: crashed.into_inner(),
-        };
-        self.counters.dropped += delta.dropped;
-        self.counters.duplicated += delta.duplicated;
-        self.counters.corrupted += delta.corrupted;
-        self.counters.crashed_rounds += delta.crashed_rounds;
         ledger.charge_faults(
-            delta.dropped,
-            delta.duplicated,
-            delta.corrupted,
-            delta.crashed_rounds,
+            dropped.into_inner(),
+            duplicated.into_inner(),
+            corrupted.into_inner(),
+            crashed.into_inner(),
         );
         let mut batch = events.into_inner().unwrap_or_else(|p| p.into_inner());
         // Canonical order within the round: concurrent recv execution
@@ -555,15 +537,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for FaultyDriver<D> {
 
     fn set_bandwidth_policy(&mut self, policy: BandwidthPolicy) {
         self.inner.set_bandwidth_policy(policy);
-    }
-
-    fn round_stats(&self) -> MessageStats {
-        let mut stats = self.inner.round_stats();
-        stats.dropped += self.counters.dropped;
-        stats.duplicated += self.counters.duplicated;
-        stats.corrupted += self.counters.corrupted;
-        stats.crashed_rounds += self.counters.crashed_rounds;
-        stats
     }
 
     fn into_node_states(self) -> Vec<S> {

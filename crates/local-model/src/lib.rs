@@ -71,8 +71,8 @@
 //!   delivers each message only on the round its last chunk lands
 //!   ([`Reassembler`]) — so one logical round dilates into the wire
 //!   rounds the budget demands, charged to the ledger, while final
-//!   states and logical [`MessageStats`] stay seed-bit-identical to the
-//!   unfragmented run (`tests/congest_equivalence.rs`); a thread-local
+//!   states and inboxes stay seed-bit-identical to the unfragmented run
+//!   (`tests/congest_equivalence.rs`); a thread-local
 //!   [`enforce_congest`] guard flips every [`compile`]d engine
 //!   construction in the coloring crate onto this mode at once.
 //!

@@ -30,26 +30,22 @@
 //! `0..m` in host-id order — the same compaction [`Graph::induced`]
 //! performs. Node programs, their RNG streams (rank `i` draws from the
 //! same stream node `i` of a materialized engine would), message
-//! contents, inbox ordering (senders sorted, a sender's broadcast
-//! before its directed messages), and the virtual-level
-//! [`MessageStats`] are therefore **id-for-id identical** to an
-//! [`Engine`] run on `power_graph(g, k)` / `g.induced(members)` — the
-//! overlay-equivalence proptests pin this in both [`ExecMode`]s.
+//! contents and inbox ordering (senders sorted, a sender's broadcast
+//! before its directed messages) are therefore **id-for-id identical**
+//! to an [`Engine`] run on `power_graph(g, k)` / `g.induced(members)` —
+//! the overlay-equivalence proptests pin this in both [`ExecMode`]s.
 //!
 //! # Cost model
 //!
-//! Two ledgers' worth of numbers coexist, deliberately:
-//!
-//! * the [`crate::RoundLedger`] passed to [`OverlayEngine::step`] is
-//!   charged what the **host network** really pays: `k` rounds per
-//!   virtual round, and the measured per-edge bits of the relay
-//!   envelopes (source id + hop TTL + payload for floods; one
-//!   [`OverlayEnvelope`] per `G[S]` edge at dilation 1, which a
-//!   broadcast-only member relays as one engine broadcast) — this is
-//!   what the experiment tables report;
-//! * [`OverlayEngine::message_stats`] accounts the **virtual** level
-//!   (payload bits on virtual edges), which is the quantity comparable
-//!   with a materialized run.
+//! There is one tally, the host [`crate::RoundLedger`] passed to
+//! [`OverlayEngine::step`]. It is charged what the **host network**
+//! really pays: `k` rounds per virtual round, and the measured per-edge
+//! bits of the relay envelopes (source id + hop TTL + payload for
+//! floods; one [`OverlayEnvelope`] per `G[S]` edge at dilation 1, which
+//! a broadcast-only member relays as one engine broadcast). This is
+//! what the experiment tables report. An attached tracer also receives
+//! one level-tagged [`crate::trace::VirtualRecord`] per virtual round,
+//! which carries the dilation and adds nothing to the totals.
 //!
 //! # Dilation-`k` relay
 //!
@@ -91,7 +87,7 @@ use crate::ball::{payload_bits, reach_phase_core, PayloadTable, ReachState};
 use crate::engine::{node_rngs, resolve_parallel, Engine, NodeCtx, Outbox, RoundDriver};
 use crate::ledger::RoundLedger;
 use crate::wire::{gamma_bits, BitReader, BitWriter, WireCodec};
-use crate::{BandwidthPolicy, ExecMode, MessageStats};
+use crate::{BandwidthPolicy, ExecMode};
 use delta_graphs::bfs::bfs_tree;
 use delta_graphs::power::PowerNeighborhoods;
 use delta_graphs::{Graph, NodeId};
@@ -324,9 +320,8 @@ impl WireCodec for Ttl {
 
 /// Executes node programs on a virtual topology through the host
 /// engine. The overlay counterpart of [`Engine`]: per-rank state and
-/// deterministic per-rank randomness, [`OverlayEngine::step`] for one
-/// virtual round (`k` charged host rounds), and virtual-level
-/// [`MessageStats`] comparable with a materialized run.
+/// deterministic per-rank randomness, and [`OverlayEngine::step`] for
+/// one virtual round (`k` charged host rounds).
 ///
 /// # Example
 ///
@@ -370,8 +365,8 @@ pub struct OverlayEngine<'g, S, T: VirtualTopology> {
     rngs: Vec<StdRng>,
     mode: ExecMode,
     policy: BandwidthPolicy,
+    /// Index of the next virtual round, numbering the trace records.
     virtual_rounds: u64,
-    stats: MessageStats,
 }
 
 impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
@@ -422,7 +417,6 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             mode: ExecMode::Auto,
             policy: BandwidthPolicy::Local,
             virtual_rounds: 0,
-            stats: MessageStats::default(),
         }
     }
 
@@ -433,17 +427,17 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
         self
     }
 
-    /// Sets the bandwidth policy (builder style). It always governs the
-    /// **virtual-level** accounting. At dilation 1 a virtual edge is a
-    /// host edge, so the relay round's ledger accounting runs under it
-    /// too, envelope bits included; the `G^k` relay rounds of a power
-    /// overlay stay unbudgeted on host edges.
+    /// Sets the bandwidth policy (builder style). It matters only at
+    /// dilation 1, where a virtual edge is a host edge: the relay
+    /// round's ledger accounting runs under it, envelope bits included.
+    /// The `G^k` relay rounds of a power overlay stay unbudgeted on host
+    /// edges.
     pub fn with_bandwidth(mut self, policy: BandwidthPolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// The virtual-level bandwidth policy accounting runs under.
+    /// The bandwidth policy the dilation-1 relay rounds run under.
     pub fn bandwidth_policy(&self) -> BandwidthPolicy {
         self.policy
     }
@@ -478,20 +472,6 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     /// Consumes the engine, returning the final per-rank states.
     pub fn into_states(self) -> Vec<S> {
         self.states
-    }
-
-    /// Virtual rounds executed so far (the ledger was charged
-    /// `dilation ×` as many host rounds).
-    pub fn rounds_run(&self) -> u64 {
-        self.virtual_rounds
-    }
-
-    /// Virtual-level message counters: payload bits on virtual edges,
-    /// id-for-id comparable with an [`Engine::message_stats`] of a
-    /// materialized run. The host-level relay cost (envelope overhead
-    /// included) lives on the ledger.
-    pub fn message_stats(&self) -> MessageStats {
-        self.stats
     }
 
     /// The sorted virtual-id adjacency of one virtual node (its `G[S]`
@@ -545,13 +525,8 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
     {
         let m = self.members.len();
         let parallel = resolve_parallel(self.mode, m);
-        // Trace enrichment: virtual-round clock + virtual-level stats
-        // snapshot, assembled only when a sink is attached.
-        let trace_start = if ledger.tracing() {
-            Some((std::time::Instant::now(), self.stats))
-        } else {
-            None
-        };
+        // The virtual-round clock runs only when a sink is attached.
+        let t0 = ledger.tracing().then(std::time::Instant::now);
 
         // Virtual send phase: per-rank states and RNG streams, exactly
         // like the engine's send phase on a materialized virtual graph.
@@ -584,27 +559,21 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             }
         }
 
-        // Validate directed targets eagerly (the engine drops messages
-        // to non-neighbors during routing; the overlay mirrors that at
-        // the virtual level) and account the send-side stats.
+        // Validate directed targets eagerly: the engine drops messages
+        // to non-neighbors during routing, and the overlay mirrors that
+        // at the virtual level.
         let k = self.topo.dilation();
+        let g1 = self.dilation1_graph();
         for (r, out) in outboxes.iter_mut().enumerate() {
-            let (bcast, directed) = out.parts();
-            if bcast.is_some() {
-                self.stats.broadcasts += 1;
-                self.stats.deliveries += self.vdeg[r] as u64;
+            if out.parts().1.is_empty() {
+                continue;
             }
-            if !directed.is_empty() {
-                assert!(
-                    k == 1,
-                    "directed virtual messages require a dilation-1 overlay \
-                     (per-neighbor routing on G^k needs routing tables)"
-                );
-            }
-            let g1 = self.dilation1_graph();
-            let mut queued = 0u64;
+            assert!(
+                k == 1,
+                "directed virtual messages require a dilation-1 overlay \
+                 (per-neighbor routing on G^k needs routing tables)"
+            );
             out.retain_directed(|(to, _)| {
-                queued += 1;
                 let valid = to.index() < g1.n() && g1.has_edge(NodeId::from_index(r), *to);
                 debug_assert!(
                     valid,
@@ -612,43 +581,13 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                 );
                 valid
             });
-            let (_, directed) = out.parts();
-            self.stats.directed += queued;
-            self.stats.deliveries += directed.len() as u64;
         }
 
         // Host relay: one engine round at dilation 1, a k-round flood
         // on the kernel otherwise. Both charge the ledger their real
         // host rounds and measured envelope bits.
-        let budget = match self.policy {
-            BandwidthPolicy::Local => u64::MAX,
-            BandwidthPolicy::Congest { bits } => bits,
-        };
         if k == 1 {
             let inboxes = self.relay_dilation1(&outboxes, ledger, phase);
-
-            // Virtual-level bandwidth: group each inbox by sender — the
-            // entries of one sender are contiguous (sorted inbox) and
-            // their payload bits sum to that virtual edge's load,
-            // reproducing the materialized engine's per-edge accounting.
-            let mut round_max = 0u64;
-            for inbox in &inboxes {
-                let mut i = 0;
-                while i < inbox.len() {
-                    let sender = inbox[i].0;
-                    let mut load = 0u64;
-                    while i < inbox.len() && inbox[i].0 == sender {
-                        load += inbox[i].1.encoded_bits();
-                        i += 1;
-                    }
-                    self.stats.bits_sent += load;
-                    round_max = round_max.max(load);
-                    if load > budget {
-                        self.stats.congest_violations += 1;
-                    }
-                }
-            }
-            self.stats.max_edge_bits = self.stats.max_edge_bits.max(round_max);
 
             // Virtual recv phase.
             let vdeg = &self.vdeg;
@@ -684,23 +623,6 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
             );
             let bits_of = payload_bits(&payloads);
             let origins = self.relay_flood(&payloads, &bits_of, k, ledger, phase);
-
-            // Virtual-level bandwidth: a flood inbox lists each sender
-            // at most once, so the per-virtual-edge load is exactly the
-            // sender's payload size — read from the precomputed
-            // per-origin table instead of re-measuring each delivery.
-            let mut round_max = 0u64;
-            for inbox in &origins {
-                for &o in inbox {
-                    let load = bits_of[o as usize];
-                    self.stats.bits_sent += load;
-                    round_max = round_max.max(load);
-                    if load > budget {
-                        self.stats.congest_violations += 1;
-                    }
-                }
-            }
-            self.stats.max_edge_bits = self.stats.max_edge_bits.max(round_max);
 
             // Virtual recv phase, streaming: materialize one rank's
             // inbox at a time from the origin list + payload table (the
@@ -746,16 +668,14 @@ impl<'g, S: Send, T: VirtualTopology> OverlayEngine<'g, S, T> {
                     .for_each(|(r, (state, rng))| run_one(r, state, rng, &mut buf));
             }
         }
-        if let Some((t0, pre)) = trace_start {
+        if let Some(t0) = t0 {
             // Level-tagged virtual record: the k host relay rounds have
             // already emitted their own round records through the same
-            // ledger, so this carries virtual-level stats only.
+            // ledger, so this carries the dilation and wall time only.
             ledger.trace_virtual(crate::trace::VirtualRecord {
                 level: self.topo.trace_label(),
                 vround: self.virtual_rounds,
                 host_rounds: k as u64,
-                bits: self.stats.bits_sent - pre.bits_sent,
-                deliveries: self.stats.deliveries - pre.deliveries,
                 wall_ns: t0.elapsed().as_nanos() as u64,
             });
         }
@@ -903,10 +823,6 @@ impl<S: Send, T: VirtualTopology> RoundDriver<S> for OverlayEngine<'_, S, T> {
         self.policy = policy;
     }
 
-    fn round_stats(&self) -> MessageStats {
-        self.message_stats()
-    }
-
     fn into_node_states(self) -> Vec<S> {
         self.into_states()
     }
@@ -1015,10 +931,6 @@ mod tests {
             engine.states()[1],
             vec![(NodeId(0), 100), (NodeId(0), 0), (NodeId(2), 102)]
         );
-        let stats = engine.message_stats();
-        assert_eq!(stats.broadcasts, 6);
-        assert_eq!(stats.directed, 6);
-        assert_eq!(stats.deliveries, 6 * 2 + 6);
     }
 
     #[test]

@@ -205,20 +205,17 @@ pub type ShardedEngine<'g, S> = Engine<'g, S>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MessageStats, RoundDriver};
+    use crate::engine::MessageStats;
     use crate::ledger::RoundLedger;
     use delta_graphs::generators;
     use rand::Rng;
 
-    /// Runs `rounds` rounds of a broadcast + RNG program on a driver,
+    /// Runs `rounds` rounds of a broadcast + RNG program on an engine,
     /// returning (states, stats, ledger bits, ledger rounds).
-    fn run_mixed<D: RoundDriver<u64>>(
-        mut driver: D,
-        rounds: usize,
-    ) -> (Vec<u64>, MessageStats, u64, u64) {
+    fn run_mixed(mut engine: Engine<'_, u64>, rounds: usize) -> (Vec<u64>, MessageStats, u64, u64) {
         let mut ledger = RoundLedger::new();
         for _ in 0..rounds {
-            driver.round_step(
+            engine.step(
                 &mut ledger,
                 "mixed",
                 |ctx, s, out: &mut Outbox<u64>| {
@@ -233,24 +230,21 @@ mod tests {
                 },
             );
         }
-        let stats = driver.round_stats();
-        let states = driver.into_node_states();
+        let stats = engine.message_stats();
+        let states = engine.into_states();
         (states, stats, ledger.bits_sent(), ledger.total())
     }
 
     /// Mixed program with real directed traffic (needs graph access, so
-    /// it is generated per-driver with the same logic).
-    fn run_mixed_directed<D>(
+    /// it is generated per-engine with the same logic).
+    fn run_mixed_directed(
         graph: &Graph,
-        mut driver: D,
+        mut engine: Engine<'_, u64>,
         rounds: usize,
-    ) -> (Vec<u64>, MessageStats, u64)
-    where
-        D: RoundDriver<u64>,
-    {
+    ) -> (Vec<u64>, MessageStats, u64) {
         let mut ledger = RoundLedger::new();
         for _ in 0..rounds {
-            driver.round_step(
+            engine.step(
                 &mut ledger,
                 "mixed-directed",
                 |ctx, s, out: &mut Outbox<u64>| {
@@ -273,8 +267,8 @@ mod tests {
                 },
             );
         }
-        let stats = driver.round_stats();
-        let states = driver.into_node_states();
+        let stats = engine.message_stats();
+        let states = engine.into_states();
         (states, stats, ledger.bits_sent())
     }
 

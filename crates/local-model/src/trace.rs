@@ -23,10 +23,11 @@
 //!   blocks/bits. Central simulations that charge the ledger directly
 //!   emit bare records (no meta) — their rounds and bits still count.
 //! * [`VirtualRecord`] — one per [`crate::OverlayEngine`] virtual
-//!   round, tagged with the overlay level (`G^k`, `G[S]`).
-//!   Virtual records carry virtual-level bits and never contribute to
-//!   the round/bit totals (the k host relay rounds already emitted
-//!   their own [`RoundRecord`]s).
+//!   round, tagged with the overlay level (`G^k`, `G[S]`), and one per
+//!   enforced [`crate::CongestEngine`] logical round. A virtual record
+//!   carries its dilation and wall time and never contributes to the
+//!   round/bit totals (the host rounds behind it already emitted their
+//!   own [`RoundRecord`]s).
 //! * [`SpanRecord`] — closed by the [`PhaseSpan`] RAII guard. Spans
 //!   nest per thread (driver → phase → overlay level); each closed span
 //!   reports the rounds and bits charged while it was the innermost
@@ -71,7 +72,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Version tag of the JSONL trace schema, written in every manifest.
-pub const TRACE_SCHEMA: &str = "trace-v1";
+pub const TRACE_SCHEMA: &str = "trace-v2";
 
 // ---------------------------------------------------------------------------
 // Records
@@ -133,25 +134,24 @@ pub const CONGEST_LEVEL: &str = "congest";
 /// `trace-summary --check` fails one that does.
 pub const FLUSH_PHASE: &str = "(bandwidth)";
 
-/// One overlay virtual round: level-tagged, with virtual-level bits.
-/// Informational only — the host relay rounds behind it already emitted
-/// their own [`RoundRecord`]s, so virtual records are excluded from the
-/// round/bit totals. CONGEST-enforced engines reuse the same shape for
-/// their per-logical-round dilation records (level
-/// [`CONGEST_LEVEL`], `host_rounds` = honest wire rounds).
+/// One overlay virtual round: level-tagged, with the host rounds it
+/// dilated into. Informational only — the host relay rounds behind it
+/// already emitted their own [`RoundRecord`]s, which carry its bits, so
+/// virtual records are excluded from the round/bit totals.
+/// CONGEST-enforced engines reuse the same shape for their
+/// per-logical-round dilation records (level [`CONGEST_LEVEL`],
+/// `host_rounds` = honest wire rounds).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VirtualRecord {
     /// Overlay level label: `G`, `G^k` or `G[S]` — or
     /// [`CONGEST_LEVEL`] for fragmentation dilation records.
     pub level: String,
-    /// Virtual round index on the overlay engine.
+    /// Virtual round index on the overlay engine (the logical round
+    /// index on a CONGEST engine).
     pub vround: u64,
-    /// Host rounds this virtual round dilated into (`k`).
+    /// Host rounds this virtual round dilated into (`k`, or the wire
+    /// rounds of a CONGEST logical round).
     pub host_rounds: u64,
-    /// Virtual-level bits (per virtual edge) accounted this round.
-    pub bits: u64,
-    /// Virtual-level deliveries this round.
-    pub deliveries: u64,
     /// Wall-clock duration of the virtual round, in nanoseconds.
     pub wall_ns: u64,
 }
@@ -686,8 +686,6 @@ impl TraceSink for JsonlSink {
                 self.push_str_field("level", &r.level);
                 self.push_u64_field("vround", r.vround);
                 self.push_u64_field("host_rounds", r.host_rounds);
-                self.push_u64_field("bits", r.bits);
-                self.push_u64_field("deliveries", r.deliveries);
                 self.push_u64_field("wall_ns", r.wall_ns);
             }
             TraceLine::Span(s) => {
@@ -840,7 +838,7 @@ pub enum TraceLine {
     Finish(TraceTotals),
 }
 
-/// Parses one line of a `trace-v1` JSONL stream. Unknown record types
+/// Parses one line of a `trace-v2` JSONL stream. Unknown record types
 /// and malformed lines are errors — consumers treat schema drift as a
 /// failure, not noise.
 pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
@@ -896,8 +894,6 @@ pub fn parse_trace_line(line: &str) -> Result<TraceLine, String> {
             level: need_str("level")?,
             vround: need_u64("vround")?,
             host_rounds: need_u64("host_rounds")?,
-            bits: need_u64("bits")?,
-            deliveries: need_u64("deliveries")?,
             wall_ns: need_u64("wall_ns")?,
         })),
         "span" => Ok(TraceLine::Span(SpanRecord {

@@ -2,16 +2,17 @@
 //!
 //! [`CongestEngine`] fragments every oversized logical message into
 //! budget-sized chunks and pipelines them over honest wire rounds —
-//! none of which may change what the program sees: node states, inbox
-//! contents, and logical [`local_model::MessageStats`] must be exactly
-//! the unfragmented LOCAL run's, for every budget, both [`ExecMode`]s,
-//! and every substrate the layer composes with — the flat [`Engine`]
-//! on `G`, the [`OverlayEngine`] on `G^k`, and the [`ShardedEngine`]
-//! at S ∈ {1, 2, 8}. The proptests here pit the compiled engines
-//! against plain references on random graphs and random multi-round
-//! message patterns; the deterministic tests pin the chunk frame's
-//! wire honesty and the chunk-level fault semantics (one dropped chunk
-//! kills the whole message, never a prefix of it).
+//! none of which may change what the program sees: node states and
+//! inbox contents must be exactly the unfragmented LOCAL run's, for
+//! every budget, both [`ExecMode`]s, and every substrate the layer
+//! composes with — the flat [`Engine`] on `G`, the [`OverlayEngine`] on
+//! `G^k`, and the [`ShardedEngine`] at S ∈ {1, 2, 8}. What the wire
+//! rounds cost is on the ledger alone, which must show the budget
+//! kept. The proptests here pit the compiled engines against plain
+//! references on random graphs and random multi-round message
+//! patterns; the deterministic tests pin the chunk frame's wire honesty
+//! and the chunk-level fault semantics (one dropped chunk kills the
+//! whole message, never a prefix of it).
 
 use delta_graphs::{generators, Graph, NodeId};
 use local_model::wire::gamma_bits;
@@ -111,7 +112,6 @@ proptest! {
         let mut reference = Engine::new(&g, 7, |_| Vec::new());
         let ledger = run_patterns(&mut reference, &g, &patterns, true);
         let expect_states = reference.node_states().to_vec();
-        let expect_stats = reference.round_stats();
         for budget in [MIN_CONGEST_BITS, 48, 1 << 12] {
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let _m = force_exec_mode(mode);
@@ -122,17 +122,12 @@ proptest! {
                     compiled.node_states(), &expect_states[..],
                     "inboxes diverged (budget={}, {:?})", budget, mode
                 );
-                prop_assert_eq!(
-                    compiled.round_stats(), expect_stats,
-                    "logical stats diverged (budget={}, {:?})", budget, mode
-                );
                 // Honesty of the wire side: every wire round respects
-                // the budget, the ledger was charged the dilated round
-                // count, and nothing was force-drained.
+                // the budget, the ledger was charged at least the LOCAL
+                // round count, and nothing was force-drained.
                 prop_assert_eq!(wire.congest_violations(), 0u64);
                 prop_assert!(wire.max_edge_bits() <= budget);
-                prop_assert_eq!(wire.total(), compiled.wire_rounds());
-                prop_assert!(compiled.wire_rounds() >= ledger.total());
+                prop_assert!(wire.total() >= ledger.total());
                 prop_assert_eq!(compiled.force_drained(), 0u64);
             }
         }
@@ -140,7 +135,7 @@ proptest! {
 
     /// `G^k` overlays (broadcast-only: directed traffic is rejected by
     /// power overlays by design): the compiled overlay must reproduce
-    /// the plain overlay's transcripts and virtual-level stats.
+    /// the plain overlay's transcripts.
     #[test]
     fn congest_engine_is_bit_identical_on_power_overlays(case in arb_case()) {
         let (g, patterns) = case;
@@ -148,7 +143,6 @@ proptest! {
             let mut reference = OverlayEngine::new(&g, PowerOverlay { k }, 7, |_| Vec::new());
             run_patterns(&mut reference, &g, &patterns, false);
             let expect_states = reference.node_states().to_vec();
-            let expect_stats = reference.round_stats();
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let _m = force_exec_mode(mode);
                 let mut compiled = CongestEngine::enforced(
@@ -159,10 +153,6 @@ proptest! {
                 prop_assert_eq!(
                     compiled.node_states(), &expect_states[..],
                     "inboxes diverged (k={}, {:?})", k, mode
-                );
-                prop_assert_eq!(
-                    compiled.round_stats(), expect_stats,
-                    "virtual stats diverged (k={}, {:?})", k, mode
                 );
                 prop_assert_eq!(wire.congest_violations(), 0u64);
                 prop_assert_eq!(compiled.force_drained(), 0u64);
@@ -178,7 +168,6 @@ proptest! {
         let mut reference = Engine::new(&g, 7, |_| Vec::new());
         run_patterns(&mut reference, &g, &patterns, true);
         let expect_states = reference.node_states().to_vec();
-        let expect_stats = reference.round_stats();
         for shards in [1usize, 2, 8] {
             for mode in [ExecMode::Sequential, ExecMode::Parallel] {
                 let _m = force_exec_mode(mode);
@@ -190,10 +179,6 @@ proptest! {
                 prop_assert_eq!(
                     compiled.node_states(), &expect_states[..],
                     "inboxes diverged (S={}, {:?})", shards, mode
-                );
-                prop_assert_eq!(
-                    compiled.round_stats(), expect_stats,
-                    "logical stats diverged (S={}, {:?})", shards, mode
                 );
                 prop_assert_eq!(wire.congest_violations(), 0u64);
                 prop_assert!(wire.max_edge_bits() <= 48);
@@ -264,7 +249,7 @@ fn a_dropped_chunk_loses_the_whole_message() {
             },
             |_, inbox, msgs| inbox.extend_from_slice(msgs),
         );
-        let dropped = eng.inner().fault_counters().dropped;
+        let dropped = ledger.faults().dropped;
         (eng.into_node_states().swap_remove(1), dropped)
     };
     // Fault-free control: the fragmented message arrives intact.

@@ -2,22 +2,22 @@
 //!
 //! The virtual-topology overlay ([`local_model::overlay`]) claims that
 //! executing a node program through [`OverlayEngine`] on `G^k` /
-//! `G[S]` is indistinguishable — states, inbox contents
-//! and ordering, RNG streams, and virtual-level [`MessageStats`] —
-//! from executing the same program on an [`Engine`] over the
-//! **materialized** `power_graph(g, k)` / `g.induced(members)` oracle
-//! graphs. These proptests pin that claim with a randomness-consuming
-//! mixed-traffic program, under **both** execution schedules, and
-//! additionally check the ledger is charged the true dilation
-//! (`k` host rounds per virtual round) with nonzero measured relay
-//! bits — on `G[S]`, exactly the relay envelopes' charge by formula.
+//! `G[S]` is indistinguishable — states, inbox contents and ordering,
+//! and RNG streams — from executing the same program on an [`Engine`]
+//! over the **materialized** `power_graph(g, k)` / `g.induced(members)`
+//! oracle graphs. These proptests pin that claim with a
+//! randomness-consuming mixed-traffic program, under **both** execution
+//! schedules, and check the one tally, the host ledger: it is charged
+//! the true dilation (`k` host rounds per virtual round) with nonzero
+//! measured relay bits — on `G[S]`, exactly the relay envelopes' charge
+//! by formula.
 
 use delta_graphs::power::power_graph;
 use delta_graphs::{generators, Graph, NodeId};
 use local_model::wire::gamma_bits;
 use local_model::{
-    force_exec_mode, Engine, ExecMode, InducedOverlay, MessageStats, OverlayEngine, PowerOverlay,
-    RoundDriver, RoundLedger, WireCodec,
+    force_exec_mode, Engine, ExecMode, InducedOverlay, OverlayEngine, PowerOverlay, RoundDriver,
+    RoundLedger, WireCodec,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -70,9 +70,8 @@ type Sent = (NodeId, u64, Vec<(NodeId, u64)>);
 /// — learned from the inbox, so the program needs no adjacency oracle,
 /// which is exactly what lets the identical closure run on every
 /// driver. Exercises broadcasts, directed sends, RNG streams, inbox
-/// ordering, and sender ids at once. Returns final states and the
-/// driver's (virtual-level, for overlays) message stats; with `sends`,
-/// every node's sends of every round are appended there.
+/// ordering, and sender ids at once. Returns the final states; with
+/// `sends`, every node's sends of every round are appended there.
 ///
 /// `directed` stays off for dilation ≥ 2 overlays (broadcast-only by
 /// design).
@@ -82,7 +81,7 @@ fn run_probe<DR: RoundDriver<Probe>>(
     directed: bool,
     ledger: &mut RoundLedger,
     sends: Option<&Mutex<Vec<Sent>>>,
-) -> (Vec<Probe>, MessageStats) {
+) -> Vec<Probe> {
     for _ in 0..rounds {
         driver.round_step(
             ledger,
@@ -113,8 +112,7 @@ fn run_probe<DR: RoundDriver<Probe>>(
             },
         );
     }
-    let stats = driver.round_stats();
-    (driver.into_node_states(), stats)
+    driver.into_node_states()
 }
 
 /// The dilation-1 relay's ledger charge `(bits_sent, max_edge_bits)`
@@ -137,8 +135,8 @@ fn relay_charge(sub: &Graph, sends: &[Sent]) -> (u64, u64) {
     (bits, max)
 }
 
-/// One full transcript: states, stats, and ledger fingerprint.
-type Transcript = (Vec<Probe>, MessageStats, (u64, u64, u64, u64));
+/// One full transcript: states and ledger fingerprint.
+type Transcript = (Vec<Probe>, (u64, u64, u64, u64));
 
 fn fingerprint(l: &RoundLedger) -> (u64, u64, u64, u64) {
     (
@@ -167,8 +165,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `PowerOverlay { k }` ≡ a materialized `power_graph(g, k)` run:
-    /// same states, same virtual MessageStats, and a ledger charged
-    /// exactly `k ×` the materialized round count.
+    /// same states, and a ledger charged exactly `k ×` the materialized
+    /// round count.
     #[test]
     fn power_overlay_matches_materialized_power_graph(
         g in arb_graph(),
@@ -178,21 +176,20 @@ proptest! {
         let overlay = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = OverlayEngine::new(&g, PowerOverlay { k }, seed, init);
-            let (states, stats) = run_probe(driver, 4, false, &mut ledger, None);
-            (states, stats, fingerprint(&ledger))
+            let states = run_probe(driver, 4, false, &mut ledger, None);
+            (states, fingerprint(&ledger))
         });
         let gk = power_graph(&g, k);
         let materialized = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = Engine::new(&gk, seed, init);
-            let (states, stats) = run_probe(driver, 4, false, &mut ledger, None);
-            (states, stats, fingerprint(&ledger))
+            let states = run_probe(driver, 4, false, &mut ledger, None);
+            (states, fingerprint(&ledger))
         });
         prop_assert_eq!(&overlay.0, &materialized.0, "states diverged from materialized G^k");
-        prop_assert_eq!(overlay.1, materialized.1, "virtual stats diverged");
-        prop_assert_eq!(overlay.2.0, materialized.2.0 * k as u64, "ledger must charge the dilation");
+        prop_assert_eq!(overlay.1.0, materialized.1.0 * k as u64, "ledger must charge the dilation");
         if gk.m() > 0 {
-            prop_assert!(overlay.2.1 > 0, "relay envelopes must be measured");
+            prop_assert!(overlay.1.1 > 0, "relay envelopes must be measured");
         }
     }
 
@@ -209,8 +206,8 @@ proptest! {
         let overlay = under_both_modes(|| {
             let mut ledger = RoundLedger::new();
             let driver = OverlayEngine::new(&g, InducedOverlay { members: &mask }, seed, init);
-            let (states, stats) = run_probe(driver, 4, true, &mut ledger, None);
-            (states, stats, fingerprint(&ledger))
+            let states = run_probe(driver, 4, true, &mut ledger, None);
+            (states, fingerprint(&ledger))
         });
         let members: Vec<NodeId> = g.nodes().filter(|v| mask[v.index()]).collect();
         let (sub, _map) = g.induced(&members);
@@ -219,15 +216,14 @@ proptest! {
             sends.lock().expect("no send panicked").clear();
             let mut ledger = RoundLedger::new();
             let driver = Engine::new(&sub, seed, init);
-            let (states, stats) = run_probe(driver, 4, true, &mut ledger, Some(&sends));
-            (states, stats, fingerprint(&ledger))
+            let states = run_probe(driver, 4, true, &mut ledger, Some(&sends));
+            (states, fingerprint(&ledger))
         });
         prop_assert_eq!(&overlay.0, &materialized.0, "states diverged from materialized G[S]");
-        prop_assert_eq!(overlay.1, materialized.1, "virtual stats diverged");
-        prop_assert_eq!(overlay.2.0, materialized.2.0, "dilation-1: same round count");
+        prop_assert_eq!(overlay.1.0, materialized.1.0, "dilation-1: same round count");
         let (bits, max_edge) = relay_charge(&sub, &sends.lock().expect("no send panicked"));
-        prop_assert_eq!(overlay.2.1, bits, "relay bits_sent off the formula");
-        prop_assert_eq!(overlay.2.2, max_edge, "relay max_edge_bits off the formula");
+        prop_assert_eq!(overlay.1.1, bits, "relay bits_sent off the formula");
+        prop_assert_eq!(overlay.1.2, max_edge, "relay max_edge_bits off the formula");
     }
 }
 
@@ -237,13 +233,12 @@ proptest! {
 fn induced_overlay_without_members_charges_one_silent_round() {
     let g = generators::cycle(8);
     let mask = vec![false; g.n()];
-    let (states, stats, charge) = under_both_modes(|| {
+    let (states, charge) = under_both_modes(|| {
         let mut ledger = RoundLedger::new();
         let driver = OverlayEngine::new(&g, InducedOverlay { members: &mask }, 0, init);
-        let (states, stats) = run_probe(driver, 1, true, &mut ledger, None);
-        (states, stats, fingerprint(&ledger))
+        let states = run_probe(driver, 1, true, &mut ledger, None);
+        (states, fingerprint(&ledger))
     });
     assert!(states.is_empty());
-    assert_eq!(stats, MessageStats::default());
     assert_eq!(charge, (1, 0, 0, 0));
 }

@@ -271,7 +271,6 @@ fn fault_transcripts_are_identical_on_the_sharded_engine() {
                 reference.transcript(),
                 "fault transcripts (S={shards}, {mode:?})"
             );
-            assert_eq!(faulty.fault_counters(), reference.fault_counters());
             assert_eq!(ledger.faults(), ref_ledger.faults());
             assert_eq!(ledger.bits_sent(), ref_ledger.bits_sent());
             assert_eq!(ledger.total(), ref_ledger.total());

@@ -4,16 +4,18 @@
 //! [`RoundLedger`]'s own charge calls, so summing the stream must
 //! reproduce the ledger's round/bit/fault totals exactly — on the plain
 //! engine, both overlay families (`G^k`, `G[S]`), the sharded engine at
-//! S ∈ {1, 2, 8}, and under fault injection, in both [`ExecMode`]s.
+//! S ∈ {1, 2, 8}, under CONGEST enforcement, and under fault injection,
+//! in both [`ExecMode`]s.
 //! The JSONL encoding must round-trip through the reader with the same
 //! totals and a consistent trailer, and the reader's fold of it must
 //! equal what the tracer itself reports.
 
 use delta_graphs::{bfs, generators, Graph, NodeId, ShardPlan};
 use local_model::{
-    force_exec_mode, run_reach_phase, Engine, ExecMode, FaultPlan, FaultyDriver, InducedOverlay,
-    JsonlSink, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger, RoundMeta,
-    RunManifest, TraceLine, TraceSink, TraceSummary, Tracer,
+    force_exec_mode, run_reach_phase, CongestEngine, Engine, ExecMode, FaultPlan, FaultyDriver,
+    InducedOverlay, JsonlSink, Outbox, OverlayEngine, PowerOverlay, RoundDriver, RoundLedger,
+    RoundMeta, RunManifest, TraceLine, TraceSink, TraceSummary, Tracer, VirtualRecord,
+    CONGEST_LEVEL, MIN_CONGEST_BITS,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -78,6 +80,18 @@ impl Lines {
             .iter()
             .filter_map(|l| match l {
                 TraceLine::Round(r) => r.meta.clone(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Every virtual-round record, in stream order.
+    fn virtuals(&self) -> Vec<VirtualRecord> {
+        let lines = self.0.lock().unwrap();
+        lines
+            .iter()
+            .filter_map(|l| match l {
+                TraceLine::Virtual(r) => Some(r.clone()),
                 _ => None,
             })
             .collect()
@@ -179,6 +193,35 @@ fn overlay_trace_totals_match_ledger_in_both_modes() {
         drive(&mut induced, &mut ledger, 5);
         assert_trace_matches(&tr, &ledger);
         assert_eq!(lines.summary().virtual_rounds, 5);
+    }
+}
+
+/// An enforced CONGEST engine emits one `congest` record per logical
+/// round, numbered from 0, whose `host_rounds` are the wire rounds that
+/// round was charged: they sum to the ledger's total, and each equals
+/// the `congest.wire_rounds` observation streamed after it.
+#[test]
+fn congest_records_carry_each_logical_rounds_dilation() {
+    let g = host();
+    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+        let lines = Lines::default();
+        let tr = lines.tracer();
+        let mut ledger = tr.ledger();
+        let engine = Engine::new(&g, 7, |v| v.0 as u64).with_mode(mode);
+        let mut drv = CongestEngine::enforced(engine, MIN_CONGEST_BITS);
+        drive(&mut drv, &mut ledger, 4);
+        assert_trace_matches(&tr, &ledger);
+        let records = lines.virtuals();
+        assert!(records.iter().all(|r| r.level == CONGEST_LEVEL));
+        let vrounds: Vec<u64> = records.iter().map(|r| r.vround).collect();
+        assert_eq!(vrounds, [0, 1, 2, 3], "one record per logical round");
+        let wire: Vec<u64> = records.iter().map(|r| r.host_rounds).collect();
+        assert_eq!(wire.iter().sum::<u64>(), ledger.total());
+        assert_eq!(lines.observed("congest.wire_rounds"), wire);
+        assert!(
+            wire.iter().any(|&w| w > 1),
+            "u64 broadcasts fragment at {MIN_CONGEST_BITS} bits: {wire:?}"
+        );
     }
 }
 
