@@ -1,7 +1,7 @@
 //! Experiment harness CLI.
 //!
 //! ```text
-//! experiments [--quick] [--check-baseline] [--congest-bits N] [--out DIR] [ids...]
+//! experiments [--quick] [--congest-bits N] [--out DIR] [--trace-dir DIR] [ids...]
 //! ```
 //!
 //! With no ids, runs every experiment (T1–T6, F1–F9, listed in
@@ -9,10 +9,10 @@
 //! fanning the experiments out across worker threads. Prints aligned
 //! tables to stdout (in canonical order), writes one CSV per experiment
 //! into `--out DIR` (default `results/`), and emits a
-//! `BENCH_delta.json` summary with per-experiment wall-clock, simulated
-//! LOCAL rounds, and the heaviest per-edge-per-round load
-//! (`max_edge_bits`) the engine's CONGEST-style accounting observed —
-//! so bandwidth regressions diff exactly like wall-clock ones.
+//! `BENCH_delta.json` summary with per-experiment simulated LOCAL
+//! rounds, the heaviest per-edge-per-round load (`max_edge_bits`) the
+//! engine's CONGEST-style accounting observed, row counts and each
+//! experiment's exact named counters.
 //!
 //! After the tables, a **bandwidth table** lists each experiment's
 //! measured heaviest per-edge load against the `O(log n)` CONGEST
@@ -23,30 +23,16 @@
 //! `congest_budget(n)`); the chosen budget lands in `BENCH_delta.json`
 //! as f9's `congest_bits` metric.
 //!
-//! Before anything is written, the fresh numbers are **diffed against
-//! the committed baseline** (`BENCH_delta.json` in the working
-//! directory, if present): a per-experiment wall-clock delta table goes
-//! to stdout, so every revision sees its performance trajectory at a
-//! glance. Comparisons are only apples-to-apples when the `quick` flags
-//! match — the table says so when they don't.
-//!
 //! The summary always lands in the output directory; a run covering the
-//! **full** experiment set additionally refreshes `BENCH_delta.json` in
-//! the working directory — the committed performance-trajectory
-//! baseline — so partial smoke runs never clobber it. Wall-clock values
-//! are measured while experiments share cores (`timing: "concurrent"`);
-//! `simulated_rounds` is the contention-free metric for cross-revision
-//! comparison.
-//!
-//! `--check-baseline` turns the diff into a gate (the CI
-//! bench-regression smoke step): after the sweep, the run's summed
-//! `total_simulated_rounds` and every experiment's `max_edge_bits`
-//! must equal the committed baseline's exactly — both are
-//! deterministic simulation outputs, so any drift is a behavioral
-//! change — while wall-clock stays advisory. Drift exits nonzero, and
-//! check mode never refreshes the committed baseline file.
+//! **full** experiment set also rewrites `BENCH_delta.json` in the
+//! working directory, so partial smoke runs never clobber it. The
+//! summary holds no clock reading: a rerun of the same revision writes
+//! the same bytes, so the committed file is the baseline and `git diff
+//! -- BENCH_delta.json` after a full `--quick` sweep is the regression
+//! gate. Wall time goes to stdout only (it is measured while the
+//! experiments share cores); perfbench times serially.
 
-use delta_coloring_bench::bench_json::{summary_json, Baseline};
+use delta_coloring_bench::bench_json::summary_json;
 use delta_coloring_bench::experiments::{run, Scale, ALL};
 use delta_coloring_bench::Table;
 use local_model::{
@@ -126,7 +112,6 @@ fn measure_g7_ruling_peaks(quick: bool) -> (u64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut check_baseline = false;
     let mut congest_bits: Option<u64> = None;
     let mut out_dir = PathBuf::from("results");
     let mut trace_dir: Option<PathBuf> = None;
@@ -135,7 +120,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--check-baseline" => check_baseline = true,
             "--congest-bits" => {
                 let arg = it.next().unwrap_or_else(|| {
                     eprintln!("--congest-bits requires a bit-count argument");
@@ -170,7 +154,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--quick] [--check-baseline] [--congest-bits N] \
+                    "usage: experiments [--quick] [--congest-bits N] \
                      [--out DIR] [--trace-dir DIR] [ids...]"
                 );
                 eprintln!("ids: {}", ALL.join(" "));
@@ -219,7 +203,6 @@ fn main() {
     // a progress narrator (prints only when a run outlives its 10s
     // interval) plus, under `--trace-dir`, a JSONL stream `{id}.jsonl`
     // whose totals mirror the experiment's own round/bits meters.
-    let wall_start = Instant::now();
     let results: Vec<(String, Table, f64)> = ids
         .par_iter()
         .map(|id| {
@@ -248,7 +231,6 @@ fn main() {
             (id.clone(), table, start.elapsed().as_secs_f64())
         })
         .collect();
-    let total_wall = wall_start.elapsed().as_secs_f64();
 
     for (id, table, secs) in &results {
         println!("{}", table.render());
@@ -266,30 +248,11 @@ fn main() {
 
     print_bandwidth_table(quick, &results);
 
-    let baseline_path = PathBuf::from("BENCH_delta.json");
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .ok()
-        .and_then(|text| Baseline::parse(&text));
-    if let Some(baseline) = &baseline {
-        print_baseline_diff(
-            baseline,
-            &results,
-            quick,
-            total_wall,
-            (g7_materialized_peak, g7_overlay_peak),
-        );
-    }
-
-    let summary = summary_json(
-        &results,
-        quick,
-        total_wall,
-        (g7_materialized_peak, g7_overlay_peak),
-    );
+    let tables: Vec<(&str, &Table)> = results.iter().map(|(id, t, _)| (id.as_str(), t)).collect();
+    let summary = summary_json(&tables, quick, (g7_materialized_peak, g7_overlay_peak));
     let mut json_paths = vec![out_dir.join("BENCH_delta.json")];
-    if results.len() == ALL.len() && !check_baseline {
-        // Full sweep: refresh the trajectory baseline in the CWD too
-        // (never in check mode — the committed file is the reference).
+    if results.len() == ALL.len() {
+        // Full sweep: rewrite the committed summary in the CWD too.
         json_paths.push(PathBuf::from("BENCH_delta.json"));
     }
     for json_path in json_paths {
@@ -297,88 +260,6 @@ fn main() {
             Ok(()) => println!("wrote {}", json_path.display()),
             Err(e) => eprintln!("cannot write {}: {e}", json_path.display()),
         }
-    }
-
-    if check_baseline {
-        match &baseline {
-            Some(baseline) => run_baseline_check(baseline, &results, quick, total_wall),
-            None => {
-                eprintln!(
-                    "baseline check: no parseable {} in the working directory",
-                    baseline_path.display()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// The `--check-baseline` gate: the simulation-level invariants of the
-/// committed baseline — summed simulated LOCAL rounds and every
-/// experiment's `max_edge_bits` — must match this run exactly; both
-/// are schedule- and load-independent, so any drift is a real
-/// behavioral change, not noise. Wall-clock is advisory only (CI
-/// machines differ; the committed trajectory is refreshed by dev
-/// runs). Exits nonzero on drift.
-fn run_baseline_check(
-    baseline: &Baseline,
-    results: &[(String, Table, f64)],
-    quick: bool,
-    total_wall: f64,
-) {
-    let mut drift: Vec<String> = Vec::new();
-    if baseline.quick.is_some_and(|q| q != quick) {
-        drift.push(format!(
-            "scale mismatch: baseline quick={}, this run quick={quick}",
-            baseline.quick.unwrap_or_default()
-        ));
-    }
-    let now_rounds: u64 = results.iter().map(|(_, t, _)| t.sim_rounds()).sum();
-    match baseline.total_simulated_rounds {
-        Some(base_rounds) if base_rounds != now_rounds => drift.push(format!(
-            "total_simulated_rounds drifted: baseline {base_rounds}, now {now_rounds}"
-        )),
-        Some(_) => {}
-        None => drift.push("baseline has no total_simulated_rounds".into()),
-    }
-    for (id, table, _) in results {
-        let base = baseline.experiments.iter().find(|b| &b.id == id);
-        match base.and_then(|b| b.max_edge_bits) {
-            Some(base_bits) if base_bits != table.max_edge_bits() => drift.push(format!(
-                "{id} max_edge_bits drifted: baseline {base_bits}, now {}",
-                table.max_edge_bits()
-            )),
-            Some(_) => {}
-            None => drift.push(format!("baseline has no max_edge_bits for {id}")),
-        }
-        // Every named metric in the committed baseline must still be
-        // reported: a key disappearing means an experiment quietly
-        // stopped measuring something. Values stay advisory (diffed in
-        // the table above) — some metrics are throughput-like.
-        for (name, _) in base.map(|b| b.metrics.as_slice()).unwrap_or(&[]) {
-            if !table.metrics().iter().any(|(n, _)| n == name) {
-                drift.push(format!("{id} no longer reports baseline metric '{name}'"));
-            }
-        }
-    }
-    if let Some(base_wall) = baseline.total_wall_clock_s {
-        println!(
-            "baseline check: wall-clock {base_wall:.3}s -> {total_wall:.3}s ({:+.1}%, advisory)",
-            100.0 * (total_wall - base_wall) / base_wall.max(f64::EPSILON)
-        );
-    }
-    if drift.is_empty() {
-        println!(
-            "baseline check passed: {now_rounds} simulated rounds, \
-             {} per-experiment max_edge_bits values unchanged",
-            results.len()
-        );
-    } else {
-        eprintln!("baseline check FAILED:");
-        for d in &drift {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
     }
 }
 
@@ -404,149 +285,6 @@ fn print_bandwidth_table(quick: bool, results: &[(String, Table, f64)]) {
             )
         };
         println!("  {id:<6} {m:>10} bits  {verdict}");
-    }
-    println!();
-}
-
-/// Prints the per-experiment wall-clock delta table against the
-/// committed baseline.
-fn print_baseline_diff(
-    baseline: &Baseline,
-    results: &[(String, Table, f64)],
-    quick: bool,
-    total_wall: f64,
-    g7_peaks: (u64, u64),
-) {
-    println!("performance vs committed BENCH_delta.json baseline:");
-    if baseline.quick.is_some_and(|q| q != quick) {
-        println!(
-            "  (scale mismatch: baseline quick={}, this run quick={quick} — deltas are not apples-to-apples)",
-            baseline.quick.unwrap_or_default(),
-        );
-    }
-    println!(
-        "  {:<8} {:>12} {:>12} {:>10} {:>8} {:>12} {:>10} {:>10}",
-        "id", "baseline_s", "now_s", "delta_s", "ratio", "base_bits/e", "now_bits/e", "delta_bits"
-    );
-    let fmt_bits = |b: Option<u64>| b.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-    let row =
-        |id: &str, base: Option<f64>, now: f64, base_bits: Option<u64>, now_bits: Option<u64>| {
-            let bits_delta = match (base_bits, now_bits) {
-                (Some(b), Some(n)) => format!("{:+}", n as i64 - b as i64),
-                _ => "-".into(),
-            };
-            match base {
-                Some(b) if b > 0.0 => println!(
-                    "  {id:<8} {b:>12.3} {now:>12.3} {:>+10.3} {:>7.2}x {:>12} {:>10} {:>10}",
-                    now - b,
-                    now / b,
-                    fmt_bits(base_bits),
-                    fmt_bits(now_bits),
-                    bits_delta
-                ),
-                Some(b) => println!(
-                    "  {id:<8} {b:>12.3} {now:>12.3} {:>+10.3} {:>8} {:>12} {:>10} {:>10}",
-                    now - b,
-                    "-",
-                    fmt_bits(base_bits),
-                    fmt_bits(now_bits),
-                    bits_delta
-                ),
-                None => println!(
-                    "  {id:<8} {:>12} {now:>12.3} {:>10} {:>8} {:>12} {:>10} {:>10}",
-                    "-",
-                    "-",
-                    "-",
-                    fmt_bits(base_bits),
-                    fmt_bits(now_bits),
-                    bits_delta
-                ),
-            }
-        };
-    for (id, table, secs) in results {
-        let base = baseline.experiments.iter().find(|b| &b.id == id);
-        row(
-            id,
-            base.map(|b| b.wall_clock_s),
-            *secs,
-            base.and_then(|b| b.max_edge_bits),
-            Some(table.max_edge_bits()),
-        );
-    }
-    // The baseline total covers the full sweep; comparing a partial
-    // run's total against it would only mislead.
-    if results.len() == ALL.len() {
-        let base_max = baseline
-            .experiments
-            .iter()
-            .filter_map(|b| b.max_edge_bits)
-            .max();
-        let now_max = results.iter().map(|(_, t, _)| t.max_edge_bits()).max();
-        row(
-            "TOTAL",
-            baseline.total_wall_clock_s,
-            total_wall,
-            base_max,
-            now_max,
-        );
-    }
-    // Named domain metrics (the fault sweep's recovery counters, the
-    // sharded sweep's throughput cells, ...) diff by name rather than
-    // being silently dropped; keys present on only one side say so.
-    for (id, table, _) in results {
-        let base_metrics = baseline
-            .experiments
-            .iter()
-            .find(|b| &b.id == id)
-            .map(|b| b.metrics.as_slice())
-            .unwrap_or(&[]);
-        if base_metrics.is_empty() && table.metrics().is_empty() {
-            continue;
-        }
-        let mut cells: Vec<String> = Vec::new();
-        for (name, base_v) in base_metrics {
-            match table.metrics().iter().find(|(n, _)| n == name) {
-                Some(&(_, now_v)) => cells.push(format!(
-                    "{name} {base_v} -> {now_v} ({:+})",
-                    now_v as i64 - *base_v as i64
-                )),
-                None => cells.push(format!("{name} {base_v} -> MISSING")),
-            }
-        }
-        for (name, now_v) in table.metrics() {
-            if !base_metrics.iter().any(|(n, _)| n == name) {
-                cells.push(format!("{name} (new) {now_v}"));
-            }
-        }
-        println!("  {id} metrics: {}", cells.join(", "));
-    }
-    // The headline memory claim, diffed like the wall-clock rows: the
-    // G^7 ruling path's peak heap, overlay vs materialized, against the
-    // committed baseline.
-    let mib = |b: u64| b as f64 / (1 << 20) as f64;
-    let (now_mat, now_ovl) = g7_peaks;
-    match baseline.g7_peaks {
-        Some((base_mat, base_ovl)) => {
-            println!(
-                "  g7 peak heap (MiB): materialized {:.1} -> {:.1} ({:+.1}%), overlay {:.1} -> {:.1} ({:+.1}%)",
-                mib(base_mat),
-                mib(now_mat),
-                100.0 * (now_mat as f64 - base_mat as f64) / base_mat.max(1) as f64,
-                mib(base_ovl),
-                mib(now_ovl),
-                100.0 * (now_ovl as f64 - base_ovl as f64) / base_ovl.max(1) as f64,
-            );
-            println!(
-                "  g7 overlay vs baseline materialized ({:.1} MiB): {:+.1}%",
-                mib(base_mat),
-                100.0 * (now_ovl as f64 - base_mat as f64) / base_mat.max(1) as f64,
-            );
-        }
-        None => println!(
-            "  g7 peak heap (MiB): materialized {:.1}, overlay {:.1} (no peak data in baseline)",
-            mib(now_mat),
-            mib(now_ovl),
-        ),
     }
     println!();
 }

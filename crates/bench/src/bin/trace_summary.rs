@@ -21,14 +21,15 @@
 //! `--check BENCH.json` cross-checks each trace against the
 //! `delta-bench-v1` summary: the trace named `{id}.jsonl` must report
 //! exactly the `simulated_rounds` and `max_edge_bits` the summary
-//! recorded for experiment `id`, and must book every bit to a named
-//! phase: a trace with a `local_model::FLUSH_PHASE` row fails. Any
-//! mismatch — or any file that fails to parse or self-check — exits
-//! nonzero. This is the CI gate proving the trace stream and the bench
-//! meters never disagree.
+//! recorded for experiment `id`, and every phase that carries bits must
+//! have run engine rounds (a phase with `bits > 0` and `engine == 0`
+//! fails: its bits ride on no round an engine ran). Any mismatch — or
+//! any file that fails to parse or self-check — exits nonzero. This is
+//! the CI gate proving the trace stream and the bench meters never
+//! disagree.
 
-use delta_coloring_bench::bench_json::{Baseline, BaselineExp};
-use local_model::{SpanAgg, TraceSummary, FLUSH_PHASE};
+use delta_coloring_bench::bench_json::Baseline;
+use local_model::{SpanAgg, TraceSummary};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -85,7 +86,7 @@ fn main() -> ExitCode {
 
     let bench = match &check {
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(Baseline::parse(&text).map_or_else(Vec::new, |b| b.experiments)),
+            Ok(text) => Some(Baseline::parse(&text)),
             Err(e) => {
                 eprintln!("cannot read {}: {e}", path.display());
                 return ExitCode::FAILURE;
@@ -122,7 +123,7 @@ fn main() -> ExitCode {
 
 /// Parses, self-checks, renders, and (optionally) cross-checks one
 /// trace file.
-fn report(file: &Path, folded: bool, bench: Option<&[BaselineExp]>) -> Result<(), String> {
+fn report(file: &Path, folded: bool, bench: Option<&[Baseline]>) -> Result<(), String> {
     let s = TraceSummary::read_path(file)?;
     s.check_consistent()
         .map_err(|e| format!("{}: {e}", file.display()))?;
@@ -187,36 +188,46 @@ fn report(file: &Path, folded: bool, bench: Option<&[BaselineExp]>) -> Result<()
     println!();
 
     if let Some(bench) = bench {
-        if let Some((_, agg)) = s.phases().iter().find(|(p, _)| p == FLUSH_PHASE) {
-            return Err(format!(
-                "{}: {} bits in the {FLUSH_PHASE} row belong to no named phase",
-                file.display(),
-                agg.bits
-            ));
-        }
         let id = file
             .file_stem()
             .and_then(|s| s.to_str())
             .unwrap_or_default();
-        let (rounds, max_edge_bits) = bench
-            .iter()
-            .find(|b| b.id == id)
-            .and_then(|b| Some((b.simulated_rounds?, b.max_edge_bits?)))
-            .ok_or_else(|| format!("{}: bench summary has no experiment '{id}'", file.display()))?;
-        if t.rounds != rounds {
-            return Err(format!(
-                "{}: trace rounds {} != bench simulated_rounds {rounds} for '{id}'",
-                file.display(),
-                t.rounds,
-            ));
-        }
-        if t.max_edge_bits != max_edge_bits {
-            return Err(format!(
-                "{}: trace max_edge_bits {} != bench max_edge_bits {max_edge_bits} for '{id}'",
-                file.display(),
-                t.max_edge_bits,
-            ));
-        }
+        check(&s, id, bench).map_err(|e| format!("{}: {e}", file.display()))?;
+    }
+    Ok(())
+}
+
+/// The `--check` conditions for the trace of experiment `id`: every
+/// phase that carries bits ran engine rounds, and the trace's rounds
+/// and heaviest per-edge load equal what the bench summary records.
+fn check(s: &TraceSummary, id: &str, bench: &[Baseline]) -> Result<(), String> {
+    if let Some((phase, agg)) = s
+        .phases()
+        .iter()
+        .find(|(_, a)| a.bits > 0 && a.engine_rounds == 0)
+    {
+        return Err(format!(
+            "{} bits in phase '{phase}' ride on no engine round",
+            agg.bits
+        ));
+    }
+    let (rounds, max_edge_bits) = bench
+        .iter()
+        .find(|b| b.id == id)
+        .and_then(|b| Some((b.simulated_rounds?, b.max_edge_bits?)))
+        .ok_or_else(|| format!("bench summary has no experiment '{id}'"))?;
+    let t = &s.totals;
+    if t.rounds != rounds {
+        return Err(format!(
+            "trace rounds {} != bench simulated_rounds {rounds} for '{id}'",
+            t.rounds
+        ));
+    }
+    if t.max_edge_bits != max_edge_bits {
+        return Err(format!(
+            "trace max_edge_bits {} != bench max_edge_bits {max_edge_bits} for '{id}'",
+            t.max_edge_bits
+        ));
     }
     Ok(())
 }
@@ -243,4 +254,66 @@ fn folded_stacks(tree: &[(String, SpanAgg)]) -> Vec<String> {
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use local_model::{RoundMeta, RoundRecord, TraceLine};
+
+    /// A round record of `phase`; `engine` rounds carry a [`RoundMeta`].
+    fn round(phase: &str, rounds: u64, bits: u64, engine: bool) -> TraceLine {
+        TraceLine::Round(RoundRecord {
+            phase: phase.to_string(),
+            rounds,
+            bits,
+            max_edge_bits: bits / 4,
+            meta: engine.then(RoundMeta::default),
+            ..RoundRecord::default()
+        })
+    }
+
+    /// The summary line that matches `s`'s totals, as experiment `t1`.
+    fn bench_for(s: &TraceSummary) -> Vec<Baseline> {
+        vec![Baseline {
+            id: "t1".to_string(),
+            simulated_rounds: Some(s.totals.rounds),
+            max_edge_bits: Some(s.totals.max_edge_bits),
+        }]
+    }
+
+    #[test]
+    fn a_phase_with_bits_but_no_engine_rounds_fails() {
+        let central_bits = TraceSummary::from_lines([
+            round("phase1", 1, 400, true),
+            round("central", 5, 80, false),
+        ]);
+        let err = check(&central_bits, "t1", &bench_for(&central_bits)).unwrap_err();
+        assert!(err.contains("'central'"), "{err}");
+        // A trace from an older writer can carry bits charged after a
+        // thread's last round in a zero-round `(bandwidth)` row.
+        let flush_row = TraceSummary::from_lines([
+            round("phase1", 1, 400, true),
+            round("(bandwidth)", 0, 77, false),
+        ]);
+        let err = check(&flush_row, "t1", &bench_for(&flush_row)).unwrap_err();
+        assert!(err.contains("'(bandwidth)'"), "{err}");
+    }
+
+    #[test]
+    fn a_summary_whose_bits_all_ride_on_engine_rounds_passes() {
+        let s = TraceSummary::from_lines([
+            round("phase1", 1, 400, true),
+            round("phase1", 1, 120, true),
+            round("phase2-estimate", 6, 0, false),
+        ]);
+        let bench = bench_for(&s);
+        assert_eq!(check(&s, "t1", &bench), Ok(()));
+        // The same summary still fails on a rounds mismatch or an id
+        // the bench summary lacks.
+        let mut off = bench_for(&s);
+        off[0].simulated_rounds = Some(s.totals.rounds + 1);
+        assert!(check(&s, "t1", &off).is_err());
+        assert!(check(&s, "f9", &bench).is_err());
+    }
 }

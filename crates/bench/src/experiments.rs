@@ -248,10 +248,9 @@ pub fn t3(scale: Scale, tr: &Tracer) -> Table {
 
 /// T4 — algorithm × family comparison at a fixed size: who wins.
 ///
-/// Each algorithm column runs under a trace span (`t4:<alg>`), and the
-/// table reports advisory `wall_permille_<alg>` metrics — each
-/// algorithm's share of the experiment's algorithm wall time, sourced
-/// from the span tree (all zero when no trace is attached).
+/// Each algorithm column runs under a trace span (`t4:<alg>`), so
+/// `trace-summary`'s span table splits the experiment's wall time by
+/// algorithm.
 pub fn t4(scale: Scale, tr: &Tracer) -> Table {
     let mut t = Table::new(
         "T4: algorithms x graph families (rounds; all colorings verified)",
@@ -340,33 +339,7 @@ pub fn t4(scale: Scale, tr: &Tracer) -> Table {
             dp1_rounds.to_string(),
         ]);
     }
-    add_wall_share_metrics(
-        &mut t,
-        tr,
-        "t4",
-        &["rand", "det", "netdecomp", "ps", "greedy"],
-    );
     t
-}
-
-/// Folds the spans `{prefix}:{name}` into advisory
-/// `wall_permille_{name}` metrics: each span's share (‰) of the group's
-/// summed wall time. The keys are always emitted — a disabled tracer
-/// reports zeros, so the baseline vanished-key gate holds regardless.
-fn add_wall_share_metrics(t: &mut Table, tr: &Tracer, prefix: &str, names: &[&str]) {
-    let spans = tr.span_totals();
-    let wall = |name: &str| {
-        let path = format!("{prefix}:{name}");
-        spans
-            .iter()
-            .find(|(p, _)| p == &path)
-            .map_or(0, |(_, a)| a.wall_ns)
-    };
-    let total: u64 = names.iter().map(|n| wall(n)).sum();
-    for name in names {
-        let share = (wall(name) * 1000).checked_div(total).unwrap_or(0);
-        t.add_metric(&format!("wall_permille_{name}"), share);
-    }
 }
 
 /// T5 — ablations on the randomized algorithm: backoff distance `b`,
@@ -642,8 +615,7 @@ pub fn f2(scale: Scale, _tr: &Tracer) -> Table {
 ///
 /// The two per-config phases — the distributed ruling-set probe and the
 /// host-side expansion check — run under trace spans (`f3:ruling-probe`
-/// / `f3:expansion-check`), reported as advisory `wall_permille_*`
-/// metrics (zeros without a trace).
+/// / `f3:expansion-check`), which `trace-summary`'s span table times.
 pub fn f3(scale: Scale, tr: &Tracer) -> Table {
     let mut t = Table::new(
         "F3: expansion after marking (Lemmas 12/14; violations must be 0; planted maximal marking)",
@@ -745,7 +717,6 @@ pub fn f3(scale: Scale, tr: &Tracer) -> Table {
             violations.to_string(),
         ]);
     }
-    add_wall_share_metrics(&mut t, tr, "f3", &["ruling-probe", "expansion-check"]);
     t
 }
 
@@ -1114,9 +1085,9 @@ fn count_conflicts(g: &Graph, colors: &[u8]) -> u64 {
 /// which is the headline demonstrating the sharded engine at a size
 /// the experiments previously could not touch. Conflict columns are
 /// deterministic (and equal across S rows — the bit-identity guarantee
-/// made visible); the throughput metrics recorded per graph × S in
-/// `BENCH_delta.json` are wall-clock-derived and therefore advisory in
-/// the baseline gate, which only insists the keys keep being reported.
+/// made visible). The wall-clock and throughput columns go to stdout and
+/// the CSV only; `BENCH_delta.json` records the exact boundary traffic
+/// per graph × S and each graph's starting conflicts.
 pub fn f8(scale: Scale, tr: &Tracer) -> Table {
     let mut t = Table::new(
         "F8: sharded engine — 5-palette conflict resolution, throughput vs shard count",
@@ -1194,10 +1165,6 @@ pub fn f8(scale: Scale, tr: &Tracer) -> Table {
             let conflicts_end = count_conflicts(g, eng.states());
             let knode_rounds = (g.n() as u64 * rounds as u64) as f64 / secs / 1e3;
             t.meter_ledger(&ledger);
-            t.add_metric(
-                &format!("{name}_s{shards}_knode_rounds_per_s"),
-                knode_rounds as u64,
-            );
             t.add_metric(
                 &format!("{name}_s{shards}_boundary_kbits"),
                 bs.block_bits / 1000,

@@ -759,7 +759,6 @@ impl<S: Send, D: RoundDriver<S>> RoundDriver<S> for CongestEngine<D> {
                 wall_ns: t0.elapsed().as_nanos() as u64,
             });
             ledger.trace_observe("congest.fragments", fragments.into_inner());
-            ledger.trace_observe("congest.wire_rounds", wire);
         }
     }
 

@@ -927,21 +927,17 @@ impl<'g, S: Send> Engine<'g, S> {
         self.stats.bits_sent += bw.bits;
         self.stats.max_edge_bits = self.stats.max_edge_bits.max(bw.max_edge_bits);
         self.stats.congest_violations += bw.violations;
-        ledger.charge_bandwidth(bw.bits, bw.max_edge_bits, bw.violations);
-
-        if let Some((t0, pre)) = trace_start {
-            ledger.trace_meta(crate::trace::RoundMeta {
-                round: self.rounds_run,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-                broadcasts: self.stats.broadcasts - pre.broadcasts,
-                directed: self.stats.directed - pre.directed,
-                deliveries: self.stats.deliveries - pre.deliveries,
-                max_inbox: max_inbox as u64,
-                boundary: trace_boundary,
-            });
-        }
+        let meta = trace_start.map(|(t0, pre)| crate::trace::RoundMeta {
+            round: self.rounds_run,
+            wall_ns: t0.elapsed().as_nanos() as u64,
+            broadcasts: self.stats.broadcasts - pre.broadcasts,
+            directed: self.stats.directed - pre.directed,
+            deliveries: self.stats.deliveries - pre.deliveries,
+            max_inbox: max_inbox as u64,
+            boundary: trace_boundary,
+        });
         self.rounds_run += 1;
-        ledger.charge(phase, 1);
+        ledger.charge_round(phase, bw.bits, bw.max_edge_bits, bw.violations, meta);
         match invalid {
             Some((from, to)) => Err(EngineError::InvalidDirectedTarget { from, to }),
             None => Ok(()),

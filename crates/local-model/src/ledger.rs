@@ -1,7 +1,7 @@
 //! Round accounting for LOCAL-model executions.
 
 use crate::faults::FaultCounters;
-use crate::trace::{PhaseSpan, RoundMeta, TraceHandle, TraceLine, VirtualRecord};
+use crate::trace::{PhaseSpan, RoundMeta, RoundRecord, TraceHandle, TraceLine, VirtualRecord};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,26 +59,50 @@ impl RoundLedger {
         if rounds == 0 {
             return;
         }
-        self.total += rounds;
-        *ordered_slot(&mut self.phase_idx, &mut self.phase_totals, phase) += rounds;
+        self.count(phase, rounds);
         if let Some(t) = &self.trace {
-            t.on_charge(phase, rounds);
+            t.on_round(RoundRecord {
+                phase: phase.to_string(),
+                rounds,
+                ..RoundRecord::default()
+            });
         }
     }
 
-    /// Charges one round's bandwidth: total bits transmitted, the
-    /// heaviest per-edge load, and any CONGEST-budget violations. The
-    /// engine calls this once per [`crate::Engine::step`], right before
-    /// that round's [`RoundLedger::charge`], so a trace books the bits
-    /// to the round's record; bits no `charge` follows reach the trace
-    /// only at finish, in the [`crate::FLUSH_PHASE`] row.
-    pub fn charge_bandwidth(&mut self, bits: u64, max_edge_bits: u64, violations: u64) {
+    /// Charges one engine round to `phase` with its bandwidth: total
+    /// bits transmitted, the heaviest per-edge load, and any
+    /// CONGEST-budget violations. With a trace attached, the engine's
+    /// `meta` rides on the round's record; engines build it only when
+    /// [`RoundLedger::tracing`] and pass `None` otherwise, so the
+    /// untraced path allocates nothing.
+    pub fn charge_round(
+        &mut self,
+        phase: &str,
+        bits: u64,
+        max_edge_bits: u64,
+        violations: u64,
+        meta: Option<RoundMeta>,
+    ) {
+        self.count(phase, 1);
         self.bits_sent += bits;
         self.max_edge_bits = self.max_edge_bits.max(max_edge_bits);
         self.congest_violations += violations;
         if let Some(t) = &self.trace {
-            t.on_bandwidth(bits, max_edge_bits, violations);
+            t.on_round(RoundRecord {
+                phase: phase.to_string(),
+                rounds: 1,
+                bits,
+                max_edge_bits,
+                violations,
+                meta,
+            });
         }
+    }
+
+    /// Adds `rounds` to the total and to `phase`'s total.
+    fn count(&mut self, phase: &str, rounds: u64) {
+        self.total += rounds;
+        *ordered_slot(&mut self.phase_idx, &mut self.phase_totals, phase) += rounds;
     }
 
     /// Charges injected faults: deliveries dropped, spurious duplicate
@@ -107,15 +131,6 @@ impl RoundLedger {
     /// untraced path.
     pub fn tracing(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Supplies engine-side enrichment for the round about to be
-    /// charged (see [`RoundMeta`]); folded into the next round record.
-    /// No-op without a trace.
-    pub fn trace_meta(&mut self, meta: RoundMeta) {
-        if let Some(t) = &self.trace {
-            t.on_meta(meta);
-        }
     }
 
     /// Emits an overlay virtual-round record. No-op without a trace.
@@ -277,8 +292,9 @@ mod tests {
     #[test]
     fn bandwidth_accumulates_and_absorbs() {
         let mut a = RoundLedger::new();
-        a.charge_bandwidth(100, 10, 0);
-        a.charge_bandwidth(50, 25, 2);
+        a.charge_round("r", 100, 10, 0, None);
+        a.charge_round("r", 50, 25, 2, None);
+        assert_eq!(a.total(), 2);
         assert_eq!(a.bits_sent(), 150);
         assert_eq!(a.max_edge_bits(), 25);
         assert_eq!(a.congest_violations(), 2);

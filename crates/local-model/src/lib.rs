@@ -118,6 +118,6 @@ pub use shard::{BoundaryStats, ShardedEngine};
 pub use trace::{
     parse_trace_line, JsonlSink, PhaseSpan, ProgressSink, RoundMeta, RoundRecord, RunManifest,
     SpanAgg, SpanRecord, TraceLine, TraceSink, TraceSummary, TraceTotals, Tracer, VirtualRecord,
-    CONGEST_LEVEL, FLUSH_PHASE, TRACE_SCHEMA,
+    CONGEST_LEVEL, TRACE_SCHEMA,
 };
 pub use wire::{congest_budget, BitReader, BitWriter, WireCodec};

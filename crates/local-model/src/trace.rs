@@ -3,7 +3,7 @@
 //! The ledger answers "how much did this run cost in aggregate"; this
 //! module answers "when, where, and inside which phase". A [`Tracer`]
 //! owns a set of [`TraceSink`]s and hands out [`RoundLedger`]s wired to
-//! them: every `charge` / `charge_bandwidth` / `charge_faults` on a
+//! them: every `charge` / `charge_round` / `charge_faults` on a
 //! traced ledger is folded into a structured event stream, so the trace
 //! is *derived from* the ledger's own charge calls — a view, never a
 //! second source of truth. Summing the emitted [`RoundRecord`]s
@@ -17,11 +17,12 @@
 //! back, and every sink receives it through [`TraceSink::on_line`]:
 //!
 //! * [`RoundRecord`] — one per ledger round charge. The engines
-//!   ([`crate::Engine`], [`crate::ShardedEngine`]) enrich the record
-//!   with a [`RoundMeta`]: round index, wall time, message-volume
+//!   ([`crate::Engine`], [`crate::ShardedEngine`]) charge each round
+//!   with [`RoundLedger::charge_round`], which carries the round's bits
+//!   and a [`RoundMeta`]: round index, wall time, message-volume
 //!   deltas, the largest inbox, and (sharded) per-shard boundary
 //!   blocks/bits. Central simulations that charge the ledger directly
-//!   emit bare records (no meta) — their rounds and bits still count.
+//!   emit bare records (no meta, no bits) — their rounds still count.
 //! * [`VirtualRecord`] — one per [`crate::OverlayEngine`] virtual
 //!   round, tagged with the overlay level (`G^k`, `G[S]`), and one per
 //!   enforced [`crate::CongestEngine`] logical round. A virtual record
@@ -78,10 +79,8 @@ pub const TRACE_SCHEMA: &str = "trace-v2";
 // Records
 // ---------------------------------------------------------------------------
 
-/// Engine-side enrichment of one round record: set via
-/// [`RoundLedger::trace_meta`] immediately before the round's
-/// `charge_bandwidth` + `charge` pair, and folded into the
-/// [`RoundRecord`] those calls produce.
+/// Engine-side enrichment of one round record, handed to
+/// [`RoundLedger::charge_round`] with the round's bandwidth.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundMeta {
     /// Driver-local round index (the engine's `rounds_run` before the
@@ -112,12 +111,11 @@ pub struct RoundRecord {
     /// Rounds charged (1 for engine rounds; central simulations may
     /// charge several at once).
     pub rounds: u64,
-    /// Bits charged via `charge_bandwidth` since the previous record on
-    /// this thread.
+    /// Bits the round transmitted (0 for central charges).
     pub bits: u64,
-    /// Heaviest per-edge load among those bandwidth charges.
+    /// Heaviest per-edge load of the round.
     pub max_edge_bits: u64,
-    /// CONGEST-budget violations among those bandwidth charges.
+    /// CONGEST-budget violations of the round.
     pub violations: u64,
     /// Engine enrichment; `None` for bare central charges.
     pub meta: Option<RoundMeta>,
@@ -127,12 +125,6 @@ pub struct RoundRecord {
 /// [`crate::congest::CongestEngine`] emits: one record per logical
 /// round, with `host_rounds` carrying the measured wire-round dilation.
 pub const CONGEST_LEVEL: &str = "congest";
-
-/// Phase label of the zero-round record a trace's finish emits for bits
-/// charged after the last round charge on a thread. A trace that books
-/// every bit to a named phase has no record with this label, and
-/// `trace-summary --check` fails one that does.
-pub const FLUSH_PHASE: &str = "(bandwidth)";
 
 /// One overlay virtual round: level-tagged, with the host rounds it
 /// dilated into. Informational only — the host relay rounds behind it
@@ -261,31 +253,6 @@ pub trait TraceSink: Send {
 // Trace state + handle
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct ThreadCtx {
-    pending_meta: Option<RoundMeta>,
-    pending_bits: u64,
-    pending_max: u64,
-    pending_viol: u64,
-    has_bandwidth: bool,
-    stack: Vec<Frame>,
-}
-
-impl ThreadCtx {
-    /// Closes the pending bandwidth and engine meta into one record.
-    fn take_record(&mut self, phase: &str, rounds: u64) -> RoundRecord {
-        self.has_bandwidth = false;
-        RoundRecord {
-            phase: phase.to_string(),
-            rounds,
-            bits: std::mem::take(&mut self.pending_bits),
-            max_edge_bits: std::mem::take(&mut self.pending_max),
-            violations: std::mem::take(&mut self.pending_viol),
-            meta: self.pending_meta.take(),
-        }
-    }
-}
-
 struct Frame {
     label: String,
     path: String,
@@ -296,7 +263,8 @@ struct Frame {
 
 pub(crate) struct TraceState {
     sinks: Vec<Box<dyn TraceSink>>,
-    threads: HashMap<ThreadId, ThreadCtx>,
+    /// Each thread's open spans, outermost first.
+    stacks: HashMap<ThreadId, Vec<Frame>>,
     /// Everything emitted so far, folded as a reader would fold it.
     summary: TraceSummary,
     finished: bool,
@@ -306,14 +274,14 @@ impl TraceState {
     fn new(sinks: Vec<Box<dyn TraceSink>>) -> Self {
         Self {
             sinks,
-            threads: HashMap::new(),
+            stacks: HashMap::new(),
             summary: TraceSummary::default(),
             finished: false,
         }
     }
 
-    fn ctx(&mut self) -> &mut ThreadCtx {
-        self.threads.entry(std::thread::current().id()).or_default()
+    fn stack(&mut self) -> &mut Vec<Frame> {
+        self.stacks.entry(std::thread::current().id()).or_default()
     }
 
     /// Streams one event to every sink and folds it into the summary.
@@ -324,35 +292,21 @@ impl TraceState {
         self.summary.add(&line);
     }
 
-    fn on_meta(&mut self, meta: RoundMeta) {
-        self.ctx().pending_meta = Some(meta);
-    }
-
-    fn on_bandwidth(&mut self, bits: u64, max_edge_bits: u64, violations: u64) {
-        let ctx = self.ctx();
-        ctx.pending_bits += bits;
-        ctx.pending_max = ctx.pending_max.max(max_edge_bits);
-        ctx.pending_viol += violations;
-        ctx.has_bandwidth = true;
-    }
-
-    fn on_charge(&mut self, phase: &str, rounds: u64) {
-        let ctx = self.ctx();
-        let rec = ctx.take_record(phase, rounds);
-        if let Some(top) = ctx.stack.last_mut() {
-            top.rounds += rounds;
+    fn on_round(&mut self, rec: RoundRecord) {
+        if let Some(top) = self.stack().last_mut() {
+            top.rounds += rec.rounds;
             top.bits += rec.bits;
         }
         self.emit(TraceLine::Round(rec));
     }
 
     fn push_span(&mut self, label: &str) {
-        let ctx = self.ctx();
-        let path = match ctx.stack.last() {
+        let stack = self.stack();
+        let path = match stack.last() {
             Some(top) => format!("{};{label}", top.path),
             None => label.to_string(),
         };
-        ctx.stack.push(Frame {
+        stack.push(Frame {
             label: label.to_string(),
             path,
             opened: Instant::now(),
@@ -362,13 +316,13 @@ impl TraceState {
     }
 
     fn pop_span(&mut self) {
-        let ctx = self.ctx();
-        let Some(frame) = ctx.stack.pop() else {
+        let stack = self.stack();
+        let Some(frame) = stack.pop() else {
             return;
         };
-        let depth = ctx.stack.len() as u64;
+        let depth = stack.len() as u64;
         // Inclusive parents: fold the closed child into the new top.
-        if let Some(top) = ctx.stack.last_mut() {
+        if let Some(top) = stack.last_mut() {
             top.rounds += frame.rounds;
             top.bits += frame.bits;
         }
@@ -387,18 +341,6 @@ impl TraceState {
             return;
         }
         self.finished = true;
-        // Flush bandwidth charged after the last round charge (central
-        // estimates with no paired `charge`): a zero-round record keeps
-        // the bit totals exact.
-        let dangling: Vec<RoundRecord> = self
-            .threads
-            .values_mut()
-            .filter(|c| c.has_bandwidth || c.pending_meta.is_some())
-            .map(|c| c.take_record(FLUSH_PHASE, 0))
-            .collect();
-        for rec in dangling {
-            self.emit(TraceLine::Round(rec));
-        }
         self.emit(TraceLine::Finish(self.summary.totals));
     }
 }
@@ -427,16 +369,10 @@ impl TraceHandle {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub(crate) fn on_charge(&self, phase: &str, rounds: u64) {
-        self.lock().on_charge(phase, rounds);
-    }
-
-    pub(crate) fn on_bandwidth(&self, bits: u64, max_edge_bits: u64, violations: u64) {
-        self.lock().on_bandwidth(bits, max_edge_bits, violations);
-    }
-
-    pub(crate) fn on_meta(&self, meta: RoundMeta) {
-        self.lock().on_meta(meta);
+    /// Emits a round record, attributing it to the calling thread's
+    /// innermost open span.
+    pub(crate) fn on_round(&self, rec: RoundRecord) {
+        self.lock().on_round(rec);
     }
 
     /// Emits an event that needs no per-thread context (virtual
@@ -572,8 +508,7 @@ impl Tracer {
         }
     }
 
-    /// Ends the trace: flushes dangling bandwidth, then delivers the
-    /// `Finish` trailer to every sink. Idempotent; also runs
+    /// Ends the trace: delivers the `Finish` trailer to every sink. Idempotent; also runs
     /// automatically when the last handle is dropped.
     pub fn finish(&self) {
         if let Some(h) = &self.handle {
@@ -1180,10 +1115,9 @@ mod tests {
     fn totals_mirror_ledger_charges() {
         let tr = Tracer::collecting();
         let mut l = tr.ledger();
-        l.charge_bandwidth(100, 40, 1);
+        l.charge_round("a", 100, 40, 1, None);
         l.charge("a", 2);
-        l.charge_bandwidth(50, 60, 0);
-        l.charge("b", 1);
+        l.charge_round("b", 50, 60, 0, None);
         l.charge_faults(3, 1, 0, 2);
         let t = tr.totals();
         assert_eq!(t.rounds, l.total());
@@ -1191,19 +1125,7 @@ mod tests {
         assert_eq!(t.max_edge_bits, l.max_edge_bits());
         assert_eq!(t.violations, l.congest_violations());
         assert_eq!(t.faults, l.faults());
-        assert_eq!(t.records, 2);
-    }
-
-    #[test]
-    fn dangling_bandwidth_flushes_at_finish() {
-        let tr = Tracer::collecting();
-        let mut l = tr.ledger();
-        l.charge_bandwidth(77, 7, 0);
-        tr.finish();
-        let t = tr.totals();
-        assert_eq!(t.bits, 77);
-        assert_eq!(t.rounds, 0);
-        assert_eq!(t.records, 1, "flushed as a zero-round record");
+        assert_eq!(t.records, 3);
     }
 
     #[test]
@@ -1215,8 +1137,8 @@ mod tests {
             l.charge("setup", 1);
             {
                 let _inner = tr.span("phase");
-                l.charge_bandwidth(10, 10, 0);
-                l.charge("work", 4);
+                l.charge_round("work", 10, 10, 0, None);
+                l.charge("work", 3);
             }
             l.charge("teardown", 2);
         }

@@ -10,9 +10,7 @@ use delta_coloring::list_coloring::ListColorMethod;
 use delta_coloring::verify::{assert_nice, check_delta_coloring};
 use delta_graphs::{generators, Graph};
 use local_model::trace::PhaseAgg;
-use local_model::{
-    RoundLedger, RoundRecord, TraceLine, TraceSink, TraceSummary, Tracer, FLUSH_PHASE,
-};
+use local_model::{RoundLedger, RoundRecord, TraceLine, TraceSink, TraceSummary, Tracer};
 use std::sync::{Arc, Mutex};
 
 fn nice_families() -> Vec<(String, Graph)> {
@@ -197,7 +195,6 @@ fn traced_rand_run(g: &Graph, cfg: RandConfig) -> Vec<(String, PhaseAgg)> {
             r.bits,
             r.phase
         );
-        assert_ne!(r.phase, FLUSH_PHASE, "{} bits belong to no phase", r.bits);
     }
     let t = tr.totals();
     assert_eq!(t.rounds, ledger.total());
