@@ -100,8 +100,10 @@ mod tests {
     #[test]
     fn the_reader_reads_what_the_writer_wrote() {
         let mut a = Table::new("a", &["x"]);
-        a.add_sim_rounds(17);
-        a.add_max_edge_bits(96);
+        let mut ledger = local_model::RoundLedger::new();
+        ledger.charge("central", 16);
+        ledger.charge_round("engine", 200, 96, 0, None);
+        a.meter_ledger(&ledger);
         a.add_metric("recovered", 4);
         let b = Table::new("b", &["x"]);
         let results = [("t1", &a), ("f9", &b)];

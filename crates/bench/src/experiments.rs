@@ -107,20 +107,11 @@ pub fn t1(scale: Scale, tr: &Tracer) -> Table {
         ],
         &[1 << 10, 1 << 12, 1 << 14],
     );
-    let configs: Vec<(usize, usize)> = [3usize, 4, 5]
-        .iter()
-        .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
-        .collect();
-    // Cells run in order, so the trace's lines come out in a fixed
-    // order; each cell's engine rounds still run under `Auto`.
-    let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_iter()
-        .map(|(delta, n)| {
+    for delta in [3usize, 4, 5] {
+        for &n in &ns {
             let mut rounds = Vec::new();
             let mut attempts = 0u64;
             let mut fellback = 0u64;
-            let mut meter = 0u64;
-            let mut edge_bits = 0u64;
             for seed in 0..scale.seeds() {
                 let g = generators::random_regular(n, delta, seed * 101 + delta as u64);
                 let cfg = if delta == 3 {
@@ -134,11 +125,10 @@ pub fn t1(scale: Scale, tr: &Tracer) -> Table {
                 rounds.push(ledger.total() as f64);
                 attempts += stats.attempts as u64;
                 fellback += stats.fell_back as u64;
-                meter += ledger.total();
-                edge_bits = edge_bits.max(ledger.max_edge_bits());
+                t.meter_ledger(&ledger);
             }
             let ll = log2(log2(n as f64));
-            let row = vec![
+            t.row(vec![
                 delta.to_string(),
                 n.to_string(),
                 fmt_f(mean(&rounds)),
@@ -146,14 +136,8 @@ pub fn t1(scale: Scale, tr: &Tracer) -> Table {
                 attempts.to_string(),
                 fellback.to_string(),
                 fmt_f(ll * ll),
-            ];
-            (row, meter, edge_bits)
-        })
-        .collect();
-    for (row, meter, edge_bits) in cells {
-        t.row(row);
-        t.add_sim_rounds(meter);
-        t.add_max_edge_bits(edge_bits);
+            ]);
+        }
     }
     t
 }
@@ -213,20 +197,16 @@ pub fn t3(scale: Scale, tr: &Tracer) -> Table {
         &[1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 13],
         &[1 << 8, 1 << 10, 1 << 12],
     );
-    let configs: Vec<(usize, usize)> = [4usize, 8]
-        .iter()
-        .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
-        .collect();
-    let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_iter()
-        .map(|(delta, n)| {
+    for delta in [4usize, 8] {
+        for &n in &ns {
             let g = generators::random_regular(n, delta, 7 + delta as u64);
             let mut ledger = tr.ledger();
             let (c, stats) =
                 delta_color_det(&g, DetConfig::default(), &mut ledger).expect("colorable");
             verify::check_delta_coloring(&g, &c).expect("valid");
+            t.meter_ledger(&ledger);
             let l2 = log2(n as f64);
-            let row = vec![
+            t.row(vec![
                 delta.to_string(),
                 n.to_string(),
                 ledger.total().to_string(),
@@ -234,14 +214,8 @@ pub fn t3(scale: Scale, tr: &Tracer) -> Table {
                 stats.base_size.to_string(),
                 fmt_f(l2 * l2),
                 fmt_f(ledger.total() as f64 / (l2 * l2)),
-            ];
-            (row, ledger.total(), ledger.max_edge_bits())
-        })
-        .collect();
-    for (row, meter, edge_bits) in cells {
-        t.row(row);
-        t.add_sim_rounds(meter);
-        t.add_max_edge_bits(edge_bits);
+            ]);
+        }
     }
     t
 }
@@ -457,13 +431,8 @@ pub fn f1(scale: Scale, tr: &Tracer) -> Table {
         &[1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 15],
         &[1 << 8, 1 << 10, 1 << 12],
     );
-    let configs: Vec<(usize, usize)> = [3usize, 4]
-        .iter()
-        .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
-        .collect();
-    let cells: Vec<(Vec<String>, u64, u64)> = configs
-        .into_iter()
-        .map(|(delta, n)| {
+    for delta in [3usize, 4] {
+        for &n in &ns {
             let g = generators::random_regular(n, delta, 13 + delta as u64);
             // Greedy Δ-coloring in a pseudo-random order; every dead end
             // is an adversarial single-uncolored-node instance that
@@ -479,8 +448,6 @@ pub fn f1(scale: Scale, tr: &Tracer) -> Table {
             let mut coloring = PartialColoring::new(g.n());
             let mut radii = Vec::new();
             let mut dcc_used = 0usize;
-            let mut meter = 0u64;
-            let mut edge_bits = 0u64;
             for &v in &order {
                 if let Some(&c) = coloring.free_colors(&g, v, delta).first() {
                     coloring.set(v, c);
@@ -492,14 +459,13 @@ pub fn f1(scale: Scale, tr: &Tracer) -> Table {
                         .expect("repairable");
                 radii.push(out.radius as f64);
                 dcc_used += out.used_dcc as usize;
-                meter += ledger.total();
-                edge_bits = edge_bits.max(ledger.max_edge_bits());
+                t.meter_ledger(&ledger);
             }
             verify::check_delta_coloring(&g, &coloring).expect("valid");
             let bound = brooks::theorem5_radius(n, delta);
             let max_radius = radii.iter().cloned().fold(0.0, f64::max);
             assert!(max_radius as usize <= bound, "Theorem 5 bound violated");
-            let row = vec![
+            t.row(vec![
                 delta.to_string(),
                 n.to_string(),
                 radii.len().to_string(),
@@ -507,14 +473,8 @@ pub fn f1(scale: Scale, tr: &Tracer) -> Table {
                 fmt_f(mean(&radii)),
                 bound.to_string(),
                 dcc_used.to_string(),
-            ];
-            (row, meter, edge_bits)
-        })
-        .collect();
-    for (row, meter, edge_bits) in cells {
-        t.row(row);
-        t.add_sim_rounds(meter);
-        t.add_max_edge_bits(edge_bits);
+            ]);
+        }
     }
     t
 }

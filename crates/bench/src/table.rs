@@ -27,23 +27,12 @@ impl Table {
         }
     }
 
-    /// Adds to the simulated-rounds meter (experiments call this with
-    /// each ledger total they accumulate).
-    pub fn add_sim_rounds(&mut self, rounds: u64) {
-        self.sim_rounds += rounds;
-    }
-
-    /// Folds a run's heaviest per-edge-per-round load into the table's
-    /// bandwidth meter (maximum across all runs of the experiment).
-    pub fn add_max_edge_bits(&mut self, bits: u64) {
-        self.max_edge_bits = self.max_edge_bits.max(bits);
-    }
-
-    /// Meters a ledger: simulated rounds (summed) and the heaviest
-    /// per-edge load (maxed) in one call.
+    /// Meters a ledger: its simulated rounds add to the table's total,
+    /// and its heaviest per-edge-per-round load folds into the table's
+    /// maximum across all runs of the experiment.
     pub fn meter_ledger(&mut self, ledger: &local_model::RoundLedger) {
-        self.add_sim_rounds(ledger.total());
-        self.add_max_edge_bits(ledger.max_edge_bits());
+        self.sim_rounds += ledger.total();
+        self.max_edge_bits = self.max_edge_bits.max(ledger.max_edge_bits());
     }
 
     /// Accumulates a named counter (summed across calls, created on

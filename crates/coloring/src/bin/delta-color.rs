@@ -40,7 +40,12 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--dot" => dot = Some(PathBuf::from(args.next().unwrap_or_default())),
+            "--dot" => {
+                dot = Some(args.next().map(PathBuf::from).unwrap_or_else(|| {
+                    eprintln!("--dot requires an output path");
+                    std::process::exit(2);
+                }));
+            }
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 eprintln!(

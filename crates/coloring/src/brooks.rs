@@ -423,11 +423,7 @@ pub fn repair_single_uncolored(
         // close ones, the smallest (cheapest to recolor).
         let b = blocks(&ball.graph);
         for blk in &b.blocks {
-            if blk.len() < 4 {
-                continue;
-            }
-            let (sub, _) = ball.graph.induced(blk);
-            if props::is_clique(&sub) || props::is_odd_cycle(&sub) {
+            if gallai::dcc_block(&ball.graph, blk).is_none() {
                 continue;
             }
             let (&entry, &d) = blk
@@ -460,23 +456,35 @@ pub fn repair_single_uncolored(
         });
     };
 
-    // Shortest path from v to the goal inside the ball.
-    let path = shortest_path_in_ball(&ball, goal);
+    // Walk the token along a shortest path from v to the goal inside the
+    // ball. A free color ends the walk early; a goal without one is the
+    // entry node of the target DCC.
+    let mut path = shortest_path_in_ball(&ball, goal).into_iter().skip(1);
     let mut token = v;
     let mut moved = 0usize;
     let mut radius = 0usize;
-    for &next in path.iter().skip(1) {
-        // Free color first: the walk may be cut short.
+    let mut used_dcc = false;
+    loop {
         if let Some(&c) = coloring.free_colors(g, token, delta).first() {
             coloring.set(token, c);
-            let rounds = 2 * (radius.max(r_explored).max(1) as u64);
-            ledger.charge(phase, rounds.saturating_sub(engine_rounds));
-            return Ok(RepairOutcome {
-                radius,
-                moved,
-                used_dcc: false,
-            });
+            break;
         }
+        let Some(next) = path.next() else {
+            let Some(mut component) = dcc else {
+                return Err(ColoringError::Unsolvable {
+                    context: "small-degree target had no free color (invariant violation)".into(),
+                });
+            };
+            component.sort_unstable();
+            // Uncolor the DCC (token is its entry node and already uncolored).
+            for &u in &component {
+                coloring.unset(u);
+                radius = radius.max(dist_in_ball(&ball, u) as usize);
+            }
+            gallai::color_component_respecting(g, &component, delta, coloring)?;
+            used_dcc = true;
+            break;
+        };
         // No free color: all Δ neighbors carry Δ distinct colors, so
         // adopting the successor's color and uncoloring the successor
         // preserves properness.
@@ -487,35 +495,12 @@ pub fn repair_single_uncolored(
         moved += 1;
         radius = radius.max(dist_in_ball(&ball, next) as usize);
     }
-    // Token arrived at the goal.
-    if let Some(&c) = coloring.free_colors(g, token, delta).first() {
-        coloring.set(token, c);
-        let rounds = 2 * (radius.max(r_explored).max(1) as u64);
-        ledger.charge(phase, rounds.saturating_sub(engine_rounds));
-        return Ok(RepairOutcome {
-            radius,
-            moved,
-            used_dcc: false,
-        });
-    }
-    let Some(mut component) = dcc else {
-        return Err(ColoringError::Unsolvable {
-            context: "small-degree target had no free color (invariant violation)".into(),
-        });
-    };
-    component.sort_unstable();
-    // Uncolor the DCC (token is its entry node and already uncolored).
-    for &u in &component {
-        coloring.unset(u);
-        radius = radius.max(dist_in_ball(&ball, u) as usize);
-    }
-    gallai::color_component_respecting(g, &component, delta, coloring)?;
     let rounds = 2 * (radius.max(r_explored).max(1) as u64);
     ledger.charge(phase, rounds.saturating_sub(engine_rounds));
     Ok(RepairOutcome {
         radius,
         moved,
-        used_dcc: true,
+        used_dcc,
     })
 }
 

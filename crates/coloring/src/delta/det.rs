@@ -11,6 +11,9 @@
 //!    `(deg+1)`-list-coloring instance.
 //! 5. Color `B_0` by independent distributed-Brooks repairs (Theorem 5).
 //!
+//! Steps 3–5 are one function, `color_from_base`, which Theorem 21
+//! ([`crate::delta::netdecomp`]) runs on its own base layer.
+//!
 //! Round complexity `O(√Δ·log^{-3/2}Δ·log² n)` in the paper; our list
 //! coloring substitution changes the Δ-dependence but preserves the
 //! `log² n` scaling that experiment T3 measures (README.md,
@@ -23,7 +26,7 @@ use crate::list_coloring::ListColorMethod;
 use crate::palette::{ColoringError, PartialColoring};
 use crate::ruling::{ruling_forest, ruling_set_deterministic_alpha};
 use crate::verify::assert_nice;
-use delta_graphs::Graph;
+use delta_graphs::{Graph, NodeId};
 use local_model::RoundLedger;
 
 /// Configuration for the deterministic algorithm.
@@ -70,15 +73,10 @@ pub fn delta_color_det(
     config: DetConfig,
     ledger: &mut RoundLedger,
 ) -> Result<(PartialColoring, DetStats), ColoringError> {
-    assert_nice(g).map_err(|e| ColoringError::Unsolvable {
-        context: e.to_string(),
-    })?;
-    let delta = g.max_degree();
-    let n = g.n();
-
+    assert_nice(g)?;
     // Separation R = 4·log_{Δ-1} n + 1: twice the Theorem 5 radius plus
     // slack, so B_0 repairs are independent.
-    let separation = 2 * theorem5_radius(n, delta) + 1;
+    let separation = 2 * theorem5_radius(g.n(), g.max_degree()) + 1;
 
     // Step 1+2: base layer = (R, ·) ruling set (deterministic,
     // bit-halving on the power graph).
@@ -89,29 +87,57 @@ pub fn delta_color_det(
         "ruling forest covers the graph"
     );
 
+    let (coloring, layers, max_repair_radius) =
+        color_from_base(g, &base, config.method, config.seed, ledger)?;
+    Ok((
+        coloring,
+        DetStats {
+            separation,
+            base_size: base.len(),
+            layers,
+            max_repair_radius,
+        },
+    ))
+}
+
+/// Steps 3–5, shared with Theorem 21 ([`crate::delta::netdecomp`]):
+/// layers `B_i` by distance to the base layer `base` (its pairwise
+/// distance at least `2·theorem5_radius + 1`), colors `B_z..B_1` in
+/// reverse (`layer-coloring`), completes `B_0` by Theorem 5 repairs and
+/// checks the result. The repairs run on disjoint balls, in parallel,
+/// so each runs on a throw-away sub-ledger and `base-repair` is charged
+/// the largest. Returns the coloring, the layering depth and the largest
+/// repair radius.
+pub(crate) fn color_from_base(
+    g: &Graph,
+    base: &[NodeId],
+    method: ListColorMethod,
+    seed: u64,
+    ledger: &mut RoundLedger,
+) -> Result<(PartialColoring, usize, usize), ColoringError> {
+    let delta = g.max_degree();
     // Step 3: layers by distance to B_0 (until exhaustion; the ruling
     // property bounds the depth).
-    let layering = layers_from_base(g, &base, None, None);
+    let layering = layers_from_base(g, base, None, None);
     debug_assert!(layering.is_cover());
 
     // Step 4: color layers B_z..B_1 in reverse order.
-    let mut coloring = PartialColoring::new(n);
+    let mut coloring = PartialColoring::new(g.n());
     color_upper_layers(
         g,
         &layering,
         &mut coloring,
         delta,
-        config.method,
-        config.seed,
+        method,
+        seed,
         ledger,
         "layer-coloring",
     )?;
 
-    // Step 5: color B_0 via independent Theorem 5 repairs. All repairs
-    // happen in parallel (disjoint balls), so charge the max, not the sum.
+    // Step 5: color B_0 via independent Theorem 5 repairs.
     let mut max_repair = 0u64;
     let mut max_repair_radius = 0usize;
-    for &v in &base {
+    for &v in base {
         let mut sub = RoundLedger::new();
         let out = repair_single_uncolored(g, &mut coloring, v, delta, &mut sub, "repair")?;
         max_repair_radius = max_repair_radius.max(out.radius);
@@ -120,15 +146,7 @@ pub fn delta_color_det(
     ledger.charge("base-repair", max_repair);
 
     crate::verify::check_delta_coloring(g, &coloring)?;
-    Ok((
-        coloring,
-        DetStats {
-            separation,
-            base_size: base.len(),
-            layers: layering.depth(),
-            max_repair_radius,
-        },
-    ))
+    Ok((coloring, layering.depth(), max_repair_radius))
 }
 
 #[cfg(test)]

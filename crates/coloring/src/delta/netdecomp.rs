@@ -7,12 +7,13 @@
 //! for the paper's constructions") and derive the
 //! ruling set by processing cluster color classes sequentially — within
 //! a class, clusters are non-adjacent, so their greedy choices are
-//! consistent after a distance-`R` exchange. The rest is the same
-//! layering pipeline as Theorem 4.
+//! consistent after a distance-`R` exchange. The rest — layering,
+//! reverse list coloring of `B_z..B_1` and the Theorem 5 base repairs —
+//! is Theorem 4's own tail, `color_from_base` in [`crate::delta::det`].
 
-use crate::brooks::{repair_single_uncolored, theorem5_radius};
+use crate::brooks::theorem5_radius;
 use crate::decomp::mpx_decomposition;
-use crate::layering::{color_upper_layers, layers_from_base};
+use crate::delta::det::color_from_base;
 use crate::list_coloring::ListColorMethod;
 use crate::palette::{ColoringError, PartialColoring};
 use crate::verify::assert_nice;
@@ -46,12 +47,9 @@ pub fn delta_color_netdecomp(
     seed: u64,
     ledger: &mut RoundLedger,
 ) -> Result<(PartialColoring, NetDecompStats), ColoringError> {
-    assert_nice(g).map_err(|e| ColoringError::Unsolvable {
-        context: e.to_string(),
-    })?;
-    let delta = g.max_degree();
+    assert_nice(g)?;
     let n = g.n();
-    let separation = 2 * theorem5_radius(n, delta) + 1;
+    let separation = 2 * theorem5_radius(n, g.max_degree()) + 1;
 
     // Step 1: network decomposition.
     let decomp = mpx_decomposition(g, 0.25, seed ^ 0xdeca, ledger, "netdecomp");
@@ -88,32 +86,9 @@ pub fn delta_color_netdecomp(
     }
     debug_assert!(!base.is_empty());
 
-    // Steps 3-4: layering and reverse list coloring (identical engine to
-    // Theorem 4).
-    let layering = layers_from_base(g, &base, None, None);
-    debug_assert!(layering.is_cover());
-    let mut coloring = PartialColoring::new(n);
-    color_upper_layers(
-        g,
-        &layering,
-        &mut coloring,
-        delta,
-        method,
-        seed,
-        ledger,
-        "layer-coloring",
-    )?;
-
-    // Step 5: base repairs (independent: pairwise distance >= separation).
-    let mut max_repair = 0u64;
-    for &v in &base {
-        let mut sub = RoundLedger::new();
-        repair_single_uncolored(g, &mut coloring, v, delta, &mut sub, "repair")?;
-        max_repair = max_repair.max(sub.total());
-    }
-    ledger.charge("base-repair", max_repair);
-
-    crate::verify::check_delta_coloring(g, &coloring)?;
+    // Steps 3-5: layering, reverse list coloring and base repairs, as in
+    // Theorem 4.
+    let (coloring, layers, _) = color_from_base(g, &base, method, seed, ledger)?;
     Ok((
         coloring,
         NetDecompStats {
@@ -121,7 +96,7 @@ pub fn delta_color_netdecomp(
             cluster_colors: classes,
             max_cluster_radius: decomp.max_radius(),
             base_size: base.len(),
-            layers: layering.depth(),
+            layers,
         },
     ))
 }

@@ -14,7 +14,10 @@
 //!   layers `C_0..C_{2r}`. The unhappy remainder `L` shatters into small
 //!   components (Lemma 23), which are colored first via their own
 //!   layering `D_0..D_α` rooted at free nodes and in-component DCCs
-//!   (Lemmas 26, 27).
+//!   (Lemmas 26, 27). Everything after the marking process up to the
+//!   leftover components is one central pass, `shatter`, which
+//!   [`shattering_probe`] runs too, so the F4/T5 probe measures the
+//!   driver's own phases.
 //! * **III — happy layers** (phase (7)): color `C_{2r}..C_0` in reverse;
 //!   `C_0` consists of T-nodes (two same-colored marked neighbors) and
 //!   boundary nodes, which always retain a free color.
@@ -41,16 +44,20 @@
 //! | (6) CDCC detection | `G[component]` | **InducedOverlay** ([`local_model::run_ball_phase`] with the component mask and the [`crate::gallai::find_dcc_in_ball`] rule) |
 //! | (6) CDCC ruling | virtual minor (free nodes + DCCs) | engine Luby on the materialized CDCC, or central netdecomp (charged); either way plus a charged remainder of `r_c` rounds per round |
 //! | (6)–(9) layer coloring | `G[todo]` per layer | **InducedOverlay** ([`crate::layering::color_one_layer`] → [`crate::list_coloring::list_color_randomized`] with the todo mask) |
+//!
+//! The two virtual minors come from one builder, `set_graph`: two sets
+//! are adjacent iff they share a node or an edge of the host joins them.
 
-use crate::gallai::color_component_respecting;
+use crate::gallai::{color_component_respecting, FoundDcc};
 use crate::layering::{color_one_layer, color_upper_layers, layers_from_base, Layering};
 use crate::list_coloring::ListColorMethod;
-use crate::marking::{marking_process, MarkingParams};
+use crate::marking::{marking_process, MarkingOutcome, MarkingParams};
 use crate::mis::{luby_mis, members};
 use crate::palette::{ColoringError, PartialColoring};
 use crate::verify::assert_nice;
 use delta_graphs::{Graph, GraphBuilder, NodeId};
 use local_model::RoundLedger;
+use std::collections::HashSet;
 
 /// How phase (6) computes the ruling set `M'` of the virtual CDCC
 /// graph inside each leftover component.
@@ -175,9 +182,7 @@ pub fn delta_color_rand(
     config: RandConfig,
     ledger: &mut RoundLedger,
 ) -> Result<(PartialColoring, RandStats), ColoringError> {
-    assert_nice(g).map_err(|e| ColoringError::Unsolvable {
-        context: e.to_string(),
-    })?;
+    assert_nice(g)?;
     let mut last_err = None;
     for attempt in 0..config.max_attempts.max(1) {
         let seed = config
@@ -243,57 +248,91 @@ pub struct ShatterProbe {
 
 /// Runs phases (4)–(5) in isolation on `g` (as the remainder graph `H`)
 /// and measures the shattering quality — the quantity Lemmas 22/23 and
-/// 31 bound. No coloring is produced.
+/// 31 bound. After the marking process (on a scratch ledger) it runs
+/// the pass that [`delta_color_rand`] runs after its own marking, so
+/// the probe counts what the driver would leave on `H` from the same
+/// marking. No coloring is produced.
 pub fn shattering_probe(g: &Graph, config: &RandConfig, seed: u64) -> ShatterProbe {
-    let delta = g.max_degree();
-    let mut scratch = RoundLedger::new();
-    let mut h_coloring = PartialColoring::new(g.n());
     let outcome = marking_process(
         g,
         None,
         config.marking,
         seed,
-        &mut h_coloring,
-        &mut scratch,
+        &mut PartialColoring::new(g.n()),
+        &mut RoundLedger::new(),
         "probe",
     );
-    let r = config.r_happy;
-    let boundary: Vec<NodeId> = g.nodes().filter(|&v| g.degree(v) < delta).collect();
-    let near_boundary = masked_multi_source(g, &boundary, r, None);
-    let mut marked = outcome.marked.clone();
-    for v in g.nodes() {
-        if marked[v.index()] && near_boundary[v.index()] != u32::MAX {
-            marked[v.index()] = false;
-        }
+    let shattered = shatter(g, g.max_degree(), config.r_happy, outcome);
+    ShatterProbe {
+        t_nodes: shattered.t_nodes,
+        marked: shattered.marked.iter().filter(|&&m| m).count(),
+        happy_fraction: shattered.happy_fraction,
+        components: shattered.components.len(),
+        max_component: shattered.components.iter().map(Vec::len).max().unwrap_or(0),
     }
-    let t_nodes: Vec<NodeId> = outcome
+}
+
+/// What phases (4)–(5) leave on the remainder graph `H` (ids local to
+/// `H`) once the marking process has run.
+struct Shattering {
+    /// `marked[v]`: `v` keeps its mark (the color `Color::FIRST`).
+    marked: Vec<bool>,
+    /// Number of valid T-nodes: both of their marks survived.
+    t_nodes: usize,
+    /// Layers `C_0..C_{2r}` through unmarked nodes.
+    c_layering: Layering,
+    /// Fraction of `H` that is happy, i.e. marked or layered (1.0 when
+    /// `H` is empty).
+    happy_fraction: f64,
+    /// Connected components of the unhappy leftover `L`.
+    components: Vec<Vec<NodeId>>,
+}
+
+/// Phase (5) and the leftover of phase (6) on the remainder graph `h`,
+/// from the marking `outcome` of phase (4): marked nodes within `r` of
+/// the boundary (degree in `h` below `delta`) drop their marks, T-nodes
+/// whose two marks survive stay valid, and `C_0` (the valid T-nodes and
+/// the unmarked boundary nodes) grows layers through unmarked nodes up
+/// to `2r`; whatever stays unmarked and unlayered is the leftover.
+/// Central BFS waves only: the caller charges the rounds.
+fn shatter(h: &Graph, delta: usize, r: usize, outcome: MarkingOutcome) -> Shattering {
+    // Boundary of H: degree in H smaller than Δ (covers both deg_G < Δ
+    // and adjacency to removed B layers).
+    let boundary: Vec<NodeId> = h.nodes().filter(|&v| h.degree(v) < delta).collect();
+    // Marked nodes within r of the boundary uncolor themselves.
+    let near_boundary = layers_from_base(h, &boundary, Some(r), None);
+    let mut marked = outcome.marked;
+    for (m, near) in marked.iter_mut().zip(&near_boundary.layer_of) {
+        *m &= near.is_none();
+    }
+    // Valid T-nodes: both marks survived. Together with the unmarked
+    // boundary nodes they form C_0.
+    let mut c0: Vec<NodeId> = outcome
         .t_nodes
         .iter()
         .filter(|t| marked[t.m1.index()] && marked[t.m2.index()])
         .map(|t| t.node)
         .collect();
-    let mut c0: Vec<NodeId> = t_nodes.clone();
-    c0.extend(boundary.iter().copied().filter(|&v| !marked[v.index()]));
-    c0.sort_unstable();
-    c0.dedup();
-    let within: Vec<bool> = g.nodes().map(|v| !marked[v.index()]).collect();
-    let c_layering = layers_from_base(g, &c0, Some(2 * r), Some(&within));
-    let leftover: Vec<NodeId> = g
+    let t_nodes = c0.len();
+    c0.extend(boundary.into_iter().filter(|&v| !marked[v.index()]));
+    // Layers through uncolored (unmarked) nodes, truncated at 2r.
+    let within: Vec<bool> = marked.iter().map(|&m| !m).collect();
+    let c_layering = layers_from_base(h, &c0, Some(2 * r), Some(&within));
+    let leftover: Vec<NodeId> = h
         .nodes()
         .filter(|&v| !marked[v.index()] && c_layering.layer_of[v.index()].is_none())
         .collect();
-    let comps = leftover_components(g, &leftover);
-    let marked_count = marked.iter().filter(|&&m| m).count();
-    ShatterProbe {
-        t_nodes: t_nodes.len(),
-        marked: marked_count,
-        happy_fraction: if g.n() == 0 {
-            1.0
-        } else {
-            (g.n() - leftover.len()) as f64 / g.n() as f64
-        },
-        components: comps.len(),
-        max_component: comps.iter().map(Vec::len).max().unwrap_or(0),
+    let happy_fraction = if h.n() == 0 {
+        1.0
+    } else {
+        (h.n() - leftover.len()) as f64 / h.n() as f64
+    };
+    Shattering {
+        components: leftover_components(h, &leftover),
+        marked,
+        t_nodes,
+        c_layering,
+        happy_fraction,
     }
 }
 
@@ -311,13 +350,13 @@ fn run_once(
     // Phase I (1)-(3): DCC selection, ruling set on the DCC graph, base
     // layer B_0 and layers B_1..B_s.
     // ------------------------------------------------------------------
-    let (b0_sets, b0_nodes) = select_b0_dccs(g, config, seed, ledger)?;
+    let b0_sets = select_b0_dccs(g, config, seed, ledger);
     // Selected DCCs have in-component radius <= 2r (diameter <= 4r); a
     // node whose own DCC is GDCC-adjacent to a selected one is therefore
     // within 4r + 2 of B_0, so s = 4r + 2 layers remove every node that
     // certified a DCC (the paper's s = β(r+1) with its radius-r DCCs).
     let s = 4 * config.r_detect + 2;
-    let b_layering = layers_from_base(g, &b0_nodes, Some(s), None);
+    let b_layering = layers_from_base(g, &b0_sets.concat(), Some(s), None);
     ledger.charge("phase3-b-layers", s as u64);
     let removed: Vec<bool> = b_layering.layer_of.iter().map(Option::is_some).collect();
     let b_removed = b_layering.covered();
@@ -342,10 +381,6 @@ fn run_once(
         max_component_size: 0,
     };
 
-    // C layers in h-local coordinates, colored in phase III.
-    let mut c_layering_local: Option<Layering> = None;
-    let mut marked_local: Vec<bool> = vec![false; h.n()];
-
     if h.n() > 0 {
         // --------------------------------------------------------------
         // Phase II (4): marking process on H, executed through the
@@ -354,100 +389,57 @@ fn run_once(
         // (Member ranks coincide with h-local ids, so the outcome slots
         // straight into the h-indexed bookkeeping below.)
         // --------------------------------------------------------------
-        let mut h_coloring = PartialColoring::new(h.n());
         let outcome = marking_process(
             g,
             Some(&h_mask),
             config.marking,
             seed ^ 0xa5a5,
-            &mut h_coloring,
+            &mut PartialColoring::new(h.n()),
             ledger,
             "phase4-marking",
         );
 
         // --------------------------------------------------------------
-        // Phase II (5): boundary handling, T-node validation, C layers.
+        // Phase II (5): boundary handling, T-node validation, C layers;
+        // the leftover components L of phase (6).
         // --------------------------------------------------------------
         let r = config.r_happy;
-        // Boundary of H: degree in H smaller than Δ (covers both
-        // deg_G < Δ and adjacency to removed B layers).
-        let boundary: Vec<NodeId> = h.nodes().filter(|&v| h.degree(v) < delta).collect();
-        // Marked nodes within r of the boundary uncolor themselves.
-        let near_boundary = masked_multi_source(&h, &boundary, r, None);
-        let mut marked = outcome.marked.clone();
-        for v in h.nodes() {
-            if marked[v.index()] && near_boundary[v.index()] != u32::MAX {
-                marked[v.index()] = false;
-                h_coloring.unset(v);
-            }
-        }
-        // Valid T-nodes: both marks survived.
-        let t_nodes: Vec<NodeId> = outcome
-            .t_nodes
-            .iter()
-            .filter(|t| marked[t.m1.index()] && marked[t.m2.index()])
-            .map(|t| t.node)
-            .collect();
-        stats.t_nodes = t_nodes.len();
+        let shattered = shatter(&h, delta, r, outcome);
         ledger.charge("phase5-boundary", r as u64);
-
-        // C_0 = valid T-nodes + boundary nodes (unmarked ones).
-        let mut c0: Vec<NodeId> = t_nodes.clone();
-        c0.extend(boundary.iter().copied().filter(|&v| !marked[v.index()]));
-        c0.sort_unstable();
-        c0.dedup();
-        // Layers through uncolored (unmarked) nodes, truncated at 2r.
-        let within: Vec<bool> = h.nodes().map(|v| !marked[v.index()]).collect();
-        let c_layering = layers_from_base(&h, &c0, Some(2 * r), Some(&within));
         ledger.charge("phase5-c-layers", 2 * r as u64);
-
-        // --------------------------------------------------------------
-        // Phase II (6): leftover components L.
-        // --------------------------------------------------------------
-        let leftover: Vec<NodeId> = h
-            .nodes()
-            .filter(|&v| !marked[v.index()] && c_layering.layer_of[v.index()].is_none())
-            .collect();
-        let happy = h.n() - leftover.len();
-        stats.happy_fraction = if h.n() == 0 {
-            1.0
-        } else {
-            happy as f64 / h.n() as f64
-        };
+        stats.t_nodes = shattered.t_nodes;
+        stats.happy_fraction = shattered.happy_fraction;
 
         // Transfer marks to the global coloring.
         for v in h.nodes() {
-            if marked[v.index()] {
+            if shattered.marked[v.index()] {
                 coloring.set(h_map[v.index()], crate::palette::Color::FIRST);
-                marked_local[v.index()] = true;
             }
         }
 
-        if !leftover.is_empty() {
-            let comps = leftover_components(&h, &leftover);
-            stats.leftover_components = comps.len();
-            stats.max_component_size = comps.iter().map(Vec::len).max().unwrap_or(0);
-            for comp_local in &comps {
-                let comp_global: Vec<NodeId> =
-                    comp_local.iter().map(|&v| h_map[v.index()]).collect();
-                color_small_component(
-                    g,
-                    &comp_global,
-                    delta,
-                    config,
-                    seed ^ 0x5151,
-                    &mut coloring,
-                    ledger,
-                )?;
-            }
+        // --------------------------------------------------------------
+        // Phase II (6): color the leftover components L.
+        // --------------------------------------------------------------
+        let comps = &shattered.components;
+        stats.leftover_components = comps.len();
+        stats.max_component_size = comps.iter().map(Vec::len).max().unwrap_or(0);
+        for comp_local in comps {
+            let comp_global: Vec<NodeId> = comp_local.iter().map(|&v| h_map[v.index()]).collect();
+            color_small_component(
+                g,
+                &comp_global,
+                delta,
+                config,
+                seed ^ 0x5151,
+                &mut coloring,
+                ledger,
+            )?;
         }
-        c_layering_local = Some(c_layering);
-    }
 
-    // ------------------------------------------------------------------
-    // Phase III (7): color C layers in reverse (C_2r .. C_0).
-    // ------------------------------------------------------------------
-    if let Some(cl) = &c_layering_local {
+        // --------------------------------------------------------------
+        // Phase III (7): color C layers in reverse (C_2r .. C_0).
+        // --------------------------------------------------------------
+        let cl = &shattered.c_layering;
         for i in (0..cl.depth()).rev() {
             let members_global: Vec<NodeId> =
                 cl.layers[i].iter().map(|&v| h_map[v.index()]).collect();
@@ -496,13 +488,13 @@ fn run_once(
 
 /// Phases (1)-(2): per-node DCC selection, the virtual DCC graph, and a
 /// ruling set (MIS) on it. Returns the selected (pairwise non-adjacent)
-/// DCC components and the union of their nodes.
+/// DCC components.
 fn select_b0_dccs(
     g: &Graph,
     config: &RandConfig,
     seed: u64,
     ledger: &mut RoundLedger,
-) -> Result<(Vec<Vec<NodeId>>, Vec<NodeId>), ColoringError> {
+) -> Vec<Vec<NodeId>> {
     let r = config.r_detect;
     // Engine-backed collective detection: every node collects its
     // radius-r ball as a real message-passing program (rounds + bits
@@ -515,64 +507,23 @@ fn select_b0_dccs(
         ledger,
         "phase1-dcc-detect",
     );
-    // Deduplicate selected DCCs by vertex set.
-    let mut seen: std::collections::HashSet<Vec<NodeId>> = std::collections::HashSet::new();
-    let mut dccs: Vec<Vec<NodeId>> = Vec::new();
-    for found in found_all.into_iter().flatten() {
-        if seen.insert(found.nodes.clone()) {
-            dccs.push(found.nodes);
-        }
-    }
+    let dccs = distinct_dccs(found_all);
     if dccs.is_empty() {
-        return Ok((Vec::new(), Vec::new()));
+        return Vec::new();
     }
     // Virtual graph GDCC: DCCs adjacent if they share a vertex or are
     // joined by an edge of G.
-    let mut b = GraphBuilder::new(dccs.len());
-    let mut edge_set: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    let mut add = |b: &mut GraphBuilder, x: usize, y: usize| {
-        if x != y && edge_set.insert((x.min(y), x.max(y))) {
-            b.add_edge(x as u32, y as u32);
-        }
-    };
-    // Shared vertices.
-    let mut members_of_node: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
-    for (i, d) in dccs.iter().enumerate() {
-        for &v in d {
-            members_of_node[v.index()].push(i);
-        }
-    }
-    for v in g.nodes() {
-        let m = &members_of_node[v.index()];
-        for (ai, &x) in m.iter().enumerate() {
-            for &y in &m[ai + 1..] {
-                add(&mut b, x, y);
-            }
-        }
-    }
-    // Adjacent in G.
-    for (u, v) in g.edges() {
-        for &x in &members_of_node[u.index()] {
-            for &y in &members_of_node[v.index()] {
-                add(&mut b, x, y);
-            }
-        }
-    }
-    let gdcc = b.build();
+    let gdcc = set_graph(g, &dccs);
     // (2, 1)-ruling set of GDCC via Luby MIS; one GDCC round costs
     // 2r + 1 rounds in G: the measured engine round plus a charged
     // remainder of 2r.
     let before = ledger.total();
     let mis = luby_mis(&gdcc, seed ^ 0xdcc, ledger, "phase2-ruling");
     ledger.charge("phase2-ruling", (ledger.total() - before) * 2 * r as u64);
-    let chosen: Vec<Vec<NodeId>> = members(&mis)
+    members(&mis)
         .into_iter()
         .map(|i| dccs[i.index()].clone())
-        .collect();
-    let mut b0_nodes: Vec<NodeId> = chosen.iter().flatten().copied().collect();
-    b0_nodes.sort_unstable();
-    b0_nodes.dedup();
-    Ok((chosen, b0_nodes))
+        .collect()
 }
 
 /// Phase (6): color one leftover component `C` (given by global ids)
@@ -633,17 +584,10 @@ fn color_small_component(
         ledger,
         "phase6-cdcc",
     );
-    let mut seen: std::collections::HashSet<Vec<NodeId>> = std::collections::HashSet::new();
-    let mut dccs: Vec<Vec<NodeId>> = Vec::new();
-    for found in found_all.into_iter().flatten() {
-        if seen.insert(found.nodes.clone()) {
-            dccs.push(found.nodes);
-        }
-    }
+    let dccs = distinct_dccs(found_all);
 
     // Virtual graph CDCC: singletons for free nodes + DCC nodes.
-    let k = free.len() + dccs.len();
-    if k == 0 {
+    if free.is_empty() && dccs.is_empty() {
         return Err(ColoringError::Unsolvable {
             context: format!(
                 "leftover component of size {nn} has no free node and no DCC (Lemma 27 margin)"
@@ -655,34 +599,7 @@ fn color_small_component(
         .map(|&v| vec![v])
         .chain(dccs.iter().cloned())
         .collect();
-    let mut b = GraphBuilder::new(k);
-    let mut owner: Vec<Vec<usize>> = vec![Vec::new(); nn];
-    for (i, set) in node_sets.iter().enumerate() {
-        for &v in set {
-            owner[v.index()].push(i);
-        }
-    }
-    let mut edge_set = std::collections::HashSet::new();
-    for lv in sub.nodes() {
-        let m = &owner[lv.index()];
-        for (ai, &x) in m.iter().enumerate() {
-            for &y in &m[ai + 1..] {
-                if edge_set.insert((x.min(y), x.max(y))) {
-                    b.add_edge(x as u32, y as u32);
-                }
-            }
-        }
-    }
-    for (u, v) in sub.edges() {
-        for &x in &owner[u.index()] {
-            for &y in &owner[v.index()] {
-                if x != y && edge_set.insert((x.min(y), x.max(y))) {
-                    b.add_edge(x as u32, y as u32);
-                }
-            }
-        }
-    }
-    let cdcc = b.build();
+    let cdcc = set_graph(&sub, &node_sets);
     // One CDCC round costs r_c + 1 rounds in G: the rounds below are
     // charged as they run, and a remainder of r_c per round after them.
     let before = ledger.total();
@@ -726,12 +643,7 @@ fn color_small_component(
         .collect();
 
     // D layers: distance (inside the component) to the chosen sets.
-    let d0_local: Vec<NodeId> = {
-        let mut v: Vec<NodeId> = chosen.iter().flat_map(|s| s.iter().copied()).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
+    let d0_local: Vec<NodeId> = chosen.iter().flat_map(|s| s.iter().copied()).collect();
     let d_layering = layers_from_base(&sub, &d0_local, None, None);
     debug_assert!(
         d_layering.is_cover(),
@@ -756,12 +668,13 @@ fn color_small_component(
             "phase6-d-coloring",
         )?;
     }
-    // Color D_0: chosen free nodes greedily (slack guaranteed), chosen
-    // DCCs via degree-choosability. The chosen sets are pairwise
-    // non-adjacent (MIS), so order does not matter.
+    // Color D_0: chosen free nodes (the singletons; a DCC has at least 4
+    // nodes) greedily (slack guaranteed), chosen DCCs via
+    // degree-choosability. The chosen sets are pairwise non-adjacent
+    // (MIS), so order does not matter.
     for set in chosen {
-        if set.len() == 1 && free.binary_search(&set[0]).is_ok() && !is_dcc_set(&dccs, set) {
-            let gv = map[set[0].index()];
+        if let [lv] = set[..] {
+            let gv = map[lv.index()];
             if coloring.is_colored(gv) {
                 continue;
             }
@@ -779,10 +692,6 @@ fn color_small_component(
     }
     ledger.charge("phase6-d0", r_c as u64);
     Ok(())
-}
-
-fn is_dcc_set(dccs: &[Vec<NodeId>], set: &[NodeId]) -> bool {
-    dccs.iter().any(|d| d.as_slice() == set)
 }
 
 /// Connected components of the induced subgraph on `keep` (local ids of
@@ -819,16 +728,46 @@ fn leftover_components(h: &Graph, keep: &[NodeId]) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Multi-source BFS distances within `h` truncated at `max_d`
-/// (`u32::MAX` beyond), optionally restricted to a mask.
-fn masked_multi_source(
-    h: &Graph,
-    sources: &[NodeId],
-    max_d: usize,
-    within: Option<&[bool]>,
-) -> Vec<u32> {
-    let lay = layers_from_base(h, sources, Some(max_d), within);
-    lay.layer_of.iter().map(|o| o.unwrap_or(u32::MAX)).collect()
+/// The distinct vertex sets among the DCCs found, in the order found.
+fn distinct_dccs(found: Vec<Option<FoundDcc>>) -> Vec<Vec<NodeId>> {
+    let mut seen = HashSet::new();
+    found
+        .into_iter()
+        .flatten()
+        .map(|f| f.nodes)
+        .filter(|nodes| seen.insert(nodes.clone()))
+        .collect()
+}
+
+/// The virtual graph on `sets` of nodes of `g` (the GDCC of phase (2),
+/// the CDCC of phase (6)): sets `i != j` are adjacent iff they share a
+/// node or an edge of `g` joins them. Each set lists distinct nodes.
+fn set_graph(g: &Graph, sets: &[Vec<NodeId>]) -> Graph {
+    let mut owners: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
+    for (i, set) in sets.iter().enumerate() {
+        for &v in set {
+            owners[v.index()].push(i as u32);
+        }
+    }
+    // `build` sorts and dedups, so repeated pairs are harmless.
+    let mut b = GraphBuilder::new(sets.len());
+    for m in &owners {
+        for (ai, &x) in m.iter().enumerate() {
+            for &y in &m[ai + 1..] {
+                b.add_edge(x, y);
+            }
+        }
+    }
+    for (u, v) in g.edges() {
+        for &x in &owners[u.index()] {
+            for &y in &owners[v.index()] {
+                if x != y {
+                    b.add_edge(x, y);
+                }
+            }
+        }
+    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -914,6 +853,56 @@ mod tests {
         let mut ledger2 = RoundLedger::new();
         let (_, stats2) = delta_color_rand(&g2, cfg2, &mut ledger2).unwrap();
         assert_eq!(stats2.b_removed + stats2.h_size, 600);
+    }
+
+    #[test]
+    fn set_graph_matches_its_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Pairs seen: (share a node only, joined by an edge only, neither).
+        let mut kinds = (0, 0, 0);
+        for seed in 0..30u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n: u32 = rng.random_range(2..40);
+            let g = generators::gnp(n as usize, 0.1, seed);
+            // Random sets of 1 to 5 nodes (singletons and overlaps), plus
+            // the endpoints of an edge as two disjoint singletons.
+            let mut sets: Vec<Vec<NodeId>> = (0..rng.random_range(1..12u32))
+                .map(|_| {
+                    let size = rng.random_range(1..6u32);
+                    let mut set: Vec<NodeId> =
+                        (0..size).map(|_| NodeId(rng.random_range(0..n))).collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            if let Some((u, v)) = g.edges().next() {
+                sets.extend([vec![u], vec![v]]);
+            }
+            let vg = set_graph(&g, &sets);
+            assert_eq!(vg.n(), sets.len());
+            for (i, a) in sets.iter().enumerate() {
+                let vi = NodeId::from_index(i);
+                assert!(!vg.has_edge(vi, vi), "seed {seed}: self-loop at set {i}");
+                for (j, b) in sets.iter().enumerate().filter(|&(j, _)| j != i) {
+                    let share = a.iter().any(|v| b.contains(v));
+                    let joined = a.iter().any(|&u| b.iter().any(|&v| g.has_edge(u, v)));
+                    assert_eq!(
+                        vg.has_edge(vi, NodeId::from_index(j)),
+                        share || joined,
+                        "seed {seed}: sets {a:?} and {b:?}"
+                    );
+                    match (share, joined) {
+                        (true, false) => kinds.0 += 1,
+                        (false, true) => kinds.1 += 1,
+                        (false, false) => kinds.2 += 1,
+                        (true, true) => {}
+                    }
+                }
+            }
+        }
+        assert!(kinds.0 > 0 && kinds.1 > 0 && kinds.2 > 0, "{kinds:?}");
     }
 }
 

@@ -37,9 +37,7 @@ pub struct SlocalStats {
 ///
 /// [`ColoringError::Unsolvable`] if the graph is not nice.
 pub fn delta_color_slocal(g: &Graph) -> Result<(PartialColoring, SlocalStats), ColoringError> {
-    assert_nice(g).map_err(|e| ColoringError::Unsolvable {
-        context: e.to_string(),
-    })?;
+    assert_nice(g)?;
     let delta = g.max_degree();
     let mut coloring = PartialColoring::new(g.n());
     let mut stats = SlocalStats {

@@ -73,14 +73,19 @@ impl WireCodec for GallaiMsg {
 /// component of `g`: 2-connected, not a clique, not an odd cycle
 /// (Definition 9).
 pub fn is_dcc(g: &Graph, nodes: &[NodeId]) -> bool {
-    if nodes.len() < 4 {
-        // 2-connected graphs on 3 nodes are triangles (odd cycles).
-        return false;
+    dcc_block(g, nodes).is_some_and(|(sub, _)| delta_graphs::components::is_biconnected(&sub))
+}
+
+/// The Definition 9 test for a node set already known to be 2-connected
+/// (a block): at least 4 nodes (a 2-connected graph on 3 nodes is a
+/// triangle), neither a clique nor an odd cycle. Returns the induced
+/// subgraph and its local-to-`g` map when the block qualifies.
+pub(crate) fn dcc_block(g: &Graph, block: &[NodeId]) -> Option<(Graph, Vec<NodeId>)> {
+    if block.len() < 4 {
+        return None;
     }
-    let (sub, _) = g.induced(nodes);
-    delta_graphs::components::is_biconnected(&sub)
-        && !delta_graphs::props::is_clique(&sub)
-        && !is_odd_cycle(&sub)
+    let (sub, map) = g.induced(block);
+    (!delta_graphs::props::is_clique(&sub) && !is_odd_cycle(&sub)).then_some((sub, map))
 }
 
 /// A DCC found near a node: its (global) vertex set and its radius
@@ -173,13 +178,12 @@ pub fn find_dcc_in_ball(ball: &Ball, max_radius: usize, max_size: usize) -> Opti
     let center = ball.center;
     let mut best: Option<FoundDcc> = None;
     for blk in &b.blocks {
-        if blk.len() < 4 || blk.len() > max_size || blk.binary_search(&center).is_err() {
+        if blk.len() > max_size || blk.binary_search(&center).is_err() {
             continue;
         }
-        let (sub, local_map) = ball.graph.induced(blk);
-        if delta_graphs::props::is_clique(&sub) || is_odd_cycle(&sub) {
+        let Some((sub, local_map)) = dcc_block(&ball.graph, blk) else {
             continue;
-        }
+        };
         let radius = delta_graphs::bfs::radius(&sub);
         if radius > max_radius {
             continue;
@@ -204,13 +208,10 @@ pub fn find_dcc_in_ball(ball: &Ball, max_radius: usize, max_size: usize) -> Opti
 /// expansion lemmas (Lemmas 10, 11, 12, 15), which quantify over the
 /// whole neighborhood.
 pub fn ball_is_dcc_free(ball: &Ball) -> bool {
-    let b = blocks(&ball.graph);
-    !b.blocks.iter().any(|blk| {
-        blk.len() >= 4 && {
-            let (sub, _) = ball.graph.induced(blk);
-            !delta_graphs::props::is_clique(&sub) && !is_odd_cycle(&sub)
-        }
-    })
+    blocks(&ball.graph)
+        .blocks
+        .iter()
+        .all(|blk| dcc_block(&ball.graph, blk).is_none())
 }
 
 /// Solves a *degree-list* coloring instance by backtracking with MRV

@@ -10,7 +10,6 @@
 
 use crate::list_coloring::{list_color, ListColorMethod};
 use crate::palette::{Color, ColoringError, Lists, PartialColoring};
-use delta_graphs::bfs;
 use delta_graphs::{Graph, NodeId};
 use local_model::RoundLedger;
 use std::collections::VecDeque;
@@ -217,16 +216,6 @@ pub fn color_one_layer(
     Ok(())
 }
 
-/// Distances from a base set within a mask (`UNREACHABLE` outside), a
-/// convenience re-export of the BFS used by several phases.
-pub fn masked_distances(g: &Graph, base: &[NodeId], within: &[bool]) -> Vec<u32> {
-    let lay = layers_from_base(g, base, None, Some(within));
-    lay.layer_of
-        .iter()
-        .map(|o| o.map(|d| d).unwrap_or(bfs::UNREACHABLE))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,14 +353,5 @@ mod more_tests {
         assert!(coloring.is_colored(NodeId(4)));
         assert!(!coloring.is_colored(NodeId(1)));
         coloring.validate_proper(&g).unwrap();
-    }
-
-    #[test]
-    fn masked_distances_match_layering() {
-        let g = generators::torus(5, 5);
-        let within = vec![true; g.n()];
-        let d = masked_distances(&g, &[NodeId(0)], &within);
-        let bfs_d = delta_graphs::bfs::distances(&g, NodeId(0));
-        assert_eq!(d, bfs_d);
     }
 }

@@ -158,6 +158,14 @@ impl std::fmt::Display for NotNice {
     }
 }
 
+impl From<NotNice> for ColoringError {
+    fn from(e: NotNice) -> Self {
+        ColoringError::Unsolvable {
+            context: e.to_string(),
+        }
+    }
+}
+
 /// Checks the paper's standing assumption: connected, not a path, not a
 /// cycle, not a clique, `Δ >= 3`.
 ///

@@ -135,29 +135,15 @@ fn lemma16_dcc_or_low_degree_within_logarithmic_radius() {
             let v = NodeId(((i * 977) % g.n() as u64) as u32);
             let ball = bfs::ball(&g, v, radius);
             let has_low_degree = ball.globals.iter().any(|&u| g.degree(u) < delta);
-            let has_dcc = gallai::find_dcc_in_ball(&ball, usize::MAX, usize::MAX).is_some()
-                || has_any_dcc_block(&ball);
+            // Lemma 16 asserts a DCC anywhere in the neighborhood, not
+            // only through `v`.
+            let has_dcc = !gallai::ball_is_dcc_free(&ball);
             assert!(
                 has_low_degree || has_dcc,
                 "Lemma 16 violated around {v} in {g:?} at radius {radius}"
             );
         }
     }
-}
-
-/// Any block of the ball (not necessarily through the center) that is a
-/// DCC — Lemma 16 only asserts existence somewhere in the neighborhood.
-fn has_any_dcc_block(ball: &bfs::Ball) -> bool {
-    let b = delta_graphs::components::blocks(&ball.graph);
-    b.blocks.iter().any(|blk| {
-        if blk.len() < 4 {
-            return false;
-        }
-        let (sub, _) = ball.graph.induced(blk);
-        delta_graphs::components::is_biconnected(&sub)
-            && !props::is_clique(&sub)
-            && !props::is_odd_cycle(&sub)
-    })
 }
 
 #[test]
